@@ -8,8 +8,8 @@ unchanged.  medcache exploits that in three layers:
 * an **answer cache** on :meth:`Mediator.source_query`, keyed by a
   deterministic fingerprint of (source, class, bound selections,
   capability signature) — see :mod:`repro.cache.fingerprint`;
-* **within-plan deduplication** in the planner (on even when no cache
-  is configured);
+* **within-plan deduplication** on each plan's call memo, under the
+  same fingerprint (on even when no cache is configured);
 * **materialized integrated views** (:meth:`Mediator.materialize`),
   evaluated once and served to later ``ask``/``correlate`` calls.
 
@@ -31,7 +31,6 @@ from .answers import AnswerCache, CacheEntry, CacheStats
 from .fingerprint import (
     capability_signature,
     fingerprint_digest,
-    plan_fingerprint,
     query_fingerprint,
 )
 from .invalidation import affected_concepts, refinement_seeds
@@ -49,7 +48,6 @@ __all__ = [
     "affected_concepts",
     "capability_signature",
     "fingerprint_digest",
-    "plan_fingerprint",
     "query_fingerprint",
     "refinement_seeds",
 ]

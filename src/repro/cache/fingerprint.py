@@ -72,13 +72,6 @@ def query_fingerprint(source, source_query, capability=None):
     )
 
 
-def plan_fingerprint(source, source_query):
-    """The within-plan dedup key: like :func:`query_fingerprint` but
-    without the capability signature — capabilities cannot change in
-    the middle of one plan execution."""
-    return query_fingerprint(source, source_query, None)
-
-
 def fingerprint_digest(fingerprint):
     """A short stable hex digest of a fingerprint, for stats/logs."""
     return hashlib.sha256(repr(fingerprint).encode("utf-8")).hexdigest()[:16]

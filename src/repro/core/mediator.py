@@ -17,7 +17,8 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from collections import deque
+from typing import Deque, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .. import obs
 from ..errors import (
@@ -56,6 +57,10 @@ from .planner import (
 )
 from .registration import build_registration, parse_registration
 from .views import DistributionView, IntegratedView
+
+#: how many of the newest XML messages :attr:`Mediator.wire_log` keeps,
+#: so a long-lived mediator's log stays bounded
+WIRE_LOG_LIMIT = 1024
 
 
 class RegisteredSource:
@@ -184,7 +189,7 @@ class Mediator:
         self._facts: List[Rule] = []
         self._materialized: List[Rule] = []
         self._engine: Optional[FLogicEngine] = None
-        self._wire_log: List[Tuple[str, int]] = []
+        self._wire_log: Deque[Tuple[str, int]] = deque(maxlen=WIRE_LOG_LIMIT)
 
     # -- registration ---------------------------------------------------
 
@@ -309,10 +314,11 @@ class Mediator:
 
     @property
     def wire_log(self):
-        """(message, size-in-bytes) pairs of XML messages exchanged."""
+        """(message, size-in-bytes) pairs of the newest
+        :data:`WIRE_LOG_LIMIT` XML messages exchanged."""
         return list(self._wire_log)
 
-    def source_query(self, source_name, source_query):
+    def source_query(self, source_name, source_query, plan=None):
         """Send `source_query` (a :class:`~repro.sources.SourceQuery`)
         to the source named `source_name`, honouring
         `dialogue_via_xml`.
@@ -335,19 +341,45 @@ class Mediator:
         beats an open breaker).  Misses run the normal path; only
         fresh results are cached — a medguard stale-serving fallback
         (last-known-good) is never written into medcache.
+
+        One :func:`~repro.cache.query_fingerprint` keys the plan memo,
+        the answer cache and the guard's last-known-good store.
+
+        Args:
+            source_name: the registered source to ask.
+            source_query: the class, selections and projection.
+            plan: the :class:`~repro.core.planner.PlanContext` issuing
+                the call, or None.  A repeat of a call the plan already
+                answered is served from its memo (a ``cache.dedup``
+                event); the plan's deadline bounds the guard's retries
+                and the call's :class:`~repro.resilience.CallOutcome`
+                joins the plan's outcomes.
         """
         wrapper = self.wrapper(source_name)
+        class_name = source_query.class_name
+        key = query_fingerprint(
+            source_name,
+            source_query,
+            self._sources[source_name].registration.capabilities.get(
+                class_name
+            ),
+        )
+        memoized = plan.call_memo.get(key) if plan is not None else None
+        if memoized is not None:  # an empty row list is an answer too
+            obs.event("cache.dedup", source=source_name, class_name=class_name)
+            obs.count("cache.dedup", source=source_name)
+            return list(memoized)
+        rows = self._answer(wrapper, source_query, key, plan)
+        if plan is not None:
+            plan.call_memo[key] = rows
+        return rows
+
+    def _answer(self, wrapper, source_query, key, plan):
+        """The call below the plan memo: answer cache, guard, wire."""
+        source_name = wrapper.name
         cache = self.cache
-        fingerprint = None
         if cache is not None:
-            fingerprint = query_fingerprint(
-                source_name,
-                source_query,
-                self._sources[source_name].registration.capabilities.get(
-                    source_query.class_name
-                ),
-            )
-            entry = cache.lookup(fingerprint)
+            entry = cache.lookup(key)
             if entry is not None:
                 obs.event(
                     "cache.hit",
@@ -362,23 +394,26 @@ class Mediator:
             rows = self._source_query(wrapper, source_query)
             fresh = True
         else:
-            rows = guard.call(
-                source_name,
-                source_query.class_name,
-                lambda: self._source_query(wrapper, source_query),
-                cache_key=(
-                    tuple(sorted(source_query.selections.items())),
-                    tuple(source_query.projection)
-                    if source_query.projection is not None
-                    else None,
-                ),
-                executor=self.parallel,
-            )
-            outcome = guard.last_outcome()
-            fresh = outcome is None or not outcome.stale
+            # this call's own outcome: under fan-out the plan's list
+            # also receives other sources' outcomes concurrently
+            outcomes = []
+            try:
+                rows = guard.call(
+                    source_name,
+                    source_query.class_name,
+                    lambda: self._source_query(wrapper, source_query),
+                    cache_key=key,
+                    executor=self.parallel,
+                    deadline=plan.deadline if plan is not None else None,
+                    outcomes=outcomes,
+                )
+            finally:
+                if plan is not None:
+                    plan.outcomes.extend(outcomes)
+            fresh = not outcomes[-1].stale
         if cache is not None and fresh:
             cache.store_answer(
-                fingerprint,
+                key,
                 source_name,
                 source_query.class_name,
                 rows,

@@ -23,15 +23,11 @@ covers raises :class:`~repro.errors.PlanningError` at *planning* time.
 
 from __future__ import annotations
 
-import threading
-from contextlib import nullcontext
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional
 
 from .. import obs
-from ..cache.fingerprint import plan_fingerprint
 from ..errors import CapabilityError, PlanningError
 from ..domainmap.graphops import lub
-from ..parallel.executor import SingleFlight
 from ..sources.wrapper import SourceQuery
 from .aggregate import aggregate_over_dm
 
@@ -120,8 +116,10 @@ class PushSelectionStep(PlanStep):
         return "push {%s} to %s.%s" % (sel, self.source, self.class_name)
 
     def run(self, context):
-        rows = context.source_query(
-            self.source, SourceQuery(self.class_name, self.selections)
+        rows = context.mediator.source_query(
+            self.source,
+            SourceQuery(self.class_name, self.selections),
+            plan=context,
         )
         context.rows[(self.source, self.class_name)] = rows
         if self.bind_attrs:
@@ -236,8 +234,10 @@ class RetrieveAnchoredStep(PlanStep):
             ):
                 selections = {self.anchor_attr: raw_value}
                 selections.update(pushable)
-                rows = context.source_query(
-                    source, SourceQuery(self.target_class, selections)
+                rows = context.mediator.source_query(
+                    source,
+                    SourceQuery(self.target_class, selections),
+                    plan=context,
                 )
                 for row in rows:
                     if all(
@@ -329,13 +329,7 @@ class PlanContext:
     callers can tell a complete answer from a partial one.
     """
 
-    def __init__(
-        self,
-        mediator,
-        skip_failed_sources=False,
-        outcome_mark=None,
-        call_memo=None,
-    ):
+    def __init__(self, mediator, skip_failed_sources=False):
         self.mediator = mediator
         self.rows: Dict = {}
         self.bindings: Dict = {}
@@ -345,67 +339,22 @@ class PlanContext:
         self.answers: List = []
         self.skip_failed_sources = skip_failed_sources
         self.errors: List = []
-        #: within-plan memo of successful source calls, keyed by
-        #: fingerprint — :func:`execute` shares one memo between the
-        #: planning probe and the plan run, so identical calls inside
-        #: one correlate() execute once (even with no cache configured)
-        self.call_memo: Dict = {} if call_memo is None else call_memo
         #: the mediator's medpar executor (None = sequential plans)
         self.parallel = getattr(mediator, "parallel", None)
-        self._memo_lock = threading.Lock()
-        # coalesces concurrent identical source calls under fan-out:
-        # N workers asking the same (source, query) make one wire call
-        self._single_flight = SingleFlight()
+        # The plan's own source-call state.  Fan-out workers share it
+        # through single dict/list operations, which are atomic.
+        #: fingerprint -> rows of this plan's answered source calls:
+        #: identical calls inside one plan execute once, even with no
+        #: cache configured
+        self.call_memo: Dict = {}
+        #: :class:`~repro.resilience.CallOutcome` of every guarded
+        #: call this plan made (the degraded-answer report's input)
+        self.outcomes: List = []
+        #: this plan's deadline on the policy clock (None = unbounded)
+        self.deadline: Optional[float] = None
         guard = mediator.resilience
-        #: slice of the guard's outcome log belonging to this plan
-        self._outcome_mark = (
-            outcome_mark
-            if outcome_mark is not None
-            else (guard.mark() if guard is not None else 0)
-        )
-
-    def source_query(self, source, source_query):
-        """One plan-scoped source call, deduplicated within the plan.
-
-        A repeat of an already-answered call (same source, class,
-        selections, projection) is served from the memo without
-        touching the mediator — recorded as a ``cache.dedup`` event on
-        the active plan step and the ``cache.dedup`` counter.  Under
-        medpar fan-out, *concurrent* identical calls are coalesced
-        onto one in-flight wire call (the waiters additionally count
-        ``fanout.coalesced``).  Only successful calls are memoized;
-        failures propagate and are retried per attempt as before.
-        """
-        key = plan_fingerprint(source, source_query)
-        memo = self.call_memo
-        with self._memo_lock:
-            hit = key in memo  # empty row lists are valid answers
-            if hit:
-                rows = memo[key]
-        if hit:
-            self._record_dedup(source, source_query.class_name)
-            return list(rows)
-
-        def fetch():
-            rows = self.mediator.source_query(source, source_query)
-            with self._memo_lock:
-                memo[key] = rows
-            return rows
-
-        if self.parallel is None:
-            return fetch()
-
-        def coalesced():
-            self._record_dedup(source, source_query.class_name)
-            obs.count("fanout.coalesced", source=source)
-
-        return list(
-            self._single_flight.run(key, fetch, on_coalesced=coalesced)
-        )
-
-    def _record_dedup(self, source, class_name):
-        obs.event("cache.dedup", source=source, class_name=class_name)
-        obs.count("cache.dedup", source=source)
+        if guard is not None and guard.policy.plan_deadline is not None:
+            self.deadline = guard.policy.clock() + guard.policy.plan_deadline
 
     @property
     def degrades_on_failure(self):
@@ -440,12 +389,9 @@ class PlanContext:
         missing or substituting that source's contribution."""
         if self.errors:
             return True
-        guard = self.mediator.resilience
-        if guard is None:
-            return False
         return any(
             outcome.stale or outcome.status == "breaker-open"
-            for outcome in guard.outcomes_since(self._outcome_mark)
+            for outcome in self.outcomes
         )
 
     def failures(self):
@@ -467,13 +413,9 @@ class PlanContext:
         resilience policy."""
         from ..resilience.report import build_degraded_answer
 
-        guard = self.mediator.resilience
-        outcomes = (
-            guard.outcomes_since(self._outcome_mark)
-            if guard is not None
-            else ()
+        return build_degraded_answer(
+            self.outcomes, self.errors, guard=self.mediator.resilience
         )
-        return build_degraded_answer(outcomes, self.errors, guard=guard)
 
 
 class QueryPlan:
@@ -492,33 +434,20 @@ class QueryPlan:
             for i, step in enumerate(self.steps)
         )
 
-    def execute(
-        self,
-        mediator,
-        skip_failed_sources=False,
-        outcome_mark=None,
-        call_memo=None,
-    ):
-        context = PlanContext(
-            mediator,
-            skip_failed_sources=skip_failed_sources,
-            outcome_mark=outcome_mark,
-            call_memo=call_memo,
-        )
-        guard = mediator.resilience
-        scope = guard.plan_scope() if guard is not None else nullcontext()
-        with scope:
-            for index, step in enumerate(self.steps):
-                with obs.span(
-                    "plan.step",
-                    index=index + 1,
-                    kind=step.kind,
-                    describe=step.describe(),
-                ) as span:
-                    output = step.run(context)
-                    if span.enabled:
-                        span.set(cardinality=_cardinality(output))
-                        obs.count("planner.steps", kind=step.kind)
+    def execute(self, context):
+        """Run the steps in order against `context` (a
+        :class:`PlanContext`); returns it."""
+        for index, step in enumerate(self.steps):
+            with obs.span(
+                "plan.step",
+                index=index + 1,
+                kind=step.kind,
+                describe=step.describe(),
+            ) as span:
+                output = step.run(context)
+                if span.enabled:
+                    span.set(cardinality=_cardinality(output))
+                    obs.count("planner.steps", kind=step.kind)
         return context
 
 
@@ -531,23 +460,25 @@ def _cardinality(output):
     return 1
 
 
-def plan(mediator, query, call_memo=None):
+def plan(mediator, query, context=None):
     """Plan a :class:`CorrelationQuery` (without executing it).
 
     Performs capability checks up front: the seed selections must be
-    answerable by the seed source's binding patterns.  `call_memo`
-    lets :func:`execute` share the planning probe's seed call with
-    the plan run (within-plan dedup).
+    answerable by the seed source's binding patterns.  The planning
+    probe (step 1, run early for its anchor bindings) runs in
+    `context`, a :class:`PlanContext` — :func:`execute` passes the one
+    the plan then runs in, so the probe's seed call, its outcome and
+    its share of the deadline belong to that run.  None = a fresh one.
     """
     with obs.span(
         "plan.build",
         seed_class=query.seed_class,
         target_class=query.target_class,
     ):
-        return _plan(mediator, query, call_memo)
+        return _plan(mediator, query, context or PlanContext(mediator))
 
 
-def _plan(mediator, query, call_memo=None):
+def _plan(mediator, query, context):
     seed_source = query.seed_source
     if seed_source is None:
         exporters = [
@@ -580,9 +511,8 @@ def _plan(mediator, query, call_memo=None):
     step1 = PushSelectionStep(
         seed_source, query.seed_class, query.seed_selections, query.anchor_attrs
     )
-    probe_context = PlanContext(mediator, call_memo=call_memo)
-    step1.run(probe_context)
-    concept_pairs = probe_context.bindings.get(query.anchor_attrs, [])
+    step1.run(context)
+    concept_pairs = context.bindings.get(query.anchor_attrs, [])
     concepts = sorted({c for pair in concept_pairs for c in pair if c})
     for concept in concepts:
         mediator.dm.require_concept(concept)
@@ -612,22 +542,13 @@ def execute(mediator, query, skip_failed_sources=False):
     a source failing during retrieval is recorded in
     ``context.errors`` and the plan continues with the remaining
     sources.  The whole run — the planning probe included — shares one
-    resilience deadline budget, outcome-log slice, and within-plan
-    call memo (so the probe's seed query is not re-issued by step 1).
+    :class:`PlanContext`: one deadline budget, one outcome list, and
+    one call memo (so the probe's seed query is not re-issued by
+    step 1).
     """
-    guard = mediator.resilience
-    mark = guard.mark() if guard is not None else None
-    scope = guard.plan_scope() if guard is not None else nullcontext()
-    call_memo: Dict = {}
-    with scope:
-        query_plan = plan(mediator, query, call_memo=call_memo)
-        context = query_plan.execute(
-            mediator,
-            skip_failed_sources=skip_failed_sources,
-            outcome_mark=mark,
-            call_memo=call_memo,
-        )
-    return query_plan, context
+    context = PlanContext(mediator, skip_failed_sources=skip_failed_sources)
+    query_plan = plan(mediator, query, context)
+    return query_plan, query_plan.execute(context)
 
 
 class CorrelationResult(tuple):
@@ -780,19 +701,10 @@ def explain(mediator, query, skip_failed_sources=False):
     Like SQL ``EXPLAIN ANALYZE``, this runs the query: cardinalities
     and timings are measured, not estimated.
     """
-    guard = mediator.resilience
-    mark = guard.mark() if guard is not None else None
-    scope = guard.plan_scope() if guard is not None else nullcontext()
-    call_memo: Dict = {}
     with obs.capture("explain") as tracer:
-        with scope:
-            query_plan = plan(mediator, query, call_memo=call_memo)
-            context = query_plan.execute(
-                mediator,
-                skip_failed_sources=skip_failed_sources,
-                outcome_mark=mark,
-                call_memo=call_memo,
-            )
+        query_plan, context = execute(
+            mediator, query, skip_failed_sources=skip_failed_sources
+        )
     steps = []
     for span in tracer.find_spans("plan.step"):
         steps.append(

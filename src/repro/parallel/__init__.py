@@ -21,14 +21,12 @@ from .executor import (
     DEFAULT_MAX_WORKERS,
     FanoutOutcome,
     ParallelExecutor,
-    SingleFlight,
 )
 
 __all__ = [
     "DEFAULT_MAX_WORKERS",
     "FanoutOutcome",
     "ParallelExecutor",
-    "SingleFlight",
     "build_fanout_deployment",
 ]
 

@@ -16,9 +16,7 @@ primitives plan execution needs:
 
 Both primitives adopt the submitting thread's current medtrace span as
 the worker's parent, so ``plan.step`` trees stay well-nested across
-threads.  :class:`SingleFlight` coalesces concurrent identical calls
-onto one in-flight future (within-plan dedup under fan-out: N workers
-asking the same source question cost one wire call).
+threads.
 
 The layer follows the house discipline: ``Mediator(parallel=...)``
 defaults to off, costing the sequential path a single ``is None``
@@ -26,14 +24,14 @@ check, and a fan-out of one item runs inline on the calling thread —
 byte-identical to the sequential code it replaces.
 
 Fan-out activity is metered by the ``fanout.*`` counter family
-(``fanout.batches``, ``fanout.tasks``, ``fanout.timeouts``,
-``fanout.coalesced``) — see ``docs/parallelism.md``.
+(``fanout.batches``, ``fanout.tasks``, ``fanout.timeouts``) — see
+``docs/parallelism.md``.
 """
 
 from __future__ import annotations
 
 import threading
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Dict, List, Optional
 
 from .. import obs
@@ -220,54 +218,3 @@ class ParallelExecutor:
 
     def __repr__(self):
         return "ParallelExecutor(max_workers=%d)" % self.max_workers
-
-
-class SingleFlight:
-    """Coalesces concurrent identical calls onto one in-flight future.
-
-    The first caller of a key becomes the *owner* and executes the
-    work; concurrent callers of the same key block on the owner's
-    future and share its result (or its exception) without issuing the
-    call themselves.  Completion removes the key, so a failed call is
-    retryable while a successful one is typically memoized by the
-    caller (only successes deserve to stick).
-    """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._in_flight: Dict[object, Future] = {}
-
-    def run(self, key, fn, on_coalesced=None):
-        """Run ``fn()`` under `key`, coalescing concurrent duplicates.
-
-        Args:
-            key: identity of the call (e.g. a plan fingerprint).
-            fn: zero-argument callable performing the work.
-            on_coalesced: called (with no arguments) on a waiter that
-                shared an in-flight result instead of executing.
-        """
-        with self._lock:
-            future = self._in_flight.get(key)
-            owner = future is None
-            if owner:
-                future = Future()
-                self._in_flight[key] = future
-        if not owner:
-            if on_coalesced is not None:
-                on_coalesced()
-            return future.result()
-        try:
-            value = fn()
-        except BaseException as exc:
-            with self._lock:
-                self._in_flight.pop(key, None)
-            future.set_exception(exc)
-            raise
-        with self._lock:
-            self._in_flight.pop(key, None)
-        future.set_result(value)
-        return value
-
-    def __repr__(self):
-        with self._lock:
-            return "SingleFlight(in_flight=%d)" % len(self._in_flight)

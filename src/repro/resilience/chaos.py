@@ -18,8 +18,8 @@ Two modes, both seeded and exactly reproducible:
   *recoverable* faults, and every mediator given a default
   :class:`~repro.resilience.policy.ResiliencePolicy`.  The contract:
   the script still completes, and every raising fault is absorbed by
-  the resilience layer (visible as retries/degradations in the guard
-  logs — nothing slips past it).
+  the resilience layer (counted as failed attempts by the guards —
+  nothing slips past it).
 """
 
 from __future__ import annotations
@@ -430,17 +430,11 @@ class ChaosHarness:
 
     def failed_attempts_absorbed(self):
         """Failed attempts the guards saw (retried or degraded)."""
-        total = 0
-        for mediator in self.mediators:
-            guard = mediator.resilience
-            if guard is None:
-                continue
-            for outcome in guard.outcomes:
-                successes = (
-                    1 if outcome.status in (STATUS_OK, STATUS_RETRIED) else 0
-                )
-                total += outcome.attempts - successes
-        return total
+        return sum(
+            mediator.resilience.failed_attempts
+            for mediator in self.mediators
+            if mediator.resilience is not None
+        )
 
     def contract_checks(self, error):
         checks = [

@@ -13,19 +13,21 @@ under one :class:`~repro.resilience.policy.ResiliencePolicy`:
 * a per-call timeout and a whole-plan deadline budget bound how long a
   plan waits for misbehaving sources.
 
-Every call appends a :class:`CallOutcome` to the guard's log;
-:meth:`SourceGuard.mark` / :meth:`outcomes_since` let a plan slice out
-exactly its own calls for the degraded-answer report.  Retry, breaker,
-and staleness activity also flows to medtrace (``resilience.*``
-counters and events) when a tracer is installed.
+The guard holds only state that belongs to the sources: breakers, the
+last-known-good store and the jitter streams.  Per-plan state stays
+with the plan: the caller passes the plan's deadline into
+:meth:`SourceGuard.call` and gets each call's :class:`CallOutcome`
+back in a list it owns, so concurrent plans sharing one guard never
+see each other's calls.  Retry, breaker, and staleness activity also
+flows to medtrace (``resilience.*`` counters and events) when a tracer
+is installed.
 """
 
 from __future__ import annotations
 
 import random
 import threading
-from contextlib import contextmanager
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, Tuple
 
 from .. import obs
 from ..errors import (
@@ -111,7 +113,6 @@ class SourceGuard:
         self.breakers = BreakerRegistry(
             self.policy.breaker_threshold, self.policy.breaker_cooldown
         )
-        self.outcomes: List[CallOutcome] = []
         #: per-``(source, class)`` jitter streams: a single shared RNG
         #: would make jitter draws depend on the *interleaving* of
         #: concurrent calls under medpar fan-out; independent streams
@@ -121,12 +122,9 @@ class SourceGuard:
         self._rngs: Dict[Tuple[str, str], random.Random] = {}
         self._cache = {}
         self._lock = threading.Lock()
-        #: optional :class:`~repro.parallel.ParallelExecutor` enforcing
-        #: ``call_timeout`` as a true wall-clock bound (set by the
-        #: mediator, or per call via the ``executor`` argument)
-        self.executor = None
-        self._scope_depth = 0
-        self._deadline_at: Optional[float] = None
+        #: failed attempts over all calls (retried, stale-served or
+        #: raised): the chaos harness's faults-absorbed accounting
+        self.failed_attempts = 0
 
     def _jitter_rng(self, source, class_name):
         key = (source, class_name)
@@ -142,54 +140,12 @@ class SourceGuard:
                 self._rngs[key] = rng
             return rng
 
-    # -- plan deadline scope ----------------------------------------------
-
-    @contextmanager
-    def plan_scope(self):
-        """Arms the plan deadline budget for the dynamic extent of one
-        query plan (re-entrant: nested scopes share the outer budget)."""
-        self._scope_depth += 1
-        if self._scope_depth == 1 and self.policy.plan_deadline is not None:
-            self._deadline_at = self.policy.clock() + self.policy.plan_deadline
-        try:
-            yield self
-        finally:
-            self._scope_depth -= 1
-            if self._scope_depth == 0:
-                self._deadline_at = None
-
-    def deadline_remaining(self):
-        """Seconds left in the plan budget (None = unbounded)."""
-        if self._deadline_at is None:
-            return None
-        return self._deadline_at - self.policy.clock()
-
-    # -- outcome log -------------------------------------------------------
-
-    def mark(self):
-        """A position in the outcome log (pair with outcomes_since)."""
-        return len(self.outcomes)
-
-    def outcomes_since(self, mark):
-        return self.outcomes[mark:]
-
-    def last_outcome(self):
-        """The most recent :class:`CallOutcome` (None before any call).
-
-        medcache consults this right after :meth:`call` to tell a
-        fresh answer from a stale-served one: only fresh results are
-        written into the answer cache, so a last-known-good fallback
-        never outlives the failure it papered over.
-        """
-        return self.outcomes[-1] if self.outcomes else None
-
-    def _record(self, outcome):
-        self.outcomes.append(outcome)
-        return outcome
-
     # -- the guarded call --------------------------------------------------
 
-    def call(self, source, class_name, fn, cache_key=None, executor=None):
+    def call(
+        self, source, class_name, fn, cache_key=None, executor=None,
+        deadline=None, outcomes=None,
+    ):
         """Run ``fn()`` (one source call) under the policy.
 
         Args:
@@ -200,13 +156,17 @@ class SourceGuard:
                 ``serve_stale`` last-known-good cache (None disables
                 staleness for this call).
             executor: optional
-                :class:`~repro.parallel.ParallelExecutor` overriding
-                :attr:`self.executor` for this call.  When one is set,
-                the policy has a ``call_timeout``, and the policy runs
-                on the real wall clock, each attempt is run through
-                :meth:`~repro.parallel.ParallelExecutor.call` so the
-                timeout truly abandons a hung attempt instead of only
-                measuring it after the fact.
+                :class:`~repro.parallel.ParallelExecutor`.  When one is
+                given, the policy has a ``call_timeout``, and the
+                policy runs on the real wall clock, each attempt is run
+                through :meth:`~repro.parallel.ParallelExecutor.call`
+                so the timeout truly abandons a hung attempt instead of
+                only measuring it after the fact.
+            deadline: the calling plan's deadline on the policy clock
+                (None = unbounded); retries and backoff stop there.
+            outcomes: list the call's :class:`CallOutcome` is appended
+                to — on success, stale serving and failure alike (None
+                = the outcome is dropped).
 
         Returns `fn`'s result — possibly a cached stale one.  Raises
         the last failure (normalized by the caller's boundary) when
@@ -215,8 +175,8 @@ class SourceGuard:
         rejects the call outright.
         """
         policy = self.policy
-        if executor is None:
-            executor = self.executor
+        if outcomes is None:
+            outcomes = []
         # wall-clock enforcement only under the real clock: a virtual
         # clock (chaos harness) keeps the deterministic measured-
         # elapsed check below
@@ -232,10 +192,12 @@ class SourceGuard:
             obs.event(
                 "resilience.breaker_open", source=source, class_name=class_name
             )
-            stale = self._stale_lookup(source, class_name, cache_key, "open")
+            stale = self._stale_lookup(
+                source, class_name, cache_key, outcomes, "open"
+            )
             if stale is not None:
                 return stale
-            self._record(
+            outcomes.append(
                 CallOutcome(
                     source,
                     class_name,
@@ -283,7 +245,7 @@ class SourceGuard:
                             self._cache[
                                 (source, class_name, cache_key)
                             ] = result
-                    self._record(
+                    outcomes.append(
                         CallOutcome(
                             source,
                             class_name,
@@ -293,6 +255,8 @@ class SourceGuard:
                         )
                     )
                     return result
+            with self._lock:
+                self.failed_attempts += 1
             opened = breaker.record_failure(policy.clock())
             if opened:
                 obs.count("resilience.breaker_opened", source=source)
@@ -302,14 +266,17 @@ class SourceGuard:
                     class_name=class_name,
                     failures=breaker.failures,
                 )
-            if attempts > policy.max_retries or not self._may_retry():
+            if attempts > policy.max_retries:
+                break
+            remaining = None if deadline is None else deadline - policy.clock()
+            if remaining is not None and remaining <= 0:
+                obs.count("resilience.deadline_exhausted")
                 break
             delay = policy.backoff_delay(
                 attempts, self._jitter_rng(source, class_name)
             )
-            remaining = self.deadline_remaining()
             if remaining is not None:
-                delay = min(delay, max(0.0, remaining))
+                delay = min(delay, remaining)
             obs.count("resilience.retry", source=source)
             obs.event(
                 "resilience.retry",
@@ -325,13 +292,14 @@ class SourceGuard:
             source,
             class_name,
             cache_key,
+            outcomes,
             breaker.state(policy.clock()),
             attempts=attempts,
             error=_error_text(last_exc),
         )
         if stale is not None:
             return stale
-        self._record(
+        outcomes.append(
             CallOutcome(
                 source,
                 class_name,
@@ -343,16 +311,9 @@ class SourceGuard:
         )
         raise last_exc
 
-    def _may_retry(self):
-        remaining = self.deadline_remaining()
-        if remaining is not None and remaining <= 0:
-            obs.count("resilience.deadline_exhausted")
-            return False
-        return True
-
     def _stale_lookup(
-        self, source, class_name, cache_key, breaker_state, attempts=0,
-        error=None,
+        self, source, class_name, cache_key, outcomes, breaker_state,
+        attempts=0, error=None,
     ):
         if not self.policy.serve_stale or cache_key is None:
             return None
@@ -364,7 +325,7 @@ class SourceGuard:
         obs.event(
             "resilience.stale_served", source=source, class_name=class_name
         )
-        self._record(
+        outcomes.append(
             CallOutcome(
                 source,
                 class_name,
@@ -377,4 +338,7 @@ class SourceGuard:
         return cached
 
     def __repr__(self):
-        return "SourceGuard(%r, outcomes=%d)" % (self.policy, len(self.outcomes))
+        return "SourceGuard(%r, failed_attempts=%d)" % (
+            self.policy,
+            self.failed_attempts,
+        )

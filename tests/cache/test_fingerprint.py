@@ -1,11 +1,15 @@
 """Fingerprints: deterministic, order-insensitive, capability-aware."""
 
+from repro import Mediator
 from repro.cache import (
+    AnswerCache,
     capability_signature,
     fingerprint_digest,
-    plan_fingerprint,
     query_fingerprint,
 )
+from repro.core.planner import PlanContext
+from repro.neuro import build_anatom, build_ncmir
+from repro.resilience import ResiliencePolicy
 from repro.sources import SourceQuery
 from repro.sources.capabilities import BindingPattern, ClassCapability
 
@@ -84,10 +88,24 @@ class TestCapabilitySignature:
         )
 
 
-class TestPlanFingerprint:
-    def test_ignores_capability(self):
-        q = SourceQuery("c", {"a": 1})
-        assert plan_fingerprint("S", q) == query_fingerprint("S", q, None)
+class TestOneKeyPerCall:
+    def test_memo_cache_and_stale_store_share_one_key(self):
+        cache = AnswerCache()
+        mediator = Mediator(
+            build_anatom(),
+            cache=cache,
+            resilience=ResiliencePolicy(serve_stale=True),
+        )
+        mediator.register(build_ncmir(2002), eager=False)
+        q = SourceQuery("protein_amount", {"organism": "rat"})
+        context = PlanContext(mediator)
+        mediator.source_query("NCMIR", q, plan=context)
+        key = query_fingerprint(
+            "NCMIR", q, mediator.capabilities("NCMIR")["protein_amount"]
+        )
+        assert list(context.call_memo) == [key]
+        assert cache.lookup(key) is not None
+        assert [k for _source, _class, k in mediator.resilience._cache] == [key]
 
 
 class TestDigest:

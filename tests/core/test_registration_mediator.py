@@ -180,6 +180,18 @@ class TestMediatorRegistration:
         assert mediator.wire_log[0][0] == "register:LAB"
         assert mediator.wire_log[0][1] > 100
 
+    def test_wire_log_keeps_only_the_newest_messages(self, monkeypatch):
+        from repro.core import mediator as mediator_module
+
+        monkeypatch.setattr(mediator_module, "WIRE_LOG_LIMIT", 2)
+        mediator = Mediator(make_dm())
+        for name in ("LAB0", "LAB1", "LAB2"):
+            mediator.register(make_wrapper(name))
+        assert [message for message, _size in mediator.wire_log] == [
+            "register:LAB1",
+            "register:LAB2",
+        ]
+
     def test_deregister(self):
         mediator = Mediator(make_dm())
         mediator.register(make_wrapper())

@@ -11,7 +11,6 @@ from repro.parallel import (
     DEFAULT_MAX_WORKERS,
     FanoutOutcome,
     ParallelExecutor,
-    SingleFlight,
 )
 
 
@@ -155,56 +154,3 @@ class TestWallClockTimeout:
         hung.set()  # release the abandoned thread
         assert elapsed < 2.0, "timeout did not bound the wait"
         assert tracer.metrics.counter_total("fanout.timeouts") == 1
-
-
-class TestSingleFlight:
-    def test_sequential_calls_both_execute(self):
-        flight = SingleFlight()
-        calls = []
-        assert flight.run("k", lambda: calls.append(1) or "a") == "a"
-        assert flight.run("k", lambda: calls.append(2) or "b") == "b"
-        assert calls == [1, 2]
-
-    def test_concurrent_identical_calls_coalesce(self):
-        flight = SingleFlight()
-        executed = []
-        coalesced = []
-        gate = threading.Event()
-
-        def slow_fetch():
-            executed.append(threading.current_thread().name)
-            gate.wait(5.0)
-            return "rows"
-
-        results = []
-
-        def worker():
-            results.append(
-                flight.run(
-                    "key", slow_fetch, on_coalesced=lambda: coalesced.append(1)
-                )
-            )
-
-        threads = [threading.Thread(target=worker) for _ in range(5)]
-        for thread in threads:
-            thread.start()
-        # wait until one owner is inside the fetch, then release it
-        deadline = time.time() + 5.0
-        while not executed and time.time() < deadline:
-            time.sleep(0.001)
-        # give the waiters a moment to pile onto the in-flight future
-        time.sleep(0.05)
-        gate.set()
-        for thread in threads:
-            thread.join(5.0)
-
-        assert results == ["rows"] * 5
-        assert len(executed) == 1, "coalescing must execute exactly once"
-        assert len(coalesced) == 4
-
-    def test_failure_shared_then_retryable(self):
-        flight = SingleFlight()
-        with pytest.raises(SourceError):
-            flight.run("k", lambda: (_ for _ in ()).throw(SourceError("x")))
-        # the failed key is gone: a retry executes afresh
-        assert flight.run("k", lambda: "recovered") == "recovered"

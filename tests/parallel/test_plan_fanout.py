@@ -3,7 +3,7 @@
 Covers the determinism contract (parallel answers == sequential
 answers; chaos reports byte-identical per seed in both modes), the
 wall-clock timeout through the medguard layer, and within-plan dedup
-coalescing N concurrent identical source calls onto one wire call.
+on the plan's call memo.
 """
 
 import threading
@@ -12,7 +12,7 @@ import time
 import pytest
 
 from repro import Mediator, obs
-from repro.cache.fingerprint import plan_fingerprint
+from repro.cache import query_fingerprint
 from repro.core.planner import PlanContext
 from repro.errors import MediatorError, SourceTimeoutError
 from repro.neuro import build_anatom
@@ -105,13 +105,14 @@ class TestGuardTimeoutThroughExecutor:
             hung.wait(5.0)
             return "rows"
 
+        outcomes = []
         start = time.perf_counter()
         with pytest.raises(SourceTimeoutError):
-            guard.call("S", "c", hang, executor=executor)
+            guard.call("S", "c", hang, executor=executor, outcomes=outcomes)
         elapsed = time.perf_counter() - start
         hung.set()
         assert elapsed < 2.0, "the hung wrapper was waited out"
-        assert guard.outcomes[-1].status == "failed"
+        assert outcomes[-1].status == "failed"
 
     def test_timeout_then_retry_recovers(self):
         policy = ResiliencePolicy(call_timeout=0.05, max_retries=1,
@@ -126,9 +127,12 @@ class TestGuardTimeoutThroughExecutor:
                 hung.wait(5.0)
             return "rows"
 
-        assert guard.call("S", "c", sometimes_hung, executor=executor) == "rows"
+        outcomes = []
+        assert guard.call(
+            "S", "c", sometimes_hung, executor=executor, outcomes=outcomes
+        ) == "rows"
         hung.set()
-        assert guard.outcomes[-1].status == "retried"
+        assert outcomes[-1].status == "retried"
 
     def test_virtual_clock_keeps_the_deterministic_path(self):
         """Chaos runs use a virtual clock; the executor must stay cold
@@ -156,82 +160,39 @@ class TestGuardTimeoutThroughExecutor:
             guard.call("S", "c", slow, executor=BombExecutor())
 
 
-class _CountingMediator:
-    """Just enough mediator surface for PlanContext.source_query."""
-
-    resilience = None
-
-    def __init__(self, parallel=None, gate=None):
-        self.parallel = parallel
-        self.gate = gate
-        self.calls = []
-        self._lock = threading.Lock()
-
-    def source_query(self, source, source_query):
-        with self._lock:
-            self.calls.append((source, source_query.class_name))
-        if self.gate is not None:
-            self.gate.wait(5.0)
-        return [{"value": 1}]
-
-
 class TestWithinPlanDedup:
     QUERY = SourceQuery("protein_amount", {"location": "dendrite"})
 
+    @staticmethod
+    def counting_mediator():
+        mediator, _query = build_fanout_deployment(sources=1, delay=0.0)
+        wrapper = mediator.wrapper("SLOW0")
+        calls = []
+        wrapper.inner.query = lambda query: calls.append(query) or [{"v": 1}]
+        return mediator, calls
+
     def test_sequential_memo_still_works(self):
-        mediator = _CountingMediator(parallel=None)
+        mediator, calls = self.counting_mediator()
         context = PlanContext(mediator)
-        first = context.source_query("S", self.QUERY)
-        second = context.source_query("S", self.QUERY)
-        assert first == second == [{"value": 1}]
-        assert len(mediator.calls) == 1
-
-    def test_concurrent_identical_calls_cost_one_wire_call(self):
-        gate = threading.Event()
-        executor = ParallelExecutor(max_workers=4)
-        mediator = _CountingMediator(parallel=executor, gate=gate)
-        context = PlanContext(mediator)
-        results = []
-        results_lock = threading.Lock()
-
-        def worker():
-            rows = context.source_query("S", self.QUERY)
-            with results_lock:
-                results.append(rows)
-
         with obs.capture("dedup") as tracer:
-            threads = [threading.Thread(target=worker) for _ in range(5)]
-            for thread in threads:
-                thread.start()
-            # let the workers pile up behind the in-flight call
-            deadline = time.time() + 5.0
-            while not mediator.calls and time.time() < deadline:
-                time.sleep(0.001)
-            time.sleep(0.05)
-            gate.set()
-            for thread in threads:
-                thread.join(5.0)
-
-            # a later repeat is served from the memo, not the wire
-            memo_hit = context.source_query("S", self.QUERY)
-
-        executor.shutdown()
-        assert len(mediator.calls) == 1, "identical calls must coalesce"
-        assert results == [[{"value": 1}]] * 5
-        assert memo_hit == [{"value": 1}]
-        coalesced = tracer.metrics.counter_total("fanout.coalesced")
-        assert coalesced == 4
-        assert tracer.metrics.counter_total("cache.dedup") == 5  # 4 + memo
+            first = mediator.source_query("SLOW0", self.QUERY, plan=context)
+            second = mediator.source_query("SLOW0", self.QUERY, plan=context)
+        assert first == second == [{"v": 1}]
+        assert len(calls) == 1
+        assert tracer.metrics.counter_total("cache.dedup") == 1
+        # the memo belongs to the plan: another plan asks the source
+        mediator.source_query("SLOW0", self.QUERY, plan=PlanContext(mediator))
+        assert len(calls) == 2
 
     def test_distinct_queries_are_not_coalesced(self):
-        executor = ParallelExecutor(max_workers=2)
-        mediator = _CountingMediator(parallel=executor)
+        mediator, calls = self.counting_mediator()
         context = PlanContext(mediator)
         other = SourceQuery("protein_amount", {"location": "soma"})
-        key_a = plan_fingerprint("S", self.QUERY)
-        key_b = plan_fingerprint("S", other)
-        assert key_a != key_b
-        context.source_query("S", self.QUERY)
-        context.source_query("S", other)
-        executor.shutdown()
-        assert len(mediator.calls) == 2
+        mediator.source_query("SLOW0", self.QUERY, plan=context)
+        mediator.source_query("SLOW0", other, plan=context)
+        assert len(calls) == 2
+        capability = mediator.capabilities("SLOW0")["protein_amount"]
+        assert sorted(context.call_memo) == sorted(
+            query_fingerprint("SLOW0", query, capability)
+            for query in (self.QUERY, other)
+        )

@@ -40,8 +40,9 @@ class Flaky:
 class TestRetries:
     def test_first_try_success_is_ok(self):
         guard, _clock = make_guard()
-        assert guard.call("S", "c", lambda: "rows") == "rows"
-        (outcome,) = guard.outcomes
+        outcomes = []
+        assert guard.call("S", "c", lambda: "rows", outcomes=outcomes) == "rows"
+        (outcome,) = outcomes
         assert outcome.status == STATUS_OK
         assert outcome.attempts == 1
         assert outcome.retries == 0
@@ -49,8 +50,9 @@ class TestRetries:
     def test_transient_failure_recovers_via_retry(self):
         guard, clock = make_guard(max_retries=2, backoff_base=0.1)
         flaky = Flaky(failures=1)
-        assert guard.call("S", "c", flaky) == "rows"
-        (outcome,) = guard.outcomes
+        outcomes = []
+        assert guard.call("S", "c", flaky, outcomes=outcomes) == "rows"
+        (outcome,) = outcomes
         assert outcome.status == STATUS_RETRIED
         assert outcome.attempts == 2
         assert outcome.retries == 1
@@ -66,10 +68,11 @@ class TestRetries:
     def test_exhausted_retries_raise_the_last_error(self):
         guard, _clock = make_guard(max_retries=2)
         flaky = Flaky(failures=99)
+        outcomes = []
         with pytest.raises(SourceError):
-            guard.call("S", "c", flaky)
+            guard.call("S", "c", flaky, outcomes=outcomes)
         assert flaky.calls == 3  # 1 + max_retries
-        (outcome,) = guard.outcomes
+        (outcome,) = outcomes
         assert outcome.status == STATUS_FAILED
         assert outcome.attempts == 3
         assert "SourceError" in outcome.error
@@ -105,12 +108,13 @@ class TestBreaker:
             with pytest.raises(SourceError):
                 guard.call("S", "c", flaky)
         # breaker now open: the source is not even contacted
+        outcomes = []
         with pytest.raises(BreakerOpenError) as excinfo:
-            guard.call("S", "c", flaky)
+            guard.call("S", "c", flaky, outcomes=outcomes)
         assert flaky.calls == 2
         assert excinfo.value.source == "S"
         assert excinfo.value.class_name == "c"
-        assert guard.outcomes[-1].status == STATUS_BREAKER_OPEN
+        assert outcomes[-1].status == STATUS_BREAKER_OPEN
 
     def test_half_open_probe_recovers_the_source(self):
         guard, clock = make_guard(
@@ -143,9 +147,12 @@ class TestStaleness:
         def down():
             raise SourceError("gone")
 
-        assert guard.call("S", "c", down, cache_key=key) == ["fresh"]
-        assert guard.outcomes[-1].status == STATUS_STALE
-        assert guard.outcomes[-1].stale
+        outcomes = []
+        assert guard.call(
+            "S", "c", down, cache_key=key, outcomes=outcomes
+        ) == ["fresh"]
+        assert outcomes[-1].status == STATUS_STALE
+        assert outcomes[-1].stale
 
     def test_stale_serving_requires_a_prior_answer(self):
         guard, _clock = make_guard(max_retries=0, serve_stale=True)
@@ -169,8 +176,11 @@ class TestStaleness:
         with pytest.raises(SourceError):
             guard.call("S", "c", down, cache_key=("other",))
         # breaker open; the cached query is served stale instead of shed
-        assert guard.call("S", "c", down, cache_key=key) == ["fresh"]
-        assert guard.outcomes[-1].status == STATUS_STALE
+        outcomes = []
+        assert guard.call(
+            "S", "c", down, cache_key=key, outcomes=outcomes
+        ) == ["fresh"]
+        assert outcomes[-1].status == STATUS_STALE
 
     def test_no_caching_without_serve_stale(self):
         guard, _clock = make_guard(max_retries=0, serve_stale=False)
@@ -191,9 +201,10 @@ class TestTimeouts:
             clock.advance(5.0)
             return "rows"
 
+        outcomes = []
         with pytest.raises(SourceTimeoutError):
-            guard.call("S", "c", slow)
-        assert "timeout" in guard.outcomes[-1].error.lower()
+            guard.call("S", "c", slow, outcomes=outcomes)
+        assert "timeout" in outcomes[-1].error.lower()
 
     def test_timeout_then_retry_succeeds(self):
         guard, clock = make_guard(max_retries=1, call_timeout=1.0)
@@ -204,54 +215,67 @@ class TestTimeouts:
                 clock.advance(5.0)
             return "rows"
 
-        assert guard.call("S", "c", sometimes_slow) == "rows"
-        assert guard.outcomes[-1].status == STATUS_RETRIED
+        outcomes = []
+        assert guard.call("S", "c", sometimes_slow, outcomes=outcomes) == "rows"
+        assert outcomes[-1].status == STATUS_RETRIED
 
 
 class TestPlanDeadline:
     def test_deadline_stops_retries(self):
-        guard, clock = make_guard(
-            max_retries=10, backoff_base=1.0, plan_deadline=2.5
-        )
+        guard, clock = make_guard(max_retries=10, backoff_base=1.0)
         flaky = Flaky(failures=99)
-        with guard.plan_scope():
-            with pytest.raises(SourceError):
-                guard.call("S", "c", flaky)
+        with pytest.raises(SourceError):
+            guard.call("S", "c", flaky, deadline=clock.now() + 2.5)
         # backoff sleeps burn the budget; retries stop once exhausted
         assert flaky.calls < 11
         assert clock.slept <= 2.5 + 1e-9
 
-    def test_scope_is_reentrant(self):
-        guard, _clock = make_guard(plan_deadline=10.0)
-        with guard.plan_scope():
-            outer = guard.deadline_remaining()
-            with guard.plan_scope():
-                # nested scope shares the outer budget
-                assert guard.deadline_remaining() == outer
-            assert guard.deadline_remaining() is not None
-        assert guard.deadline_remaining() is None
+    def test_each_call_is_bounded_by_its_own_deadline(self):
+        guard, clock = make_guard(max_retries=10, backoff_base=1.0)
+        with pytest.raises(SourceError):
+            guard.call("S", "c", Flaky(failures=99), deadline=clock.now() + 2.5)
+        spent = clock.slept
+        # a later call with a fresh deadline gets the whole budget again
+        with pytest.raises(SourceError):
+            guard.call("T", "c", Flaky(failures=99), deadline=clock.now() + 2.5)
+        assert clock.slept == pytest.approx(2 * spent)
 
     def test_no_deadline_means_unbounded(self):
-        guard, _clock = make_guard()
-        with guard.plan_scope():
-            assert guard.deadline_remaining() is None
+        guard, clock = make_guard(max_retries=3, backoff_base=0.5)
+        flaky = Flaky(failures=99)
+        with pytest.raises(SourceError):
+            guard.call("S", "c", flaky, deadline=None)
+        assert flaky.calls == 4
+        assert clock.slept == pytest.approx(0.5 + 1.0 + 2.0)
 
 
 class TestOutcomeLog:
-    def test_mark_and_slice(self):
+    def test_each_call_reports_to_its_callers_list(self):
         guard, _clock = make_guard()
-        guard.call("A", "c", lambda: 1)
-        mark = guard.mark()
-        guard.call("B", "c", lambda: 2)
-        sliced = guard.outcomes_since(mark)
-        assert [o.source for o in sliced] == ["B"]
+        mine, theirs = [], []
+        guard.call("A", "c", lambda: 1, outcomes=theirs)
+        guard.call("B", "c", lambda: 2, outcomes=mine)
+        guard.call("C", "c", lambda: 3)  # no list: the outcome is dropped
+        assert [o.source for o in mine] == ["B"]
+        assert [o.source for o in theirs] == ["A"]
 
     def test_outcome_as_dict_is_json_ready(self):
         import json
 
         guard, _clock = make_guard()
-        guard.call("A", "c", lambda: 1)
-        json.dumps(guard.outcomes[0].as_dict())
+        outcomes = []
+        guard.call("A", "c", lambda: 1, outcomes=outcomes)
+        json.dumps(outcomes[0].as_dict())
+
+    def test_failed_attempts_are_counted_on_the_guard(self):
+        guard, _clock = make_guard(max_retries=2, serve_stale=True)
+        guard.call("S", "c", Flaky(failures=1))  # 1 failed, then ok
+        with pytest.raises(SourceError):
+            guard.call("S", "c", Flaky(failures=99))  # 3 failed
+        guard.call("S", "d", lambda: ["rows"], cache_key=("q",))
+        down = Flaky(failures=99)
+        guard.call("S", "d", down, cache_key=("q",))  # 3 failed, stale
+        assert guard.failed_attempts == 7
 
 
 class TestObservability:
