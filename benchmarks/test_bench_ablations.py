@@ -109,7 +109,7 @@ def test_traversal_precision(benchmark):
 
     dm = build_anatom()
 
-    precise = set(part_tree(dm, "Cerebellum", "has").nodes)
+    precise = set(part_tree(dm, "Cerebellum", "has"))
     assert "Pyramidal_Cell" not in precise
     assert "Hippocampus" not in precise
 

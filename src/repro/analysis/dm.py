@@ -22,13 +22,12 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
-import networkx as nx
-
 from ..datalog.ast import Literal
 from ..datalog.parser import parse_program
 from ..domainmap.dl import Eqv, Named
 from ..domainmap.model import EQV, ISA, _is_synthetic
 from ..errors import ParseError, Span
+from ..graph import add_edge, components_bottom_up
 from .catalog import diagnostic
 
 #: rule predicates whose constant arguments name DM vocabulary:
@@ -83,10 +82,10 @@ def analyze_domain_map(dm, anchors=(), edge_assertions=None, origin=None):
         out.extend(_rule_text_diagnostics(dm, text, origin))
 
     # -- isa cycles ------------------------------------------------------
-    isa_graph = nx.DiGraph()
+    isa_graph = {}
     for edge in edges:
         if edge.kind == ISA and not _is_synthetic(edge.src) and not _is_synthetic(edge.dst):
-            isa_graph.add_edge(edge.src, edge.dst)
+            add_edge(isa_graph, edge.src, edge.dst)
     for cycle in _cycles(isa_graph):
         out.append(
             diagnostic(
@@ -99,11 +98,11 @@ def analyze_domain_map(dm, anchors=(), edge_assertions=None, origin=None):
         )
 
     # -- circular eqv definitions ---------------------------------------
-    def_graph = nx.DiGraph()
+    def_graph = {}
     for axiom in dm.axioms:
         if isinstance(axiom, Eqv) and isinstance(axiom.lhs, Named):
             for name in axiom.rhs.named_concepts():
-                def_graph.add_edge(axiom.lhs.name, name)
+                add_edge(def_graph, axiom.lhs.name, name)
     for cycle in _cycles(def_graph):
         out.append(
             diagnostic(
@@ -205,9 +204,9 @@ def _rule_text_diagnostics(dm, text, origin):
 def _cycles(graph):
     """Non-trivial SCCs (plus self-loops) as sorted member lists."""
     cycles = []
-    for component in nx.strongly_connected_components(graph):
+    for component in components_bottom_up(graph):
         members = sorted(component)
-        if len(members) > 1 or graph.has_edge(members[0], members[0]):
+        if len(members) > 1 or members[0] in graph[members[0]]:
             cycles.append(members)
     cycles.sort()
     return cycles

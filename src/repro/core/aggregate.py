@@ -26,11 +26,10 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-import networkx as nx
-
 from ..errors import MediatorError
 from ..datalog.terms import Const
 from ..domainmap.graphops import part_tree
+from ..graph import reachable
 
 AGG_FUNCS: Dict[str, Callable] = {
     "sum": sum,
@@ -154,7 +153,6 @@ def aggregate_over_dm(
     group_attr=None,
     group_value=None,
     filters=None,
-    include_isa=True,
 ):
     """Example 4's ``aggregate(Y, attr, R, P, D)`` builtin.
 
@@ -178,20 +176,24 @@ def aggregate_over_dm(
     """
     if func not in AGG_FUNCS:
         raise MediatorError("unknown aggregate function %r" % func)
-    tree = part_tree(dm, root, role, include_isa=include_isa)
+    tree = part_tree(dm, root, role)
+    # breadth-first: a region's depth is its shortest distance from root
     depths = {root: 0}
-    for node in nx.bfs_tree(tree, root).nodes:
-        if node != root:
-            depths[node] = min(
-                depths.get(parent, 0) + 1 for parent in tree.predecessors(node)
-                if parent in depths
-            )
+    level = [root]
+    while level:
+        following = []
+        for node in level:
+            for child in tree[node]:
+                if child not in depths:
+                    depths[child] = depths[node] + 1
+                    following.append(child)
+        level = following
 
     combined_filters = dict(filters or {})
     if group_attr is not None:
         combined_filters[group_attr] = group_value
     direct: Dict[str, List] = {}
-    for concept in tree.nodes:
+    for concept in tree:
         direct[concept] = direct_values_at(
             store, concept, value_attr, combined_filters
         )
@@ -201,12 +203,10 @@ def aggregate_over_dm(
     # than concatenating child lists) keeps diamonds in the part DAG
     # from double-counting shared sub-regions.
     rows = []
-    bfs_nodes = sorted(
-        tree.nodes, key=lambda n: (depths.get(n, 10**6), n)
-    )
+    bfs_nodes = sorted(tree, key=lambda n: (depths.get(n, 10**6), n))
     for concept in bfs_nodes:
         direct_vals = direct.get(concept, [])
-        region = {concept} | nx.descendants(tree, concept)
+        region = {concept} | reachable(tree, [concept])
         all_vals = [
             value for member in sorted(region) for value in direct.get(member, [])
         ]

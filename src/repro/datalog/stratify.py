@@ -15,11 +15,10 @@ evaluation, and aggregation through recursion is rejected outright.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Set, Tuple
-
-import networkx as nx
+from typing import Dict, List, Set, Tuple
 
 from ..errors import StratificationError
+from ..graph import add_edge, components_bottom_up
 from .ast import AggregateLiteral, Literal, Program
 
 Signature = Tuple[str, int]
@@ -30,37 +29,35 @@ CODE_AGGREGATE_RECURSION = "MBM006"
 
 
 class DependencyInfo:
-    """Result of dependency analysis over a program."""
+    """Result of dependency analysis over a program: `graph` is the
+    adjacency dict ``{head: {dependency: None}}``."""
 
     def __init__(self, graph, negative_edges, aggregate_edges):
         self.graph = graph
         self.negative_edges = negative_edges
         self.aggregate_edges = aggregate_edges
 
-    def condensation(self):
-        return nx.condensation(self.graph)
-
 
 def build_dependency_graph(program):
     """Construct the signature-level dependency graph of `program`."""
-    graph = nx.DiGraph()
+    graph: Dict[Signature, Dict[Signature, None]] = {}
     negative_edges: Set[Tuple[Signature, Signature]] = set()
     aggregate_edges: Set[Tuple[Signature, Signature]] = set()
 
     for rule in program:
         head_sig = rule.head.signature
-        graph.add_node(head_sig)
+        graph.setdefault(head_sig, {})
         for item in rule.body:
             if isinstance(item, Literal):
                 dep = item.atom.signature
-                graph.add_edge(head_sig, dep)
+                add_edge(graph, head_sig, dep)
                 if not item.positive:
                     negative_edges.add((head_sig, dep))
             elif isinstance(item, AggregateLiteral):
                 for inner in item.body:
                     if isinstance(inner, Literal):
                         dep = inner.atom.signature
-                        graph.add_edge(head_sig, dep)
+                        add_edge(graph, head_sig, dep)
                         aggregate_edges.add((head_sig, dep))
     return DependencyInfo(graph, negative_edges, aggregate_edges)
 
@@ -96,11 +93,11 @@ def analyze_stratification(program):
     the raised error and the lint diagnostic are guaranteed to agree.
     """
     info = build_dependency_graph(program)
-    scc_of: Dict[Signature, int] = {}
-    condensed = info.condensation()
-    for scc_id, data in condensed.nodes(data=True):
-        for sig in data["members"]:
-            scc_of[sig] = scc_id
+    # bottom-up: a component's dependencies (head -> body) come first
+    components = components_bottom_up(info.graph)
+    scc_of: Dict[Signature, int] = {
+        sig: scc_id for scc_id, members in enumerate(components) for sig in members
+    }
 
     negative_recursive = sorted(
         edge for edge in info.negative_edges if scc_of[edge[0]] == scc_of[edge[1]]
@@ -110,12 +107,8 @@ def analyze_stratification(program):
     )
     strata = None
     if not negative_recursive and not aggregate_recursive:
-        # Topological order of the condensation gives evaluation order
-        # from the leaves up: dependencies come last in nx.condensation's
-        # edge direction (head -> body), so reverse the topological sort.
-        order = list(reversed(list(nx.topological_sort(condensed))))
         strata = _merge_independent_strata(
-            [set(condensed.nodes[scc_id]["members"]) for scc_id in order], info
+            [set(members) for members in components], info
         )
     return StratificationReport(
         info, negative_recursive, aggregate_recursive, strata

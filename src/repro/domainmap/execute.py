@@ -193,7 +193,6 @@ def compile_domain_map(
     constraints_for=None,
     assertions_for=None,
     universal_constraints_for=None,
-    include_closures=True,
 ):
     """Compile a domain map to a Datalog rule list for the mediator.
 
@@ -204,13 +203,13 @@ def compile_domain_map(
         assertions_for: ``"all"`` or an iterable of (ex)-edges to
             execute as placeholder-creating assertions.
         universal_constraints_for: ``"all"`` or (all)-edges to check.
-        include_closures: add the Section 4 tc/dc/has_a_star rules.
+
+    The Section 4 tc/dc/has_a_star rules are always included.
     """
     rules: List[Rule] = []
     rules.extend(dm_facts(dm))
     rules.extend(base_rules())
-    if include_closures:
-        rules.extend(closure_rules())
+    rules.extend(closure_rules())
     for text in dm.rules_text:
         rules.extend(parse_program(text))
     for src, role, dst in _select_edges(dm, constraints_for, "ex"):

@@ -33,14 +33,13 @@ contains exactly the links justified by the DL semantics.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
-
-import networkx as nx
+from typing import Dict, Optional, Set, Tuple
 
 from .. import obs
 from ..errors import NoUpperBoundError
 from ..datalog.ast import Program, Rule
 from ..datalog.parser import parse_program
+from ..graph import add_edge, reachable, reverse, subgraph
 
 
 def transitive_closure(pairs):
@@ -49,32 +48,21 @@ def transitive_closure(pairs):
     A node on a cycle reaches itself, so (n, n) pairs appear for cyclic
     inputs even though the closure is not reflexive in general.
     """
-    graph = nx.DiGraph()
-    graph.add_edges_from(pairs)
-    closure: Set[Tuple[str, str]] = set()
-    for node in graph.nodes:
-        reachable = nx.descendants(graph, node)
-        for descendant in reachable:
-            closure.add((node, descendant))
-        # nx.descendants never includes the start node; restore n -> n
-        # when a successor leads back around a cycle.
-        if any(
-            successor == node or node in nx.descendants(graph, successor)
-            for successor in graph.successors(node)
-        ):
-            closure.add((node, node))
-    return closure
+    graph = {}
+    for a, b in pairs:
+        add_edge(graph, a, b)
+    return {(node, other) for node in graph for other in reachable(graph, [node])}
 
 
-def isa_graph(dm, include_eqv=True):
-    """The direct isa digraph over concepts (eqv as mutual isa)."""
-    graph = nx.DiGraph()
-    graph.add_nodes_from(dm.concepts)
-    graph.add_edges_from(dm.isa_pairs())
-    if include_eqv:
-        for a, b in dm.eqv_pairs():
-            graph.add_edge(a, b)
-            graph.add_edge(b, a)
+def isa_graph(dm):
+    """The direct isa digraph over concepts (eqv as mutual isa), as an
+    adjacency dict ``{sub: {sup: "isa"}}``."""
+    graph: Dict[str, Dict[str, str]] = {concept: {} for concept in dm.concepts}
+    for sub, sup in dm.isa_pairs():
+        add_edge(graph, sub, sup, "isa")
+    for a, b in dm.eqv_pairs():
+        add_edge(graph, a, b, "isa")
+        add_edge(graph, b, a, "isa")
     return graph
 
 
@@ -84,7 +72,9 @@ def isa_closure(dm, reflexive=True):
         "dm.tc", concepts=len(dm.concepts), reflexive=reflexive
     ) as span:
         graph = isa_graph(dm)
-        closure = transitive_closure(graph.edges)
+        closure = transitive_closure(
+            (sub, sup) for sub, sups in graph.items() for sup in sups
+        )
         if reflexive:
             closure |= {(c, c) for c in dm.concepts}
         if span.enabled:
@@ -94,12 +84,12 @@ def isa_closure(dm, reflexive=True):
 
 
 def role_graph(dm, role):
-    """Direct (ex) edges of one role as a digraph over concepts."""
-    graph = nx.DiGraph()
-    graph.add_nodes_from(dm.concepts)
+    """Direct (ex) edges of one role as an adjacency dict over concepts
+    (edges labelled with the role)."""
+    graph: Dict[str, Dict[str, str]] = {concept: {} for concept in dm.concepts}
     for src, edge_role, dst in dm.role_triples():
         if edge_role == role:
-            graph.add_edge(src, dst)
+            add_edge(graph, src, dst, role)
     return graph
 
 
@@ -165,35 +155,39 @@ def has_a_star(dm, role="has"):
     return deductive_closure(dm, role)
 
 
-def navigation_graph(dm, order="isa", include_isa=True):
-    """The downward-navigation digraph for an ordering of the DM.
+def navigation_graph(dm, order="isa"):
+    """The downward-navigation digraph for an ordering of the DM, as an
+    adjacency dict whose edges are labelled ``"isa"`` or ``"role"``.
 
     With ``order="isa"`` the edges run general -> specific (``sup ->
     sub``).  With a role name (e.g. ``"has"``) the edges are the
     source-down deductive closure of the role (subconcepts inherit
-    their superconcept's parts), and — when `include_isa` is on —
-    additionally the isa specializations, because containment knowledge
-    attaches at different granularities ("dendrites have branches;
-    *shafts* (a kind of branch) have spines": reaching Spine from
-    Dendrite navigates has, isa-down, has).  Target-up generalization
-    is deliberately excluded from navigation: it would climb to generic
-    concepts (`Neuron`) and descend into sibling regions.
+    their superconcept's parts) plus the isa specializations, because
+    containment knowledge attaches at different granularities
+    ("dendrites have branches; *shafts* (a kind of branch) have
+    spines": reaching Spine from Dendrite navigates has, isa-down,
+    has).  Target-up generalization is deliberately excluded from
+    navigation: it would climb to generic concepts (`Neuron`) and
+    descend into sibling regions.
     """
-    graph = nx.DiGraph()
-    graph.add_nodes_from(dm.concepts)
-    if order == "isa":
-        for sub, sup in dm.isa_pairs():
-            graph.add_edge(sup, sub, kind="isa")
-        for a, b in dm.eqv_pairs():
-            graph.add_edge(a, b, kind="isa")
-            graph.add_edge(b, a, kind="isa")
-        return graph
+    graph: Dict[str, Dict[str, str]] = {concept: {} for concept in dm.concepts}
+    if order != "isa":
+        _add_role_links(graph, dm, order)
+    for sub, sup in dm.isa_pairs():
+        add_edge(graph, sup, sub, "isa")
+    for a, b in dm.eqv_pairs():
+        add_edge(graph, a, b, "isa")
+        add_edge(graph, b, a, "isa")
+    return graph
+
+
+def _add_role_links(graph, dm, role):
     # Redundant-edge elimination: an inherited generic link (X has
     # Compartment) is dropped when a strictly more specific link (X has
     # Parallel_Fiber, Parallel_Fiber v Compartment) exists — the
     # generic one is implied and descending isa from it would wander
     # into sibling regions.
-    links = deductive_closure(dm, order, mode="down")
+    links = deductive_closure(dm, role, mode="down")
     strict_isa = isa_closure(dm, reflexive=False)
     by_source: Dict[str, Set[str]] = {}
     for x, d in links:
@@ -204,20 +198,10 @@ def navigation_graph(dm, order="isa", include_isa=True):
                 other != d and (other, d) in strict_isa for other in targets
             ):
                 continue
-            graph.add_edge(x, d, kind="role")
-    if include_isa:
-        for sub, sup in dm.isa_pairs():
-            if not graph.has_edge(sup, sub):
-                graph.add_edge(sup, sub, kind="isa")
-        for a, b in dm.eqv_pairs():
-            if not graph.has_edge(a, b):
-                graph.add_edge(a, b, kind="isa")
-            if not graph.has_edge(b, a):
-                graph.add_edge(b, a, kind="isa")
-    return graph
+            add_edge(graph, x, d, "role")
 
 
-def role_containers(dm, concept, role, include_isa=True):
+def role_containers(dm, concept, role):
     """Concepts that *contain* `concept` under a role order.
 
     W contains X when some navigation path W -> ... -> X crosses at
@@ -225,33 +209,31 @@ def role_containers(dm, concept, role, include_isa=True):
     "reaching" Purkinje_Dendrite) do not make a container.  Reflexive:
     every concept contains itself.
     """
-    nav = navigation_graph(dm, role, include_isa)
+    nav = navigation_graph(dm, role)
     if concept not in nav:
         return {concept}
-    reach = nx.ancestors(nav, concept) | {concept}
-    containers: Set[str] = {concept}
-    for u, v, data in nav.edges(data=True):
-        if data.get("kind") == "role" and v in reach:
-            containers.add(u)
-            containers |= nx.ancestors(nav, u)
-    return containers
+    up = reverse(nav)
+    reach = reachable(up, [concept]) | {concept}
+    holders = {
+        u
+        for u, succs in nav.items()
+        for v, kind in succs.items()
+        if kind == "role" and v in reach
+    }
+    return {concept} | holders | reachable(up, holders)
 
 
 def ancestors(dm, concept, order="isa"):
     """All strict ancestors of a concept in the given order
     (isa-ancestors by default; containers for a role order)."""
     graph = navigation_graph(dm, order)
-    if concept not in graph:
-        return set()
-    return nx.ancestors(graph, concept)
+    return reachable(reverse(graph), [concept]) - {concept}
 
 
 def descendants(dm, concept, order="isa"):
     """All strict descendants of a concept in the given order."""
     graph = navigation_graph(dm, order)
-    if concept not in graph:
-        return set()
-    return nx.descendants(graph, concept)
+    return reachable(graph, [concept]) - {concept}
 
 
 def upper_bounds(dm, concepts, order="isa"):
@@ -265,11 +247,11 @@ def upper_bounds(dm, concepts, order="isa"):
         raise NoUpperBoundError("lub of an empty concept set is undefined")
     for concept in concepts:
         dm.require_concept(concept)
-    graph = navigation_graph(dm, order)
+    up = reverse(navigation_graph(dm, order))
     common: Optional[Set[str]] = None
     for concept in concepts:
         if order == "isa":
-            ups = nx.ancestors(graph, concept) | {concept}
+            ups = reachable(up, [concept]) | {concept}
         else:
             ups = role_containers(dm, concept, order)
         common = ups if common is None else (common & ups)
@@ -290,11 +272,10 @@ def least_upper_bounds(dm, concepts, order="isa"):
                 "concepts %s have no common %s-ancestor"
                 % (sorted(concepts), order)
             )
-        graph = navigation_graph(dm, order)
+        up = reverse(navigation_graph(dm, order))
+        above = {o: reachable(up, [o]) for o in bounds}
         minimal = {
-            b
-            for b in bounds
-            if not any(o != b and b in nx.ancestors(graph, o) for o in bounds)
+            b for b in bounds if not any(o != b and b in above[o] for o in bounds)
         }
         result = sorted(minimal)
         if span.enabled:
@@ -311,29 +292,30 @@ def lub(dm, concepts, order="isa"):
     return least_upper_bounds(dm, concepts, order)[0]
 
 
-def part_graph(dm, role="has", include_isa=True):
-    """Digraph of the direct inferable `role` links (has_a_star), plus
-    isa specializations for navigation (see :func:`navigation_graph`)."""
-    return navigation_graph(dm, role, include_isa=include_isa)
+def part_graph(dm, role="has"):
+    """Adjacency dict of the direct inferable `role` links (has_a_star),
+    plus isa specializations for navigation (see
+    :func:`navigation_graph`)."""
+    return navigation_graph(dm, role)
 
 
-def part_tree(dm, root, role="has", include_isa=True):
-    """The subgraph of direct `role` links reachable from `root` —
-    what the mediator's recursive `aggregate` traverses (Example 4)."""
+def part_tree(dm, root, role="has"):
+    """The subgraph (adjacency dict) of direct `role` links reachable
+    from `root` — what the mediator's recursive `aggregate` traverses
+    (Example 4)."""
     dm.require_concept(root)
     with obs.span("dm.part_tree", root=root, role=role) as span:
-        graph = part_graph(dm, role, include_isa)
-        reachable = {root} | nx.descendants(graph, root)
-        tree = graph.subgraph(reachable).copy()
+        graph = part_graph(dm, role)
+        tree = subgraph(graph, {root} | reachable(graph, [root]))
         if span.enabled:
-            span.set(nodes=tree.number_of_nodes())
+            span.set(nodes=len(tree))
             obs.count("dm.graphops", op="part_tree")
         return tree
 
 
-def downward_closure(dm, root, role="has", include_isa=True):
+def downward_closure(dm, root, role="has"):
     """All concepts reachable from `root` along direct `role` links."""
-    return set(part_tree(dm, root, role, include_isa).nodes)
+    return set(part_tree(dm, root, role))
 
 
 def region_of_correspondence(dm, anchors, role="has"):
@@ -342,19 +324,18 @@ def region_of_correspondence(dm, anchors, role="has"):
     Computes the lub of the anchors and returns the sub-DAG of direct
     `role`/isa links lying on paths from the lub down to each anchor —
     "a segment in the domain map as the region of correspondence
-    between the two information sources".
+    between the two information sources" — as an adjacency dict.
     """
     anchors = list(anchors)
     root = lub(dm, anchors, order=role)
     nav = navigation_graph(dm, role)
+    up = reverse(nav)
     region: Set[str] = {root}
-    reachable_from_root = {root} | nx.descendants(nav, root)
+    below_root = {root} | reachable(nav, [root])
     for anchor in anchors:
-        if anchor not in nav:
-            continue
-        can_reach_anchor = {anchor} | nx.ancestors(nav, anchor)
-        region |= reachable_from_root & can_reach_anchor
-    return nav.subgraph(region).copy()
+        if anchor in nav:
+            region |= below_root & ({anchor} | reachable(up, [anchor]))
+    return subgraph(nav, region)
 
 
 # ---------------------------------------------------------------------------

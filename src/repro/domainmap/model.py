@@ -25,8 +25,6 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
-import networkx as nx
-
 from ..errors import DomainMapError, UnknownConceptError, UnknownRoleError
 from .dl import (
     Axiom,
@@ -311,25 +309,6 @@ class DomainMap:
             for e in self.edges()
             if e.kind == EQV and not _is_synthetic(e.dst)
         }
-
-    # -- graph --------------------------------------------------------------
-
-    def graph(self):
-        """The drawn digraph as a networkx MultiDiGraph.
-
-        Nodes carry ``kind`` ("concept", "and", "or"); edges carry
-        ``kind`` and ``role``.
-        """
-        graph = nx.MultiDiGraph(name=self.name)
-        for concept in self.concepts:
-            graph.add_node(concept, kind="concept")
-        for edge in self.edges():
-            for node in (edge.src, edge.dst):
-                if _is_synthetic(node):
-                    kind = "and" if node.startswith("AND#") else "or"
-                    graph.add_node(node, kind=kind)
-            graph.add_edge(edge.src, edge.dst, kind=edge.kind, role=edge.role)
-        return graph
 
     def copy(self, name=None):
         """An independent copy (a source's "local copy of the DM",

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import random
 import threading
+from collections import OrderedDict
 from typing import Dict, Tuple
 
 from .. import obs
@@ -38,6 +39,10 @@ from ..errors import (
 )
 from .breaker import BreakerRegistry
 from .policy import ResiliencePolicy
+
+#: how many last-known-good answers a guard keeps: the store is an LRU
+#: over call fingerprints (a stale-serve refreshes an entry's recency)
+STALE_STORE_LIMIT = 1024
 
 #: outcome statuses, from healthiest to most degraded
 STATUS_OK = "ok"
@@ -120,7 +125,7 @@ class SourceGuard:
         #: backoff sequence of every pair deterministic regardless of
         #: scheduling
         self._rngs: Dict[Tuple[str, str], random.Random] = {}
-        self._cache = {}
+        self._cache = OrderedDict()
         self._lock = threading.Lock()
         #: failed attempts over all calls (retried, stale-served or
         #: raised): the chaos harness's faults-absorbed accounting
@@ -241,10 +246,7 @@ class SourceGuard:
                 else:
                     breaker.record_success()
                     if policy.serve_stale and cache_key is not None:
-                        with self._lock:
-                            self._cache[
-                                (source, class_name, cache_key)
-                            ] = result
+                        self._store_stale((source, class_name, cache_key), result)
                     outcomes.append(
                         CallOutcome(
                             source,
@@ -311,16 +313,25 @@ class SourceGuard:
         )
         raise last_exc
 
+    def _store_stale(self, key, rows):
+        with self._lock:
+            self._cache[key] = rows
+            self._cache.move_to_end(key)
+            while len(self._cache) > STALE_STORE_LIMIT:
+                self._cache.popitem(last=False)
+
     def _stale_lookup(
         self, source, class_name, cache_key, outcomes, breaker_state,
         attempts=0, error=None,
     ):
         if not self.policy.serve_stale or cache_key is None:
             return None
+        key = (source, class_name, cache_key)
         with self._lock:
-            cached = self._cache.get((source, class_name, cache_key))
-        if cached is None:
-            return None
+            cached = self._cache.get(key)
+            if cached is None:
+                return None
+            self._cache.move_to_end(key)
         obs.count("resilience.stale_served", source=source)
         obs.event(
             "resilience.stale_served", source=source, class_name=class_name

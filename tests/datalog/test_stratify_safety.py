@@ -18,8 +18,8 @@ class TestDependencyGraph:
     def test_positive_edges(self):
         program = parse_program("p(X) :- q(X), r(X).")
         info = build_dependency_graph(program)
-        assert info.graph.has_edge(("p", 1), ("q", 1))
-        assert info.graph.has_edge(("p", 1), ("r", 1))
+        assert info.graph[("p", 1)] == {("q", 1): None, ("r", 1): None}
+        assert info.graph[("q", 1)] == info.graph[("r", 1)] == {}
         assert not info.negative_edges
 
     def test_negative_edge_recorded(self):
@@ -35,7 +35,7 @@ class TestDependencyGraph:
     def test_arity_distinguishes_predicates(self):
         program = parse_program("p(X) :- p(X, X).")
         info = build_dependency_graph(program)
-        assert info.graph.has_edge(("p", 1), ("p", 2))
+        assert ("p", 2) in info.graph[("p", 1)]
 
 
 class TestStratify:

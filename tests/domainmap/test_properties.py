@@ -128,7 +128,7 @@ class TestLubProperties:
         except NoUpperBoundError:
             return
         bounds = upper_bounds(dm, concepts)
-        nav = navigation_graph(dm, "isa")
+        nav = nx.DiGraph(navigation_graph(dm, "isa"))
         for candidate in lubs:
             below = nx.descendants(nav, candidate)
             assert not (below & bounds - {candidate} & below)
@@ -160,7 +160,7 @@ class TestTraversalProperties:
     @settings(max_examples=40, deadline=None)
     @given(acyclic_dms(), st.sampled_from(CONCEPTS))
     def test_part_tree_nodes_reachable(self, dm, root):
-        tree = part_tree(dm, root, "has")
+        tree = nx.DiGraph(part_tree(dm, root, "has"))
         assert root in tree.nodes
         for node in tree.nodes:
             assert node == root or nx.has_path(tree, root, node)

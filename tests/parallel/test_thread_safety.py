@@ -8,6 +8,7 @@ probabilistic, so the hammers use enough iterations to have failed
 reliably on the unlocked code.
 """
 
+import sys
 import threading
 
 from repro.cache.answers import AnswerCache, CacheEntry
@@ -127,3 +128,47 @@ class TestJitterRngHammer:
         assert all(rng is rngs[0] for rng in rngs), (
             "concurrent first touches must converge on one RNG stream"
         )
+
+
+class TestStaleStoreHammer:
+    def test_bounded_under_concurrent_stores_and_stale_serves(self, monkeypatch):
+        from repro.errors import SourceError
+        from repro.resilience import guard as guard_module
+
+        monkeypatch.setattr(guard_module, "STALE_STORE_LIMIT", 16)
+        clock = VirtualClock()
+        guard = SourceGuard(
+            ResiliencePolicy(
+                max_retries=0,
+                serve_stale=True,
+                breaker_threshold=THREADS * ROUNDS + 1,
+                clock=clock.now,
+                sleep=clock.sleep,
+            )
+        )
+
+        def down():
+            raise SourceError("gone")
+
+        served = []
+
+        def store_and_serve(i):
+            for j in range(ROUNDS):
+                key = ("k", i, j)
+                guard.call("S", "c", lambda: [key], cache_key=key)
+                try:
+                    rows = guard.call("S", "c", down, cache_key=key)
+                except SourceError:
+                    continue  # other threads stored 16 answers in between
+                assert rows == [key]
+                served.append(key)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            hammer(store_and_serve)
+        finally:
+            sys.setswitchinterval(interval)
+        assert served
+        assert len(guard._cache) == 16
+        assert all(rows == [key] for (_s, _c, key), rows in guard._cache.items())

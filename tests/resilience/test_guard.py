@@ -13,6 +13,7 @@ from repro.resilience import (
     SourceGuard,
     VirtualClock,
 )
+from repro.resilience import guard as guard_module
 
 
 def make_guard(clock=None, **kwargs):
@@ -191,6 +192,23 @@ class TestStaleness:
 
         with pytest.raises(SourceError):
             guard.call("S", "c", down, cache_key=("q",))
+
+    def test_store_keeps_the_most_recently_used_answers(self, monkeypatch):
+        monkeypatch.setattr(guard_module, "STALE_STORE_LIMIT", 2)
+        guard, _clock = make_guard(max_retries=0, serve_stale=True)
+
+        def down():
+            raise SourceError("gone")
+
+        for name in ("a", "b"):
+            guard.call("S", "c", lambda: [name], cache_key=(name,))
+        # serving "a" stale refreshes it, so storing "c" evicts "b"
+        assert guard.call("S", "c", down, cache_key=("a",)) == ["a"]
+        guard.call("S", "c", lambda: ["c"], cache_key=("c",))
+        assert [key for _s, _c, key in guard._cache] == [("a",), ("c",)]
+        assert guard.call("S", "c", down, cache_key=("a",)) == ["a"]
+        with pytest.raises(SourceError):
+            guard.call("S", "c", down, cache_key=("b",))
 
 
 class TestTimeouts:
