@@ -17,6 +17,7 @@
 
 from __future__ import annotations
 
+import threading
 from collections import deque
 from typing import Deque, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -29,7 +30,6 @@ from ..errors import (
     SourceError,
     ViewError,
 )
-from ..datalog.safety import check_rule_safety
 from ..datalog.ast import Rule
 from ..domainmap.execute import compile_domain_map
 from ..domainmap.index import SemanticIndex
@@ -182,13 +182,15 @@ class Mediator:
                 "parallel must be a ParallelExecutor, True, or a worker "
                 "count, not %r" % type(parallel).__name__
             )
-        self._safety_checked = False
         self._sources: Dict[str, RegisteredSource] = {}
         self._views: Dict[str, object] = {}
         self._view_rules_by_name: Dict[str, List[Rule]] = {}
         self._facts: List[Rule] = []
         self._materialized: List[Rule] = []
-        self._engine: Optional[FLogicEngine] = None
+        #: include_data -> (dm.revision, engine): the full knowledge
+        #: base and the schema-only program, each evaluated once
+        self._engines: Dict[bool, Tuple[int, FLogicEngine]] = {}
+        self._engines_lock = threading.Lock()
         self._wire_log: Deque[Tuple[str, int]] = deque(maxlen=WIRE_LOG_LIMIT)
 
     # -- registration ---------------------------------------------------
@@ -517,8 +519,8 @@ class Mediator:
     # -- knowledge base ----------------------------------------------------
 
     def _invalidate(self):
-        self._engine = None
-        self._safety_checked = False
+        with self._engines_lock:
+            self._engines.clear()
 
     @property
     def _view_rules(self):
@@ -617,12 +619,22 @@ class Mediator:
                 rules.extend(materialized_views[name].facts)
         return rules
 
-    def engine(self):
-        """The mediator's (cached) F-logic engine."""
-        if self._engine is None:
-            self._engine = FLogicEngine()
-            self._engine.tell_rules(self.assembled_rules())
-        return self._engine
+    def engine(self, include_data=True):
+        """The mediator's F-logic engine over :meth:`assembled_rules`
+        (``include_data=False``: the schema-only program).
+
+        Each of the two engines is built once and evaluates once; both
+        are dropped by every registration, view, materialization and
+        domain-map change (a direct ``dm.add_axiom`` included: they are
+        keyed on ``dm.revision``).
+        """
+        with self._engines_lock:
+            cached = self._engines.get(include_data)
+            if cached is None or cached[0] != self.dm.revision:
+                engine = FLogicEngine()
+                engine.tell_rules(self.assembled_rules(include_data=include_data))
+                cached = self._engines[include_data] = (self.dm.revision, engine)
+            return cached[1]
 
     def evaluate(self):
         """Evaluate the knowledge base; returns an EvaluationResult."""
@@ -630,7 +642,9 @@ class Mediator:
 
     def evaluate_with(self, extra_facts, include_data=True):
         """Evaluate with the additional (lazily fetched) `extra_facts`,
-        without mutating the mediator's knowledge base.
+        without mutating the mediator's knowledge base: the model of
+        the cached engine is continued with them (see
+        :meth:`FLogicEngine.evaluate_with`).
 
         ``include_data=False`` evaluates the extra facts against the
         knowledge only (domain map + schemas + views), ignoring any
@@ -642,22 +656,7 @@ class Mediator:
             extra_facts=len(extra),
             include_data=include_data,
         ):
-            return self._evaluate_with(extra, include_data)
-
-    def _evaluate_with(self, extra, include_data):
-        engine = FLogicEngine()
-        engine.tell_rules(self.assembled_rules(include_data=include_data))
-        engine.tell_rules(extra)
-        if not self._safety_checked:
-            # first evaluation since the knowledge base changed: run the
-            # full program check once, then remember it so repeated plan
-            # executions only re-check their (few) fetched facts
-            result = engine.evaluate(check_safety=True)
-            self._safety_checked = True
-            return result
-        for rule in extra:
-            check_rule_safety(rule)
-        return engine.evaluate(check_safety=False)
+            return self.engine(include_data=include_data).evaluate_with(extra)
 
     def ask(self, fl_query):
         """Answer the F-logic query text `fl_query` over the mediated

@@ -46,15 +46,20 @@ class EvaluationResult:
             firings, per-stratum/round fact counts, the ``derived_at``
             map) — populated only when a tracer was active during
             evaluation, None otherwise.
+        program: the evaluated rules, as a tuple (what
+            ``evaluate(..., base=)`` continues from).
     """
 
     def __init__(self, store, undefined=None, used_well_founded=False, strata=None,
-                 metrics=None):
+                 metrics=None, program=()):
         self.store = store
         self.undefined = undefined if undefined is not None else FactStore()
         self.used_well_founded = used_well_founded
         self.strata = strata
         self.metrics = metrics
+        self.program = tuple(program)
+        # the _Continuation of this model, built on first use
+        self._continuation = None
 
     def is_true(self, atom):
         return self.store.contains(atom)
@@ -72,7 +77,8 @@ class EvaluationResult:
 DEFAULT_MAX_FACTS = 2_000_000
 
 
-def evaluate(program, check_safety=True, strategy="seminaive", max_facts=None):
+def evaluate(program, check_safety=True, strategy="seminaive", max_facts=None,
+             base=None):
     """Evaluate `program` and return an :class:`EvaluationResult`.
 
     Stratifiable programs get the stratified semi-naive treatment; with
@@ -88,11 +94,18 @@ def evaluate(program, check_safety=True, strategy="seminaive", max_facts=None):
     :data:`DEFAULT_MAX_FACTS`); programs that create unboundedly many
     Skolem terms fail with :class:`EvaluationError` rather than running
     forever.
+
+    `base`, an earlier result, makes `program` a list of rules to add to
+    ``base.program``: the combined model is continued from `base` where
+    that is sound (see :func:`_continue`), and `base` stays as it is.
+    Only `program` is then checked for safety.
     """
     if strategy not in ("seminaive", "naive"):
         raise EvaluationError("unknown evaluation strategy %r" % strategy)
     if check_safety:
         check_program_safety(program)
+    if base is not None:
+        return _continue(base, list(program), strategy, max_facts)
     tracer = obs.active()
     metrics = obs.EvaluationMetrics() if tracer.enabled else None
     try:
@@ -112,6 +125,7 @@ def evaluate(program, check_safety=True, strategy="seminaive", max_facts=None):
             undefined=undefined,
             used_well_founded=True,
             metrics=metrics,
+            program=program,
         )
     store = FactStore()
     evaluator = _Evaluator(
@@ -147,7 +161,167 @@ def evaluate(program, check_safety=True, strategy="seminaive", max_facts=None):
         tracer.count("datalog.rule_firings", evaluator.rule_firings)
         tracer.count("datalog.facts_derived", metrics.facts_derived)
         tracer.gauge("datalog.store_size", len(store))
-    return EvaluationResult(store, strata=strata, metrics=metrics)
+    return EvaluationResult(store, strata=strata, metrics=metrics, program=program)
+
+
+def _continue(base, extra, strategy, max_facts):
+    """The model of ``base.program`` plus the rules `extra`, continued
+    from the evaluated `base` instead of recomputed.
+
+    The store of `base` is left untouched: the new model lives in a
+    copy-on-write :meth:`FactStore.overlay` of it.  The extra facts are
+    the delta.  Semi-naive rounds run stratum by stratum over the base
+    rules, with every positive literal whose relation gained facts as a
+    delta position; there is no first full pass.  Extra proper rules
+    must define relations the base program neither defines nor
+    references; they are stratified on their own and saturated after
+    the base strata (by `strategy`; the base strata only ever see the
+    new facts, so they always run semi-naive rounds).
+
+    Continuing is unsound in some cases, and the whole combined program
+    is evaluated instead.  The fallback reason is recorded on the
+    ``datalog.continue`` span and counted in the ``datalog.fallbacks``
+    counter:
+
+    * ``well-founded`` — the base needed the well-founded semantics;
+    * ``head-in-base`` — an extra rule's head relation is defined or
+      referenced by the base program;
+    * ``unstratified`` — the extra rules are not stratifiable on their
+      own;
+    * ``negation`` / ``aggregate`` — new facts reach a relation that a
+      base rule negates or aggregates over.
+    """
+    tracer = obs.active()
+    with tracer.span("datalog.continue", extra_rules=len(extra)) as span:
+        if base.used_well_founded:
+            reason = "well-founded"
+        else:
+            reason, result = _Continuation.of(base).run(
+                extra, strategy, max_facts, tracer, span
+            )
+        if reason is None:
+            return result
+        span.set(fallback=reason)
+        tracer.count("datalog.fallbacks", reason=reason)
+        return evaluate(
+            base.program + tuple(extra),
+            check_safety=False,
+            strategy=strategy,
+            max_facts=max_facts,
+        )
+
+
+class _Continuation:
+    """What continuing from one stratified model needs, computed once
+    per :class:`EvaluationResult`."""
+
+    def __init__(self, base):
+        self.base = base
+        program = base.program
+        #: relations the base program defines or reads
+        self.referenced = {rule.head.signature for rule in program}
+        #: per base stratum: (ordered proper rules, relations read by
+        #: a positive literal, {relation negated/aggregated: reason})
+        self.strata = []
+        for stratum in base.strata:
+            rules = [
+                _ordered_rule(rule, delta_first=True)
+                for rule in program
+                if rule.head.signature in stratum and not rule.is_fact
+            ]
+            triggers = {delta[0] for _rule, _body, deltas in rules for delta in deltas}
+            guarded = {}
+            for rule, _body, _deltas in rules:
+                for item in rule.body:
+                    if isinstance(item, Literal):
+                        self.referenced.add(item.atom.signature)
+                        if not item.positive:
+                            guarded[item.atom.signature] = "negation"
+                    elif isinstance(item, AggregateLiteral):
+                        for inner in item.body:
+                            if isinstance(inner, Literal):
+                                self.referenced.add(inner.atom.signature)
+                                guarded[inner.atom.signature] = "aggregate"
+            self.strata.append((rules, triggers, guarded))
+
+    @classmethod
+    def of(cls, base):
+        # concurrent first uses may each build one; either is correct
+        if base._continuation is None:
+            base._continuation = cls(base)
+        return base._continuation
+
+    def run(self, extra, strategy, max_facts, tracer, span):
+        """``(None, result)``, or ``(fallback reason, None)``."""
+        facts = [rule for rule in extra if rule.is_fact]
+        proper = [rule for rule in extra if not rule.is_fact]
+        if any(
+            rule.head.signature in self.referenced for rule in proper
+        ):
+            return "head-in-base", None
+        try:
+            extra_strata = [
+                stratum & {rule.head.signature for rule in proper}
+                for stratum in stratify(proper)
+            ]
+        except StratificationError:
+            return "unstratified", None
+        extra_strata = [stratum for stratum in extra_strata if stratum]
+
+        metrics = obs.EvaluationMetrics() if tracer.enabled else None
+        derived_at = metrics.derived_at if metrics is not None else None
+        store = self.base.store.overlay()
+        evaluator = _Evaluator(
+            store,
+            seminaive=(strategy == "seminaive"),
+            max_facts=max_facts if max_facts is not None else DEFAULT_MAX_FACTS,
+            tracer=tracer,
+        )
+        gained = FactStore()
+        for rule in facts:
+            if store.add(rule.head):
+                gained.add(rule.head)
+        delta_in = len(gained)
+        span.set(delta_in=delta_in)
+        for index, (rules, triggers, guarded) in enumerate(self.strata):
+            if not len(gained):
+                break
+            sigs = set(gained.signatures())
+            for sig in sigs:
+                if sig in guarded:
+                    return guarded[sig], None
+            if triggers.isdisjoint(sigs):
+                continue
+            stratum_metrics = None
+            if metrics is not None:
+                stratum_metrics = metrics.begin_stratum(
+                    index, ("%s/%d" % sig for sig in self.base.strata[index])
+                )
+            evaluator.rounds(
+                rules, gained, stratum_metrics, derived_at, gained=gained
+            )
+        offset = len(self.strata)
+        for index, stratum in enumerate(extra_strata, start=offset):
+            rules = [rule for rule in proper if rule.head.signature in stratum]
+            stratum_metrics = None
+            if metrics is not None:
+                stratum_metrics = metrics.begin_stratum(
+                    index, ("%s/%d" % sig for sig in stratum)
+                )
+            evaluator.saturate(rules, stratum_metrics, derived_at)
+        if metrics is not None:
+            metrics.rule_firings = evaluator.rule_firings
+            metrics.store_size = len(store)
+            span.set(facts_derived=len(store) - len(self.base.store) - delta_in)
+            tracer.count("datalog.rule_firings", evaluator.rule_firings)
+            tracer.count("datalog.facts_derived", metrics.facts_derived)
+            tracer.gauge("datalog.store_size", len(store))
+        return None, EvaluationResult(
+            store,
+            strata=self.base.strata + extra_strata,
+            metrics=metrics,
+            program=self.base.program + tuple(extra),
+        )
 
 
 def query(program, goal, check_safety=True):
@@ -294,12 +468,12 @@ class _Evaluator:
                     derived_at.setdefault(rule.head, (stratum_index, 0))
 
         local_sigs = {r.head.signature for r in rules}
-        ordered = [(rule, _order_body(rule)) for rule in proper]
+        ordered = [_ordered_rule(rule) for rule in proper]
 
         # First full pass: every rule against the complete store.  Heads
         # are buffered per rule so the store is never mutated while a
         # candidate set from the same relation is being iterated.
-        for rule, body in ordered:
+        for rule, body, _deltas in ordered:
             heads = [
                 rule.head.substitute(subst)
                 for subst in self._solve(body, 0, {}, None, None)
@@ -317,18 +491,12 @@ class _Evaluator:
             stratum_metrics.rounds.append(len(delta))
             stratum_metrics.facts_derived += len(delta)
 
-        # Semi-naive rounds: require one recursive literal in the delta.
-        recursive = []
-        for rule, body in ordered:
-            delta_positions = [
-                i
-                for i, item in enumerate(body)
-                if isinstance(item, Literal)
-                and item.positive
-                and item.atom.signature in local_sigs
-            ]
-            if delta_positions:
-                recursive.append((rule, body, delta_positions))
+        # Only rules reading a relation of this stratum can fire again.
+        recursive = [
+            entry
+            for entry in ordered
+            if any(delta[0] in local_sigs for delta in entry[2])
+        ]
 
         if not self.seminaive:
             # Naive ablation: every recursive rule refires against the
@@ -339,7 +507,7 @@ class _Evaluator:
                 changed = False
                 round_no += 1
                 derived_this_round = 0
-                for rule, body, _positions in recursive:
+                for rule, body, _deltas in recursive:
                     heads = [
                         rule.head.substitute(subst)
                         for subst in self._solve(body, 0, {}, None, None)
@@ -363,16 +531,33 @@ class _Evaluator:
         if not recursive:
             self._check_budget()
             return
+        self.rounds(recursive, delta, stratum_metrics, derived_at)
 
+    def rounds(self, ordered, delta, stratum_metrics=None, derived_at=None,
+               gained=None):
+        """Semi-naive rounds over `ordered` rules (as built by
+        :func:`_ordered_rule`), starting from the new facts `delta`.
+
+        Each round fires every positive body literal whose relation has
+        facts in the delta against those facts alone, the rest of the
+        body against the whole store; the facts the round adds are the
+        next round's delta.  With `gained` set, they are also added to
+        that store after each round.
+        """
+        collect = stratum_metrics is not None
+        stratum_index = stratum_metrics.index if collect else 0
         round_no = 0
         while len(delta):
             round_no += 1
+            delta_sigs = set(delta.signatures())
             with self.tracer.span(
                 "datalog.round", round=round_no, delta_in=len(delta)
             ) as round_span:
                 new_delta = FactStore()
-                for rule, body, delta_positions in recursive:
-                    for position in delta_positions:
+                for rule, _body, deltas in ordered:
+                    for sig, body, position in deltas:
+                        if sig not in delta_sigs:
+                            continue
                         heads = [
                             rule.head.substitute(subst)
                             for subst in self._solve(body, 0, {}, position, delta)
@@ -395,6 +580,8 @@ class _Evaluator:
                     stratum_metrics.facts_derived += len(new_delta)
                     round_span.set(delta_out=len(new_delta))
             self._check_budget()
+            if gained is not None:
+                gained.merge(new_delta)
             delta = new_delta
 
     # -- body solving ------------------------------------------------
@@ -513,14 +700,45 @@ def _apply_aggregate(func, values):
     raise EvaluationError("unknown aggregate %r" % func)
 
 
-def _order_body(rule):
-    """Greedy evaluation order for a rule body (see module docstring)."""
-    return _order_body_items(list(rule.body))
+def _ordered_rule(rule, delta_first=False):
+    """``(rule, body, deltas)``: the body in its greedy evaluation order
+    (see module docstring), and per positive literal a ``(relation,
+    body, position)`` triple for reading that literal from a semi-naive
+    delta.
+
+    With `delta_first` the literal is moved to the front of its body
+    and the rest reordered around its bindings: right for a delta much
+    smaller than its relation, as when a model is continued with a few
+    new facts.  A full evaluation keeps the literal in place: its first
+    delta is nearly all of each relation, and there the greedy order's
+    constant-bound literals are the better lead.  Counted in
+    unifications, delta-first saturation of the Section 5 schema
+    program does 3.4x the work (25 368 against 7 488; the scale-1
+    knowledge base gains 13%), while in-place continuation of the
+    Section 5 correlates does 1.33x the work (27 444 against 20 568).
+    The solutions, and so the rule firings, are the same in any
+    order."""
+    items = list(rule.body)
+    body = _order_body_items(items)
+    deltas = []
+    for index, item in enumerate(body):
+        if not (isinstance(item, Literal) and item.positive):
+            continue
+        if delta_first:
+            rest = body[:index] + body[index + 1:]
+            deltas.append((
+                item.atom.signature,
+                [item] + _order_body_items(rest, bound=item.variables()),
+                0,
+            ))
+        else:
+            deltas.append((item.atom.signature, body, index))
+    return rule, body, deltas
 
 
-def _order_body_items(items):
+def _order_body_items(items, bound=()):
     ordered = []
-    bound: Set[Var] = set()
+    bound: Set[Var] = set(bound)
     remaining = list(items)
     while remaining:
         chosen = None

@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from ..errors import EvaluationError
 from .ast import AggregateLiteral, Assignment, Atom, Comparison, Literal, Program, Rule
 from .engine import _Evaluator, _order_body_items, evaluate
-from .terms import substitute
+from .terms import substitute, term_sort_key, unify
 
 
 class Derivation:
@@ -134,15 +134,33 @@ class _Explainer:
         return None
 
     def _try_rule(self, atom, rule, path):
-        from .terms import unify
-
+        """The canonical proof of `atom` by `rule`: the first found when
+        the rule's solutions are tried in the order of their ground
+        positive body atoms under :func:`term_sort_key` — never in set
+        iteration order, so the tree is the same in every process."""
         subst = {}
         for pattern, ground in zip(rule.head.args, atom.args):
             subst = unify(pattern, ground, subst)
             if subst is None:
                 return None
         body = _order_body_items(list(rule.body))
-        for solution in self.solver._solve(body, 0, subst, None, None):
+        positives = [
+            item.atom for item in rule.body
+            if isinstance(item, Literal) and item.positive
+        ]
+
+        def ground_key(solution):
+            return [
+                (literal.pred,
+                 [term_sort_key(substitute(arg, solution)) for arg in literal.args])
+                for literal in positives
+            ]
+
+        # tried in key order, so what the memo records is canonical too
+        solutions = sorted(
+            self.solver._solve(body, 0, subst, None, None), key=ground_key
+        )
+        for solution in solutions:
             children = self._explain_body(rule.body, solution, path)
             if children is not None:
                 return Derivation(atom, rule, children)

@@ -25,6 +25,10 @@ class FactStore:
         self._facts: Dict[Signature, Set[FactArgs]] = defaultdict(set)
         # _indexes[sig][position][ground term] -> set of fact tuples
         self._indexes: Dict[Signature, Dict[int, Dict[Term, Set[FactArgs]]]] = {}
+        # copy-on-write children (see overlay()): relations still read
+        # from the parent store, and that parent
+        self._shared: Set[Signature] = set()
+        self._parent: Optional[FactStore] = None
 
     def __len__(self):
         return sum(len(rows) for rows in self._facts.values())
@@ -46,6 +50,8 @@ class FactStore:
         rows = self._facts[sig]
         if args in rows:
             return False
+        if sig in self._shared:
+            rows = self._unshare(sig)
         rows.add(args)
         indexes = self._indexes.get(sig)
         if indexes:
@@ -65,7 +71,29 @@ class FactStore:
         mutate while iterating)."""
         return self._facts.get(sig, frozenset())
 
+    def overlay(self):
+        """A copy-on-write child of this store.
+
+        The child starts with this store's facts without copying them:
+        it reads each relation (and its indexes, built lazily here) from
+        this store until its first insertion into that relation, which
+        copies the relation's rows.  This store must not change while
+        the child is in use; the child's insertions never reach it.
+        """
+        child = FactStore()
+        child._facts.update((sig, rows) for sig, rows in self._facts.items() if rows)
+        child._shared = set(child._facts)
+        child._parent = self
+        return child
+
+    def _unshare(self, sig):
+        self._shared.discard(sig)
+        rows = self._facts[sig] = set(self._facts[sig])
+        return rows
+
     def _index_for(self, sig, position):
+        if sig in self._shared:
+            return self._parent._index_for(sig, position)
         indexes = self._indexes.setdefault(sig, {})
         index = indexes.get(position)
         if index is None:

@@ -210,9 +210,14 @@ def role_containers(dm, concept, role):
     every concept contains itself.
     """
     nav = navigation_graph(dm, role)
+    return _containers(nav, reverse(nav), concept)
+
+
+def _containers(nav, up, concept):
+    """:func:`role_containers` over a navigation graph `nav` and its
+    reverse `up`."""
     if concept not in nav:
         return {concept}
-    up = reverse(nav)
     reach = reachable(up, [concept]) | {concept}
     holders = {
         u
@@ -242,18 +247,24 @@ def upper_bounds(dm, concepts, order="isa"):
     For a role order, "ancestor" means *container*: the path must use
     at least one role edge (see :func:`role_containers`).
     """
+    nav = navigation_graph(dm, order)
+    return _upper_bounds(dm, concepts, order, nav, reverse(nav))
+
+
+def _upper_bounds(dm, concepts, order, nav, up):
+    """:func:`upper_bounds` over the navigation graph `nav` of `order`
+    and its reverse `up`."""
     concepts = list(concepts)
     if not concepts:
         raise NoUpperBoundError("lub of an empty concept set is undefined")
     for concept in concepts:
         dm.require_concept(concept)
-    up = reverse(navigation_graph(dm, order))
     common: Optional[Set[str]] = None
     for concept in concepts:
         if order == "isa":
             ups = reachable(up, [concept]) | {concept}
         else:
-            ups = role_containers(dm, concept, order)
+            ups = _containers(nav, up, concept)
         common = ups if common is None else (common & ups)
     return common or set()
 
@@ -266,13 +277,14 @@ def least_upper_bounds(dm, concepts, order="isa"):
     """
     concepts = list(concepts)
     with obs.span("dm.lub", concepts=len(concepts), order=order) as span:
-        bounds = upper_bounds(dm, concepts, order)
+        nav = navigation_graph(dm, order)
+        up = reverse(nav)
+        bounds = _upper_bounds(dm, concepts, order, nav, up)
         if not bounds:
             raise NoUpperBoundError(
                 "concepts %s have no common %s-ancestor"
                 % (sorted(concepts), order)
             )
-        up = reverse(navigation_graph(dm, order))
         above = {o: reachable(up, [o]) for o in bounds}
         minimal = {
             b for b in bounds if not any(o != b and b in above[o] for o in bounds)

@@ -23,6 +23,7 @@ is used by the reasoner and by registration.
 
 from __future__ import annotations
 
+import threading
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..errors import DomainMapError, UnknownConceptError, UnknownRoleError
@@ -47,6 +48,9 @@ ALL = "all"
 EQV = "eqv"
 AND = "and"
 OR = "or"
+
+# one drawing at a time: synthetic node numbers come from a per-map counter
+_DRAWING = threading.Lock()
 
 
 class Edge:
@@ -104,12 +108,18 @@ class DomainMap:
         self.roles: Set[str] = set()
         self.axioms: List[Axiom] = []
         self.rules_text: List[str] = []
+        #: bumped by every change (add_concept/add_role/add_axiom/
+        #: add_rule), so derived state can tell it is stale
+        self.revision = 0
+        # (revision, edges) of the last drawing, see edges()
+        self._edges = (None, ())
         self._synthetic_counter = 0
 
     # -- declaration -----------------------------------------------------
 
     def add_concept(self, name):
         self.concepts.add(name)
+        self.revision += 1
         return self
 
     def add_concepts(self, names):
@@ -119,6 +129,7 @@ class DomainMap:
 
     def add_role(self, name):
         self.roles.add(name)
+        self.revision += 1
         return self
 
     def add_roles(self, names):
@@ -155,6 +166,7 @@ class DomainMap:
             self.concepts.update(expr.named_concepts())
             self.roles.update(expr.roles())
         self.axioms.append(axiom)
+        self.revision += 1
         return axiom
 
     def add_axioms(self, text_or_axioms):
@@ -191,17 +203,27 @@ class DomainMap:
     def add_rule(self, datalog_text):
         """Attach logic rules (component (ii) of Definition 1)."""
         self.rules_text.append(datalog_text)
+        self.revision += 1
         return self
 
     # -- edge view -----------------------------------------------------------
 
     def edges(self):
-        """The full drawn-edge view, including synthetic AND/OR nodes."""
-        self._synthetic_counter = 0
-        out: List[Edge] = []
-        for axiom in self.axioms:
-            out.extend(self._axiom_edges(axiom))
-        return out
+        """The full drawn-edge view, including synthetic AND/OR nodes.
+
+        Drawn once per :attr:`revision`; each call returns a new list.
+        """
+        revision, edges = self._edges
+        if revision != self.revision:
+            with _DRAWING:
+                revision = self.revision
+                self._synthetic_counter = 0
+                out: List[Edge] = []
+                for axiom in self.axioms:
+                    out.extend(self._axiom_edges(axiom))
+                edges = tuple(out)
+                self._edges = (revision, edges)
+        return list(edges)
 
     def _fresh_node(self, kind):
         self._synthetic_counter += 1

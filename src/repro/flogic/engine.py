@@ -10,10 +10,16 @@ exists in the knowledge base: they are the one axiom group that can make
 programs non-stratifiable (intentionally — the paper resolves such
 programs with the well-founded semantics), so keeping them out of
 default-free programs preserves cheap stratified evaluation.
+
+The knowledge base is evaluated once per `tell`; queries and other
+additions that leave it unchanged (:meth:`FLogicEngine.evaluate_with`)
+continue from that model (``evaluate(..., base=)``, see
+:func:`~repro.datalog.engine.evaluate`).
 """
 
 from __future__ import annotations
 
+import threading
 from typing import Iterable, List, Optional, Sequence
 
 from .. import obs
@@ -32,9 +38,12 @@ class FLogicEngine:
 
     def __init__(self, signature_inheritance=True):
         self._rules: List[Rule] = []
+        # does some told rule state a '*->' default?
+        self._defaults = False
         self._signature_inheritance = signature_inheritance
         self._result: Optional[EvaluationResult] = None
-        self._translator = Translator()
+        # one evaluation of the knowledge base, however many threads ask
+        self._evaluation_lock = threading.Lock()
 
     # -- loading knowledge ------------------------------------------------
 
@@ -50,7 +59,7 @@ class FLogicEngine:
         """Add already-parsed F-logic rules."""
         fl_rules = list(fl_rules)
         with obs.span("flogic.translate", fl_rules=len(fl_rules)) as span:
-            rules = self._translator.translate_rules(fl_rules)
+            rules = Translator().translate_rules(fl_rules)
             span.set(datalog_rules=len(rules))
         self._add_rules(rules)
         return self
@@ -77,6 +86,7 @@ class FLogicEngine:
     def _add_rules(self, rules):
         if rules:
             self._rules.extend(rules)
+            self._defaults = self._defaults or _uses_defaults(rules)
             self._result = None
 
     # -- evaluation ---------------------------------------------------------
@@ -85,18 +95,13 @@ class FLogicEngine:
     def rules(self):
         return tuple(self._rules)
 
-    def _uses_defaults(self):
-        return any(
-            rule.head.pred == PRED_DEFAULT_VAL for rule in self._rules
-        )
-
     def _assemble(self, extra_rules=()):
         program = Program()
         program.extend(self._rules)
         program.extend(core_axioms())
         if self._signature_inheritance:
             program.extend(signature_inheritance_axioms())
-        if self._uses_defaults():
+        if self._defaults or _uses_defaults(extra_rules):
             program.extend(value_inheritance_axioms())
         program.extend(extra_rules)
         return program
@@ -107,22 +112,30 @@ class FLogicEngine:
         anything.  Static analysis (``repro lint``) works on this."""
         return self._assemble(extra_rules=extra_rules)
 
-    def evaluate(self, check_safety=True):
+    def evaluate(self):
         """Evaluate the knowledge base; results are cached until the
-        next `tell`.
+        next `tell`."""
+        with self._evaluation_lock:
+            if self._result is None:
+                with obs.span("flogic.evaluate", rules=len(self._rules)) as span:
+                    self._result = evaluate(self._assemble())
+                    span.set(facts=len(self._result.store))
+            return self._result
 
-        ``check_safety=False`` skips the per-rule range-restriction
-        check — only for callers that already verified the same rules
-        (e.g. the mediator re-evaluating its static program against
-        lazily fetched facts).
+    def evaluate_with(self, extra_rules):
+        """The model of the knowledge base plus `extra_rules` (Datalog
+        :class:`Rule` objects), which are not told: the cached
+        :meth:`evaluate` result is continued, not recomputed, and stays
+        as it is.  Only `extra_rules` are checked for safety.  See
+        :func:`~repro.datalog.engine.evaluate` (its `base`) for when the
+        whole program is evaluated instead.
         """
-        if self._result is None:
-            with obs.span("flogic.evaluate", rules=len(self._rules)) as span:
-                self._result = evaluate(
-                    self._assemble(), check_safety=check_safety
-                )
-                span.set(facts=len(self._result.store))
-        return self._result
+        extra = list(extra_rules)
+        base = self.evaluate()
+        if not self._defaults and _uses_defaults(extra):
+            # the first '*->' default links the value-inheritance axioms
+            extra.extend(value_inheritance_axioms())
+        return evaluate(extra, base=base)
 
     @property
     def store(self):
@@ -140,7 +153,7 @@ class FLogicEngine:
         """
         with obs.span("flogic.ask", query=query_text) as ask_span:
             fl_items = parse_fl_body(query_text)
-            body, aux_rules = self._translator.translate_body(fl_items)
+            body, aux_rules = Translator().translate_body(fl_items)
             answer_vars = sorted(
                 {
                     v
@@ -152,8 +165,7 @@ class FLogicEngine:
             )
             goal = Atom("_query", tuple(answer_vars))
             query_rule = Rule(goal, tuple(body))
-            program = self._assemble(extra_rules=list(aux_rules) + [query_rule])
-            result = evaluate(program)
+            result = self.evaluate_with(list(aux_rules) + [query_rule])
             ask_span.set(answers=len(list(result.store.rows(goal.signature))))
         bindings = []
         for args in result.store.rows(goal.signature):
@@ -184,7 +196,7 @@ class FLogicEngine:
         from ..datalog.provenance import explain as datalog_explain
 
         fl_items = parse_fl_body(query_text)
-        body, aux_rules = self._translator.translate_body(fl_items)
+        body, aux_rules = Translator().translate_body(fl_items)
         if aux_rules or len(body) != 1 or not isinstance(body[0], Literal):
             raise ValueError(
                 "explain() takes a single positive ground fact, got %r"
@@ -193,7 +205,8 @@ class FLogicEngine:
         atom = body[0].atom
         if not atom.is_ground():
             raise ValueError("explain() needs a ground fact, got %s" % atom)
-        return datalog_explain(self._assemble(), atom, result=self.evaluate())
+        result = self.evaluate()
+        return datalog_explain(result.program, atom, result=result)
 
     # -- introspection ------------------------------------------------------
 
@@ -217,6 +230,10 @@ class FLogicEngine:
         """All subclasses (reflexive-transitive) of a class."""
         rows = self.ask("X :: '%s'" % class_name)
         return [row["X"] for row in rows]
+
+
+def _uses_defaults(rules):
+    return any(rule.head.pred == PRED_DEFAULT_VAL for rule in rules)
 
 
 def _sort_key(value):

@@ -1,0 +1,143 @@
+"""The mediator evaluates its knowledge base once and answers many
+queries from that model.
+
+``ask`` and ``correlate`` continue the cached per-revision model; these
+tests hold them to a from-scratch evaluation, on the Section 5
+scenario and on every example deployment, and check that every kind of
+change — including a direct edit of the domain map — is seen.
+"""
+
+import contextlib
+import io
+import pathlib
+import runpy
+
+import pytest
+
+import repro.flogic.engine as flogic_engine
+from repro.analysis.deploy import capture_deployments
+from repro.datalog.engine import evaluate
+from repro.flogic import FLogicEngine
+from repro.neuro import analysis, build_scenario, section5_query
+
+EXAMPLES = sorted(
+    (pathlib.Path(__file__).resolve().parents[2] / "examples").glob("*.py")
+)
+
+#: queries every deployment can answer: all memberships, subclass
+#: pairs and method values
+GENERIC_QUERIES = ("X : C", "X :: C", "X[M -> V]")
+
+SECTION5_QUERIES = GENERIC_QUERIES + (
+    "X : 'Compartment'",
+    "X : protein_amount[ion_bound -> calcium; amount -> A], A > 1",
+    "X : neurotransmission, not X[organism -> rat]",
+)
+
+
+def from_scratch(program, base=None, **options):
+    """``evaluate(..., base=)``'s contract, computed the slow way."""
+    if base is not None:
+        program = base.program + tuple(program)
+    return evaluate(program, **options)
+
+
+def fresh_ask(mediator, query, monkeypatch):
+    """`query` answered by a new engine over the mediator's rules that
+    evaluates the whole program, query rule included."""
+    with monkeypatch.context() as patch:
+        patch.setattr(flogic_engine, "evaluate", from_scratch)
+        return FLogicEngine().tell_rules(mediator.assembled_rules()).ask(query)
+
+
+def correlation_answer(result):
+    return [
+        (group, distribution.root, distribution.as_table())
+        for group, distribution in result.answers
+    ]
+
+
+class TestAskEqualsFreshEvaluation:
+    @pytest.fixture(scope="class")
+    def mediator(self):
+        return build_scenario(include_anatom_source=True).mediator
+
+    @pytest.mark.parametrize("query", SECTION5_QUERIES)
+    def test_section5_scenario(self, mediator, query, monkeypatch):
+        assert mediator.ask(query) == fresh_ask(mediator, query, monkeypatch)
+
+    def test_section5_analyses(self, mediator, monkeypatch):
+        for run in (
+            analysis.spine_length_by_condition,
+            analysis.spine_length_by_species_age,
+            analysis.protein_amount_by_compartment,
+            analysis.correlate_worlds,
+        ):
+            with monkeypatch.context() as patch:
+                patch.setattr(flogic_engine, "evaluate", from_scratch)
+                fresh = run(FreshKB(mediator.assembled_rules()))
+            assert run(mediator) == fresh
+
+    def test_asks_do_not_reevaluate_the_knowledge_base(self, mediator):
+        model = mediator.evaluate()
+        mediator.ask("X : 'Compartment'")
+        mediator.ask("X :: C")
+        assert mediator.evaluate() is model
+
+    @pytest.mark.parametrize("path", EXAMPLES, ids=lambda p: p.stem)
+    def test_example_deployment(self, path, monkeypatch):
+        with capture_deployments() as (mediators, _maps):
+            with contextlib.redirect_stdout(io.StringIO()):
+                runpy.run_path(str(path), run_name="__main__")
+        # domain_map_reasoning reasons over a domain map alone
+        assert mediators or path.stem == "domain_map_reasoning"
+        for mediator in mediators:
+            for query in GENERIC_QUERIES:
+                assert mediator.ask(query) == fresh_ask(
+                    mediator, query, monkeypatch
+                ), (path.name, mediator.name, query)
+
+
+class FreshKB:
+    """A new engine over a rule list, quacking like a mediator for the
+    ``neuro.analysis`` helpers."""
+
+    def __init__(self, rules):
+        self.engine = FLogicEngine().tell_rules(rules)
+
+    def ask(self, query):
+        return self.engine.ask(query)
+
+
+class TestDomainMapRevision:
+    RULE = "anchor(X, 'Purkinje_Cell') :- anchor(X, 'Purkinje_Dendrite')."
+
+    def test_every_mutator_bumps_the_revision(self):
+        dm = build_scenario().mediator.dm
+        for mutate in (
+            lambda: dm.add_concept("Fresh_Concept"),
+            lambda: dm.add_role("fresh_role"),
+            lambda: dm.add_axiom("Fresh_Concept < Compartment"),
+            lambda: dm.add_rule(self.RULE),
+        ):
+            before = dm.revision
+            mutate()
+            assert dm.revision > before
+
+    def test_ask_sees_a_direct_domain_map_change(self):
+        mediator = build_scenario().mediator
+        query = "X :: 'Compartment'"
+        assert {"X": "Fresh_Part"} not in mediator.ask(query)
+        mediator.dm.isa("Fresh_Part", "Compartment")
+        assert {"X": "Fresh_Part"} in mediator.ask(query)
+
+    def test_correlate_sees_a_direct_domain_map_change(self):
+        mediator = build_scenario(eager=False).mediator
+        before = correlation_answer(mediator.correlate(section5_query()))
+        mediator.dm.add_rule(self.RULE)
+        after = correlation_answer(mediator.correlate(section5_query()))
+
+        fresh = build_scenario(eager=False).mediator
+        fresh.dm.add_rule(self.RULE)
+        assert after == correlation_answer(fresh.correlate(section5_query()))
+        assert after != before

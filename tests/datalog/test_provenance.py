@@ -210,3 +210,49 @@ class TestFLogicExplanations:
         # bottoms out in the anchor fact and DM subclass facts
         assert any("subclass" in atom for atom in leaf_atoms)
         assert any(obj in atom for atom in leaf_atoms)
+
+
+class TestCanonicalProof:
+    """The proof picked is the first found when a rule's solutions are
+    tried in term_sort_key order of their ground body atoms — never in
+    set order."""
+
+    PROGRAM = """
+        link(a, m1). link(m1, z).
+        link(a, m2). link(m2, z).
+        link(a, m0). link(m0, m3). link(m3, z).
+        reach(X, Y) :- link(X, Y).
+        reach(X, Y) :- link(X, Z), reach(Z, Y).
+    """
+
+    def test_first_proof_in_key_order(self):
+        derivation = explain(parse_program(self.PROGRAM), parse_atom("reach(a, z)"))
+        # m0 sorts before m1 and m2, and its (deeper) proof is kept
+        assert str(derivation.children[0].atom) == "link(a, m0)"
+        assert derivation.depth() == 4
+
+    def test_same_tree_under_every_hash_seed(self):
+        import os
+        import subprocess
+        import sys
+
+        script = (
+            "from repro.datalog import explain, parse_atom, parse_program\n"
+            "print(explain(parse_program(%r), parse_atom('reach(a, z)')))\n"
+            % self.PROGRAM
+        )
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        outputs = set()
+        for seed in ("0", "1", "2", "3"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            outputs.add(
+                subprocess.run(
+                    [sys.executable, "-c", script],
+                    env=env,
+                    capture_output=True,
+                    text=True,
+                    check=True,
+                    timeout=60,
+                ).stdout
+            )
+        assert len(outputs) == 1

@@ -93,6 +93,17 @@ class TestDomainMapModel:
         assert or_nodes  # the ex edge targets a synthetic OR node
         assert "ex" in kinds
 
+    def test_edges_follow_every_change(self):
+        dm = DomainMap("t")
+        dm.add_axiom("M < exists proj.(A | B)")
+        first = dm.edges()
+        first.clear()  # the caller's list, not the drawing
+        assert len(dm.edges()) == 3
+        dm.add_axiom("N < exists proj.(C & D)")
+        edges = dm.edges()
+        assert ("ex", "N", "AND#2") in {(e.kind, e.src, e.dst) for e in edges}
+        assert len(edges) == 6
+
     def test_edge_census(self, fig1):
         census = edge_census(fig1)
         assert census["ex"] == 10

@@ -29,6 +29,7 @@ REQUIRED_SPANS = {
     "flogic.evaluate",    # F-logic evaluation
     "datalog.stratum",    # Datalog stratified evaluation
     "datalog.round",      # semi-naive rounds
+    "datalog.continue",   # the plan's rows continuing the cached model
     "dm.lub",             # domain-map graph operation
     "source.query",       # wrapper retrieval
     "xml.wire",           # XML wire exchange

@@ -172,3 +172,72 @@ class TestStaleStoreHammer:
         assert served
         assert len(guard._cache) == 16
         assert all(rows == [key] for (_s, _c, key), rows in guard._cache.items())
+
+
+class TestEvaluateOnceHammer:
+    """Concurrent ``correlate`` and ``ask`` on one cold mediator: the
+    threads race to build and evaluate the two cached engines and then
+    continue from the same models."""
+
+    ASKS = (
+        "X : 'Compartment'",
+        "T = sum{A [C]; X : protein_amount[ion_bound -> calcium; "
+        "amount -> A], anchor(X, C)}",
+        "X : protein_amount, not (X[ion_bound -> calcium], X[organism -> rat])",
+    )
+
+    @staticmethod
+    def variants():
+        """Section 5 variants whose answers share protein names but not
+        objects, so one query's facts leaking into another's model would
+        change a sum."""
+        from repro.neuro import section5_query
+
+        queries = []
+        for organism in ("rat", "mouse"):
+            for compartment in ("parallel fiber", "climbing fiber"):
+                query = section5_query()
+                query.seed_selections = {
+                    "organism": organism,
+                    "transmitting_compartment": compartment,
+                }
+                query.target_filters = dict(
+                    query.target_filters, organism=organism
+                )
+                queries.append(query)
+        return queries
+
+    def work(self, mediator, index):
+        queries = self.variants()
+        result = mediator.correlate(queries[index % len(queries)])
+        answers = [
+            (group, distribution.root, distribution.as_table())
+            for group, distribution in result.answers
+        ]
+        asks = [
+            mediator.ask(self.ASKS[(index + turn) % len(self.ASKS)])
+            for turn in range(3 * len(self.ASKS))
+        ]
+        return answers, asks
+
+    def test_answers_equal_a_sequential_run(self):
+        from repro.neuro import build_scenario
+
+        sequential = build_scenario().mediator
+        expected = {i: self.work(sequential, i) for i in range(THREADS)}
+        assert len({repr(answer) for answer, _ in expected.values()}) > 1
+        mediator = build_scenario().mediator
+        results = {}
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            hammer(lambda i: results.__setitem__(i, self.work(mediator, i)))
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == expected
+        # no continuation leaked into the cached models
+        for include_data in (False, True):
+            assert mediator.engine(include_data).evaluate().store.same_facts(
+                sequential.engine(include_data).evaluate().store
+            )
