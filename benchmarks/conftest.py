@@ -202,49 +202,6 @@ def cache_effect(seed=2001):
     }
 
 
-def parallel_effect(sources=4, delay=0.04, seed=2001):
-    """Sequential vs medpar fan-out over N slow sources.
-
-    The synthetic deployment pays `delay` wall-clock seconds per slow
-    source query, so the retrieval step costs roughly ``sum`` of the
-    per-source chains sequentially and ``max`` under fan-out.  Both
-    runs must produce identical answers.
-    """
-    import time
-
-    from repro.parallel import build_fanout_deployment
-
-    runs = {}
-    answers = {}
-    for label, parallel in (("sequential", False), ("parallel", sources)):
-        mediator, query = build_fanout_deployment(
-            sources=sources, delay=delay, seed=seed, parallel=parallel
-        )
-        start = time.perf_counter()
-        result = mediator.correlate(query)
-        seconds = time.perf_counter() - start
-        runs[label] = seconds
-        answers[label] = [
-            (group, distribution.total())
-            for group, distribution in result.context.answers
-        ]
-        if mediator.parallel is not None:
-            mediator.parallel.shutdown()
-
-    return {
-        "sources": sources,
-        "delay_s": delay,
-        "workers": sources,
-        "sequential_s": runs["sequential"],
-        "parallel_s": runs["parallel"],
-        "speedup_ratio": (
-            runs["sequential"] / runs["parallel"] if runs["parallel"] else None
-        ),
-        "answers": answers["sequential"],
-        "answers_identical": answers["sequential"] == answers["parallel"],
-    }
-
-
 def pytest_sessionfinish(session, exitstatus):
     """Write the machine-readable benchmark summary at the repo root."""
     try:
@@ -253,7 +210,6 @@ def pytest_sessionfinish(session, exitstatus):
             "metrics": _obs_counters(),
             "resilience": resilience_overhead(),
             "cache": cache_effect(),
-            "parallel": parallel_effect(),
         }
     except Exception as exc:  # never fail the session over the summary
         summary = {"error": "%s: %s" % (type(exc).__name__, exc)}

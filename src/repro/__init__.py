@@ -25,14 +25,12 @@ Package layout (bottom-up):
   query planning and execution.
 * :mod:`repro.neuro` — the KIND Neuroscience scenario (ANATOM domain
   map, SYNAPSE / NCMIR / SENSELAB sources).
-* :mod:`repro.parallel` — medpar: bounded, deterministic source
-  fan-out for plan execution.
 
 The names most deployments need — the mediator, the correlation query,
 and the opt-in layer configurations — are re-exported here::
 
     from repro import Mediator, CorrelationQuery
-    from repro import AnswerCache, ParallelExecutor, ResiliencePolicy
+    from repro import AnswerCache, ResiliencePolicy
 """
 
 __version__ = "1.1.0"
@@ -40,14 +38,12 @@ __version__ = "1.1.0"
 from .cache.answers import AnswerCache
 from .core.mediator import Mediator
 from .core.planner import CorrelationQuery
-from .parallel.executor import ParallelExecutor
 from .resilience.policy import ResiliencePolicy
 
 __all__ = [
     "AnswerCache",
     "CorrelationQuery",
     "Mediator",
-    "ParallelExecutor",
     "ResiliencePolicy",
     "__version__",
 ]

@@ -6,8 +6,8 @@ Three subcommands:
   builds the KIND scenario (including the ANATOM atlas source with its
   domain-map refinement), runs the paper's Section 5 query, and prints
   a provenance trace for one mediated fact; ``--trace`` appends the
-  medtrace span tree, ``--trace-json PATH`` writes the JSON document,
-  and ``--parallel N`` runs the plan under medpar fan-out;
+  medtrace span tree, and ``--trace-json PATH`` writes the JSON
+  document;
 * ``lint`` — medlint, the whole-deployment static analyzer: lints the
   deployments built by the given Python scripts (or the shipped KIND
   scenario when no target is given) and exits non-zero if any
@@ -22,8 +22,7 @@ Three subcommands:
   schedule injects a transient fault and kills the retrieval source
   mid-plan; the run must yield a *degraded* answer satisfying the
   degraded-answer contract, byte-identically across reruns of the same
-  seed (and, with ``--parallel N``, byte-identically to the sequential
-  run).  With targets, each deployment script runs with every wrapper
+  seed.  With targets, each deployment script runs with every wrapper
   misbehaving on a seeded recoverable schedule and must still
   complete, all raising faults absorbed by the resilience layer;
 * ``cache`` — medcache: ``stats`` prints the deterministic cache
@@ -47,15 +46,12 @@ def demo(args=None):
     from repro.neuro import build_scenario, section5_query
 
     tracing = args is not None and (args.trace or args.trace_json)
-    parallel = getattr(args, "parallel", None)
     tracer = obs.install(obs.Tracer("repro-demo")) if tracing else None
     try:
         print("repro: Model-Based Mediation with Domain Maps (ICDE 2001)")
         print("=" * 64)
 
-        scenario = build_scenario(
-            include_anatom_source=True, parallel=parallel
-        )
+        scenario = build_scenario(include_anatom_source=True)
         mediator = scenario.mediator
         print("sources registered over the XML wire:")
         for message, size in mediator.wire_log:
@@ -193,11 +189,10 @@ def chaos(args):
                 )
             )
     else:
-        parallel = args.parallel or False
-        report = run_chaos_scenario(args.seed, parallel=parallel)
+        report = run_chaos_scenario(args.seed)
         # the contract demands byte-for-byte reproducibility: the same
         # seed must produce the identical report
-        rerun = run_chaos_scenario(args.seed, parallel=parallel)
+        rerun = run_chaos_scenario(args.seed)
         report.checks.append(
             ContractCheck(
                 "reproducible",
@@ -327,13 +322,6 @@ def build_parser():
         metavar="PATH",
         help="write the trace as a JSON document to PATH",
     )
-    demo_parser.add_argument(
-        "--parallel",
-        type=int,
-        metavar="N",
-        help="fan plan retrieval out over N worker threads (medpar); "
-        "answers and traces stay deterministic",
-    )
     demo_parser.set_defaults(func=demo)
 
     lint_parser = sub.add_parser(
@@ -429,14 +417,6 @@ def build_parser():
         "--keep-output",
         action="store_true",
         help="do not silence the target scripts' own stdout",
-    )
-    chaos_parser.add_argument(
-        "--parallel",
-        type=int,
-        metavar="N",
-        help="run the scenario with medpar fan-out over N workers; the "
-        "report must stay byte-identical to the sequential run of the "
-        "same seed (scenario mode only)",
     )
     chaos_parser.set_defaults(func=chaos)
 

@@ -106,7 +106,7 @@ class AnswerCache:
             running the domain-map-aware invalidation.
 
     Lookups, puts, and invalidation sweeps hold a re-entrant lock:
-    medpar workers hit the cache concurrently, and the stats counters
+    concurrent caller threads hit the cache, and the stats counters
     and sweep-then-discard loops are not atomic on their own.
     """
 

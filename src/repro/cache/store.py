@@ -53,7 +53,7 @@ class DictStore(CacheStore):
     cross-deployment verification runs where eviction would hide
     invalidation behaviour.
 
-    Thread-safe: medpar workers may populate the store concurrently.
+    Thread-safe: concurrent caller threads may populate the store.
     """
 
     def __init__(self):
@@ -95,8 +95,8 @@ class LRUStore(CacheStore):
     even if alone it exceeds `max_rows`).
 
     Thread-safe: recency refreshes and the eviction loop mutate shared
-    state, so every operation holds the store lock — two medpar
-    workers putting at once must not interleave the row accounting.
+    state, so every operation holds the store lock — two caller
+    threads putting at once must not interleave the row accounting.
     """
 
     def __init__(self, max_entries=256, max_rows=100_000):

@@ -45,7 +45,6 @@ from ..cache import (
     query_fingerprint,
     refinement_seeds,
 )
-from ..parallel.executor import ParallelExecutor
 from ..resilience.guard import SourceGuard
 from ..resilience.policy import ResiliencePolicy
 from .planner import (
@@ -99,10 +98,6 @@ class Mediator:
             :class:`~repro.cache.AnswerCache`, a
             :class:`~repro.cache.CacheStore`, or ``True`` for the
             default cache (None = nothing is cached).
-        parallel: the medpar layer — a
-            :class:`~repro.parallel.ParallelExecutor`, ``True`` for
-            the default executor, or an int worker count (None/False =
-            sequential plans, today's behavior).
     """
 
     def __init__(
@@ -114,7 +109,6 @@ class Mediator:
         strict=False,
         resilience=None,
         cache=None,
-        parallel=None,
     ):
         self.name = name
         self.dm = dm if dm is not None else DomainMap("%s_dm" % name)
@@ -162,26 +156,6 @@ class Mediator:
             # dropping a materialization must reset the assembled
             # engine, or a stale snapshot would keep answering
             self.cache.on_materializations_changed = self._invalidate
-        #: the medpar layer: a
-        #: :class:`~repro.parallel.ParallelExecutor` fanning per-source
-        #: plan work out to a bounded thread pool, or None — in which
-        #: case plans run sequentially exactly as before (one is-None
-        #: check per plan step)
-        if parallel is None or parallel is False:
-            self.parallel = None
-        elif isinstance(parallel, ParallelExecutor):
-            self.parallel = parallel
-        elif parallel is True:
-            self.parallel = ParallelExecutor(name="%s-medpar" % name)
-        elif isinstance(parallel, int):
-            self.parallel = ParallelExecutor(
-                max_workers=parallel, name="%s-medpar" % name
-            )
-        else:
-            raise MediatorError(
-                "parallel must be a ParallelExecutor, True, or a worker "
-                "count, not %r" % type(parallel).__name__
-            )
         self._sources: Dict[str, RegisteredSource] = {}
         self._views: Dict[str, object] = {}
         self._view_rules_by_name: Dict[str, List[Rule]] = {}
@@ -396,22 +370,18 @@ class Mediator:
             rows = self._source_query(wrapper, source_query)
             fresh = True
         else:
-            # this call's own outcome: under fan-out the plan's list
-            # also receives other sources' outcomes concurrently
-            outcomes = []
-            try:
-                rows = guard.call(
-                    source_name,
-                    source_query.class_name,
-                    lambda: self._source_query(wrapper, source_query),
-                    cache_key=key,
-                    executor=self.parallel,
-                    deadline=plan.deadline if plan is not None else None,
-                    outcomes=outcomes,
-                )
-            finally:
-                if plan is not None:
-                    plan.outcomes.extend(outcomes)
+            # the guard appends exactly one outcome per call, and a
+            # plan runs its source calls on one thread, so the last
+            # outcome in the list is this call's
+            outcomes = plan.outcomes if plan is not None else []
+            rows = guard.call(
+                source_name,
+                source_query.class_name,
+                lambda: self._source_query(wrapper, source_query),
+                cache_key=key,
+                deadline=plan.deadline if plan is not None else None,
+                outcomes=outcomes,
+            )
             fresh = not outcomes[-1].stale
         if cache is not None and fresh:
             cache.store_answer(

@@ -184,40 +184,14 @@ class RetrieveAnchoredStep(PlanStep):
     def run(self, context):
         from ..errors import SourceError, XMLTransportError
 
-        sources = list(context.selected_sources)
-        executor = context.parallel
-        if executor is None or len(sources) <= 1:
-            collected = []
-            for source in sources:
-                try:
-                    collected.extend(self._retrieve_from(context, source))
-                except (SourceError, XMLTransportError) as exc:
-                    if not context.degrades_on_failure:
-                        raise
-                    context.record_skipped(source, exc)
-            context.retrieved = collected
-            return collected
-
-        # medpar fan-out: one task per selected source, merged back in
-        # source-name order (sources arrive sorted from step 2), so the
-        # answer — and every trace built from it — is independent of
-        # which worker finished first
-        outcomes = executor.map_ordered(
-            sources,
-            lambda source: self._retrieve_from(context, source),
-            kind="retrieve",
-        )
         collected = []
-        for source, outcome in zip(sources, outcomes):
-            if outcome.ok:
-                collected.extend(outcome.value)
-                continue
-            exc = outcome.error
-            if not isinstance(exc, (SourceError, XMLTransportError)):
-                raise exc
-            if not context.degrades_on_failure:
-                raise exc
-            context.record_skipped(source, exc)
+        for source in context.selected_sources:
+            try:
+                collected.extend(self._retrieve_from(context, source))
+            except (SourceError, XMLTransportError) as exc:
+                if not context.degrades_on_failure:
+                    raise
+                context.record_skipped(source, exc)
         context.retrieved = collected
         return collected
 
@@ -339,10 +313,8 @@ class PlanContext:
         self.answers: List = []
         self.skip_failed_sources = skip_failed_sources
         self.errors: List = []
-        #: the mediator's medpar executor (None = sequential plans)
-        self.parallel = getattr(mediator, "parallel", None)
-        # The plan's own source-call state.  Fan-out workers share it
-        # through single dict/list operations, which are atomic.
+        # The plan's own source-call state: a plan runs on one
+        # thread, and concurrent plans each have their own.
         #: fingerprint -> rows of this plan's answered source calls:
         #: identical calls inside one plan execute once, even with no
         #: cache configured

@@ -39,7 +39,7 @@ class KindScenario:
 
 def build_scenario(seed=2001, scale=1, eager=True, via_xml=True,
                    include_anatom_source=False, dialogue_via_xml=False,
-                   cache=None, parallel=None):
+                   cache=None):
     """Build the full KIND mediation scenario.
 
     Args:
@@ -55,13 +55,9 @@ def build_scenario(seed=2001, scale=1, eager=True, via_xml=True,
         cache: optional medcache configuration, passed through to
             :class:`~repro.core.Mediator` (an AnswerCache, a
             CacheStore, or True).
-        parallel: optional medpar configuration, passed through to
-            :class:`~repro.core.Mediator` (a ParallelExecutor, True,
-            or a worker count).
     """
     mediator = Mediator(build_anatom(), name="KIND",
-                        dialogue_via_xml=dialogue_via_xml, cache=cache,
-                        parallel=parallel)
+                        dialogue_via_xml=dialogue_via_xml, cache=cache)
     synapse = build_synapse(seed, scale)
     ncmir = build_ncmir(seed + 1, scale)
     senselab = build_senselab(seed + 2, scale)

@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Tuple
 class Metrics:
     """Labelled counters and gauges with deterministic export order.
 
-    Thread-safe: medpar workers bump counters concurrently, and the
+    Thread-safe: concurrent caller threads bump counters, and the
     read-modify-write of an increment would lose updates unlocked.
     """
 

@@ -158,8 +158,8 @@ class Tracer:
         self.name = name
         self.roots: List[Span] = []
         self.metrics = Metrics()
-        # one span stack per thread: medpar workers open spans
-        # concurrently, and a shared stack would interleave parents
+        # one span stack per thread: concurrent caller threads open
+        # spans, and a shared stack would interleave parents
         self._stacks = threading.local()
 
     @property
@@ -198,10 +198,11 @@ class Tracer:
         """Adopt `parent` — a span captured on another thread — as this
         thread's current span for the block.
 
-        The medpar executor captures the submitting thread's
-        :attr:`current` at fan-out and wraps each worker task in
-        ``adopt``, so spans a worker opens nest under the plan step
-        that fanned it out instead of starting a foreign root.
+        medguard's wall-clock timeout runs each source-call attempt on
+        a watcher thread: it captures the calling thread's
+        :attr:`current` and runs the attempt under ``adopt``, so spans
+        the attempt opens nest under the plan step that made the call
+        instead of starting a foreign root.
         Adopting ``None`` or the no-op span is a no-op.
         """
         if parent is None or parent is NOOP_SPAN:

@@ -28,9 +28,9 @@ HALF_OPEN = "half-open"
 class CircuitBreaker:
     """Consecutive-failure breaker for one ``(source, class)`` pair.
 
-    State transitions are guarded by a lock: under medpar fan-out,
-    concurrent calls to one source record successes and failures from
-    several worker threads, and an unlocked failure streak could both
+    State transitions are guarded by a lock: concurrent calls to one
+    source record successes and failures from several caller threads,
+    and an unlocked failure streak could both
     lose counts and double-fire the "opened" edge.
     """
 
@@ -108,7 +108,7 @@ class BreakerRegistry:
         self._lock = threading.Lock()
 
     def get(self, source, class_name):
-        # locked get-or-create: two medpar workers racing the first
+        # locked get-or-create: two caller threads racing the first
         # call of a pair must share one breaker, not shadow each other
         key = (source, class_name)
         with self._lock:

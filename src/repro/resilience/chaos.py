@@ -187,16 +187,14 @@ def _scenario_schedule(seed):
     return schedule
 
 
-def run_chaos_scenario(seed, max_retries=2, parallel=False):
+def run_chaos_scenario(seed, max_retries=2):
     """Run the Section 5 scenario under the seeded fault schedule and
     check the degraded-answer contract; returns a :class:`ChaosReport`.
 
-    With `parallel`, the plan runs under a medpar executor
-    (``Mediator(parallel=...)``).  The report must stay byte-identical
-    to the sequential run of the same `seed`: the fault schedule is
-    positional, jitter streams are per ``(source, class)``, the merge
-    is source-ordered, and — since the policy runs on the virtual
-    clock — the executor's wall-clock timeout stays out of play.
+    The report is byte-identical across runs of the same `seed`: the
+    fault schedule is positional, jitter streams are per
+    ``(source, class)``, and the policy runs on a virtual clock, so the
+    guard's timeout is the deterministic measured-elapsed check.
     """
     from ..neuro import build_scenario, section5_query
 
@@ -214,9 +212,7 @@ def run_chaos_scenario(seed, max_retries=2, parallel=False):
     )
     schedule = _scenario_schedule(seed)
 
-    scenario = build_scenario(
-        eager=False, include_anatom_source=True, parallel=parallel or None
-    )
+    scenario = build_scenario(eager=False, include_anatom_source=True)
     mediator = scenario.mediator
     mediator.dialogue_via_xml = True  # exercise the full XML wire path
     mediator.resilience = SourceGuard(policy)
@@ -308,9 +304,6 @@ def run_chaos_scenario(seed, max_retries=2, parallel=False):
     for record in mediator._sources.values():
         for kind, count in record.wrapper.injected_counts().items():
             injected[kind] = injected.get(kind, 0) + count
-
-    if mediator.parallel is not None:
-        mediator.parallel.shutdown()
 
     return ChaosReport(
         "scenario",

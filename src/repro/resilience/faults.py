@@ -59,8 +59,8 @@ MALFORMED_VARIANTS = ("truncated-doc", "wrong-root", "bad-count")
 class VirtualClock:
     """A deterministic clock: time only moves when told to.
 
-    Mutations are locked: under medpar fan-out several workers may
-    sleep on or advance the shared clock, and the float accumulations
+    Mutations are locked: several caller threads may sleep on or
+    advance the shared clock, and the float accumulations
     are read-modify-write.
     """
 
@@ -259,8 +259,8 @@ class FaultInjectingWrapper:
         #: (call index, fault) pairs actually injected, in order
         self.injected: List[Tuple[int, Fault]] = []
         self._mangle_next: Optional[Fault] = None
-        # call-index assignment must be atomic: concurrent medpar
-        # workers racing `calls += 1` would replay or skip schedule
+        # call-index assignment must be atomic: concurrent caller
+        # threads racing `calls += 1` would replay or skip schedule
         # slots
         self._lock = threading.Lock()
 

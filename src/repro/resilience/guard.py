@@ -11,7 +11,9 @@ under one :class:`~repro.resilience.policy.ResiliencePolicy`:
 * with ``serve_stale``, the last known good rows of an identical call
   are served — marked as stale — when the source stays down;
 * a per-call timeout and a whole-plan deadline budget bound how long a
-  plan waits for misbehaving sources.
+  plan waits for misbehaving sources.  Under the real clock each
+  attempt runs on a watcher thread, so a hung wrapper is abandoned at
+  the timeout instead of waited out.
 
 The guard holds only state that belongs to the sources: breakers, the
 last-known-good store and the jitter streams.  Per-plan state stays
@@ -110,6 +112,38 @@ def _error_text(exc):
     return "%s: %s" % (type(exc).__name__, exc)
 
 
+def _call_with_timeout(fn, timeout):
+    """Run ``fn()`` on a daemon thread and wait at most `timeout` wall
+    seconds for it.
+
+    On expiry a :class:`~repro.errors.SourceTimeoutError` is raised and
+    the hung thread is abandoned: its eventual result is discarded.
+    The thread adopts the caller's current medtrace span, so spans the
+    attempt opens nest under the plan step that made the call.
+    """
+    tracer = obs.active()
+    parent = tracer.current
+    box = {}
+
+    def run():
+        try:
+            with tracer.adopt(parent):
+                box["value"] = fn()
+        except BaseException as exc:  # delivered to the caller
+            box["error"] = exc
+
+    thread = threading.Thread(target=run, name="medguard-call", daemon=True)
+    thread.start()
+    thread.join(timeout)
+    if thread.is_alive():
+        raise SourceTimeoutError(
+            "call abandoned after %.3fs wall-clock timeout" % timeout
+        )
+    if "error" in box:
+        raise box["error"]
+    return box["value"]
+
+
 class SourceGuard:
     """Executes source calls under a :class:`ResiliencePolicy`."""
 
@@ -120,7 +154,7 @@ class SourceGuard:
         )
         #: per-``(source, class)`` jitter streams: a single shared RNG
         #: would make jitter draws depend on the *interleaving* of
-        #: concurrent calls under medpar fan-out; independent streams
+        #: concurrent calls from caller threads; independent streams
         #: (string-seeded, stable across runs and platforms) keep the
         #: backoff sequence of every pair deterministic regardless of
         #: scheduling
@@ -148,8 +182,8 @@ class SourceGuard:
     # -- the guarded call --------------------------------------------------
 
     def call(
-        self, source, class_name, fn, cache_key=None, executor=None,
-        deadline=None, outcomes=None,
+        self, source, class_name, fn, cache_key=None, deadline=None,
+        outcomes=None,
     ):
         """Run ``fn()`` (one source call) under the policy.
 
@@ -160,18 +194,18 @@ class SourceGuard:
             cache_key: hashable identity of the call for the
                 ``serve_stale`` last-known-good cache (None disables
                 staleness for this call).
-            executor: optional
-                :class:`~repro.parallel.ParallelExecutor`.  When one is
-                given, the policy has a ``call_timeout``, and the
-                policy runs on the real wall clock, each attempt is run
-                through :meth:`~repro.parallel.ParallelExecutor.call`
-                so the timeout truly abandons a hung attempt instead of
-                only measuring it after the fact.
             deadline: the calling plan's deadline on the policy clock
                 (None = unbounded); retries and backoff stop there.
             outcomes: list the call's :class:`CallOutcome` is appended
                 to — on success, stale serving and failure alike (None
                 = the outcome is dropped).
+
+        With a ``call_timeout`` on a wall-clock policy, each attempt
+        runs on a watcher thread that is abandoned at the timeout, so a
+        hung wrapper cannot hold the plan.  Under an injected virtual
+        clock no thread is started: an attempt's elapsed time is
+        measured after it returns, which keeps chaos runs
+        reproducible.
 
         Returns `fn`'s result — possibly a cached stale one.  Raises
         the last failure (normalized by the caller's boundary) when
@@ -185,11 +219,7 @@ class SourceGuard:
         # wall-clock enforcement only under the real clock: a virtual
         # clock (chaos harness) keeps the deterministic measured-
         # elapsed check below
-        enforce = (
-            executor is not None
-            and policy.call_timeout is not None
-            and policy.wall_clock
-        )
+        enforce = policy.call_timeout is not None and policy.wall_clock
         breaker = self.breakers.get(source, class_name)
         now = policy.clock()
         if not breaker.allow(now):
@@ -225,7 +255,7 @@ class SourceGuard:
             started = policy.clock()
             try:
                 if enforce:
-                    result = executor.call(fn, timeout=policy.call_timeout)
+                    result = _call_with_timeout(fn, policy.call_timeout)
                 else:
                     result = fn()
             except (SourceError, XMLTransportError) as exc:

@@ -121,11 +121,11 @@ class ResiliencePolicy:
         """Is this policy timed by the real monotonic clock?
 
         True only for the default ``time.monotonic`` clock.  The
-        medpar executor enforces ``call_timeout`` as a true wall-clock
-        bound (abandoning the hung attempt) only then: under an
-        injected virtual clock — the chaos harness — time is
-        simulation state, so the guard keeps its deterministic
-        measured-elapsed check instead.
+        guard enforces ``call_timeout`` as a true wall-clock bound
+        (abandoning the hung attempt) only then: under an injected
+        virtual clock — the chaos harness — time is simulation state,
+        so the guard keeps its deterministic measured-elapsed check
+        instead.
         """
         return self.clock is time.monotonic
 

@@ -32,7 +32,6 @@ AUDITED_METHODS = {
     ],
     "AnswerCache": ["__init__", "lookup", "store_answer", "invalidate"],
     "ResiliencePolicy": ["__init__"],
-    "ParallelExecutor": ["__init__", "map_ordered", "call"],
     "CorrelationQuery": ["__init__"],
 }
 
@@ -104,6 +103,5 @@ def test_package_docstring_maps_the_layout():
         "repro.sources",
         "repro.core",
         "repro.neuro",
-        "repro.parallel",
     ):
         assert module in doc, "package docstring lost the %s entry" % module

@@ -1,4 +1,4 @@
-"""Lock-hammer regression tests for state shared across medpar workers.
+"""Lock-hammer regression tests for state shared across caller threads.
 
 Each test drives one previously thread-naive structure from many
 threads at once and asserts no update is lost.  Before the locks

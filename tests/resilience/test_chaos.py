@@ -43,6 +43,11 @@ class TestScenarioContract:
             seed7_report.as_dict(), sort_keys=True
         )
 
+    @pytest.mark.parametrize("seed", [7, 42])
+    def test_chaos_reports_byte_identical_across_runs(self, seed):
+        first = run_chaos_scenario(seed=seed)
+        assert run_chaos_scenario(seed=seed).format() == first.format()
+
     def test_different_seed_changes_the_schedule(self, seed7_report):
         other = run_chaos_scenario(seed=8)
         assert other.ok, other.format()  # the contract holds per seed

@@ -175,10 +175,9 @@ class TestStaleNeverCached:
         mediator = guarded_scenario(
             ResiliencePolicy(max_retries=0, backoff_base=0.0, serve_stale=True),
             cache=cache,
-            parallel=4,
         )
         # NCMIR calls will be served stale while SENSELAB calls finish
-        # fresh on the neighbouring workers
+        # fresh on the neighbouring threads
         calls = [
             ("NCMIR", SourceQuery("protein_amount", {"organism": organism}))
             for organism in ("rat", "mouse")
@@ -198,13 +197,25 @@ class TestStaleNeverCached:
         try:
             for _ in range(30):
                 cache.flush()
-                results = mediator.parallel.map_ordered(
-                    calls * 2,
-                    lambda call: mediator.source_query(*call),
-                )
-                assert all(outcome.ok for outcome in results)
+                errors = []
+
+                def run(call):
+                    try:
+                        mediator.source_query(*call)
+                    except Exception as exc:
+                        errors.append(exc)
+
+                threads = [
+                    threading.Thread(target=run, args=(call,))
+                    for call in calls * 2
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(30.0)
+                assert not any(thread.is_alive() for thread in threads)
+                assert errors == []
                 cached = {entry.source for entry in cache.entries()}
                 assert cached == {"SENSELAB"}, "a stale answer was cached"
         finally:
             sys.setswitchinterval(switch)
-            mediator.parallel.shutdown()

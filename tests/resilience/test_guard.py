@@ -1,7 +1,11 @@
 """Tests for SourceGuard: retry, breaker, staleness, timeout, deadline."""
 
+import threading
+import time
+
 import pytest
 
+from repro import obs
 from repro.errors import BreakerOpenError, SourceError, SourceTimeoutError
 from repro.resilience import (
     ResiliencePolicy,
@@ -36,6 +40,13 @@ class Flaky:
         if self.calls <= self.failures:
             raise self.exc("down (call %d)" % self.calls)
         return self.result
+
+
+class NoThread:
+    """Stands in for ``threading.Thread`` where none may start."""
+
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("the guard started a thread")
 
 
 class TestRetries:
@@ -238,6 +249,110 @@ class TestTimeouts:
         assert outcomes[-1].status == STATUS_RETRIED
 
 
+class TestWallClockTimeout:
+    """A wall-clock policy abandons a hung attempt at ``call_timeout``."""
+
+    @staticmethod
+    def wall_guard(call_timeout=0.05, **kwargs):
+        policy = ResiliencePolicy(call_timeout=call_timeout, **kwargs)
+        assert policy.wall_clock
+        return SourceGuard(policy)
+
+    def test_hung_wrapper_is_abandoned_at_the_deadline(self):
+        guard = self.wall_guard(max_retries=0)
+        hung = threading.Event()
+
+        def hang():
+            hung.wait(5.0)
+            return "rows"
+
+        outcomes = []
+        start = time.perf_counter()
+        with obs.capture("guard") as tracer:
+            with pytest.raises(SourceTimeoutError):
+                guard.call("S", "c", hang, outcomes=outcomes)
+        elapsed = time.perf_counter() - start
+        hung.set()  # release the abandoned thread
+        assert elapsed < 2.0, "the hung wrapper was waited out"
+        assert outcomes[-1].status == STATUS_FAILED
+        assert tracer.metrics.counter_total("resilience.timeout") == 1
+
+    def test_hung_call_abandoned_at_the_deadline(self):
+        """The watcher itself, below the retry loop: one hung call is
+        abandoned at its deadline and reported as a timeout."""
+        hung = threading.Event()
+
+        def hang():
+            hung.wait(5.0)
+
+        start = time.perf_counter()
+        with pytest.raises(SourceTimeoutError, match="0.050s wall-clock"):
+            guard_module._call_with_timeout(hang, 0.05)
+        elapsed = time.perf_counter() - start
+        hung.set()  # release the abandoned thread
+        assert elapsed < 2.0, "timeout did not bound the wait"
+
+    def test_timeout_then_retry_recovers(self):
+        guard = self.wall_guard(max_retries=1, backoff_base=0.0)
+        hung = threading.Event()
+        state = {"first": True}
+
+        def sometimes_hung():
+            if state.pop("first", False):
+                hung.wait(5.0)
+            return "rows"
+
+        outcomes = []
+        start = time.perf_counter()
+        assert guard.call("S", "c", sometimes_hung, outcomes=outcomes) == "rows"
+        elapsed = time.perf_counter() - start
+        hung.set()
+        assert elapsed < 2.0, "the hung attempt was waited out"
+        assert outcomes[-1].status == STATUS_RETRIED
+
+    def test_result_within_timeout(self):
+        guard = self.wall_guard(call_timeout=5.0)
+        assert guard.call("S", "c", lambda: "fast") == "fast"
+
+    def test_error_within_timeout_propagates(self):
+        guard = self.wall_guard(call_timeout=5.0, max_retries=0)
+        with pytest.raises(SourceError, match="down"):
+            guard.call("S", "c", Flaky(failures=1))
+
+    def test_attempt_spans_nest_under_the_callers_span(self):
+        guard = self.wall_guard(call_timeout=5.0)
+        with obs.capture("guard") as tracer:
+
+            def attempt():
+                with tracer.span("attempt"):
+                    return "rows"
+
+            with tracer.span("plan.step"):
+                guard.call("S", "c", attempt)
+        (root,) = tracer.roots
+        assert root.name == "plan.step"
+        assert [child.name for child in root.children] == ["attempt"]
+
+    def test_no_thread_without_a_timeout(self, monkeypatch):
+        monkeypatch.setattr(threading, "Thread", NoThread)
+        guard = SourceGuard(ResiliencePolicy())
+        assert guard.call("S", "c", lambda: "rows") == "rows"
+
+    def test_virtual_clock_starts_no_thread(self, monkeypatch):
+        """Chaos runs use a virtual clock: no watcher thread may start,
+        so measured-elapsed timeouts stay reproducible."""
+        monkeypatch.setattr(threading, "Thread", NoThread)
+        guard, clock = make_guard(max_retries=0, call_timeout=1.0)
+        assert not guard.policy.wall_clock
+
+        def slow():
+            clock.advance(5.0)
+            return "rows"
+
+        with pytest.raises(SourceTimeoutError):
+            guard.call("S", "c", slow)
+
+
 class TestPlanDeadline:
     def test_deadline_stops_retries(self):
         guard, clock = make_guard(max_retries=10, backoff_base=1.0)
@@ -298,8 +413,6 @@ class TestOutcomeLog:
 
 class TestObservability:
     def test_retry_and_breaker_flow_to_metrics(self):
-        from repro import obs
-
         guard, _clock = make_guard(max_retries=1, breaker_threshold=2)
         with obs.capture("guard") as tracer:
             with pytest.raises(SourceError):
