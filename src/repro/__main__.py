@@ -268,10 +268,7 @@ def cache_cmd(args):
         ),
     }
     if flushed is not None:
-        payload["flushed"] = {
-            "entries": flushed[0],
-            "materializations": flushed[1],
-        }
+        payload["flushed"] = {"entries": flushed}
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
         return 0
@@ -284,7 +281,7 @@ def cache_cmd(args):
     print("  %-34s %s" % ("source_queries", payload["source_queries"]))
     print("  %-34s %s" % ("query_wire_bytes", payload["query_wire_bytes"]))
     if flushed is not None:
-        print("  flushed %d entries, %d materializations" % flushed)
+        print("  flushed %d entries" % flushed)
     return 0
 
 

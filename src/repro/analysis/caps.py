@@ -141,7 +141,6 @@ def analyze_views(mediator):
         origin = "view %s" % name
         if isinstance(view, IntegratedView):
             out.extend(_integrated_view_diagnostics(view, supplied, origin))
-            out.extend(_anchorless_view_diagnostics(mediator, view, origin))
         elif isinstance(view, DistributionView):
             out.extend(
                 _distribution_view_diagnostics(mediator, view, supplied, origin)
@@ -158,30 +157,6 @@ def analyze_views(mediator):
                     )
                 )
     return out
-
-
-def _anchorless_view_diagnostics(mediator, view, origin):
-    """MBM034: the view's classes are anchored at no domain-map
-    concept, so medcache cannot scope a materialization's dependencies
-    — any deployment change would have to drop it (full flush)."""
-    from ..cache.views import view_anchor_concepts
-
-    try:
-        concepts = view_anchor_concepts(mediator, view)
-    except (FLogicError, ParseError):
-        return []  # unparseable views are reported by MBM030 already
-    if concepts:
-        return []
-    return [
-        diagnostic(
-            "MBM034",
-            "view %r has no invalidation anchor: none of its classes "
-            "are anchored in the domain map, so a materialization "
-            "(Mediator.materialize) could only be invalidated by a "
-            "full cache flush" % view.name,
-            span=Span(origin),
-        )
-    ]
 
 
 def _integrated_view_diagnostics(view, supplied, origin):

@@ -53,7 +53,6 @@ CATALOG = {
     "MBM031": (SEVERITY_ERROR, "unanswerable class capability (not scannable, no binding patterns)"),
     "MBM032": (SEVERITY_WARNING, "dangling declared dependency or template parameter"),
     "MBM033": (SEVERITY_ERROR, "distribution view over a missing class or attribute"),
-    "MBM034": (SEVERITY_WARNING, "view has no invalidation anchor: a materialization can only be invalidated by full flush"),
     # -- runtime families ------------------------------------------------
     "MBM040": (SEVERITY_ERROR, "capability violation"),
     "MBM041": (SEVERITY_ERROR, "invalid binding pattern declaration"),

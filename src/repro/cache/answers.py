@@ -3,40 +3,29 @@
 :class:`AnswerCache` is what :class:`~repro.core.mediator.Mediator`
 holds when caching is on.  It owns
 
-* a pluggable :class:`~repro.cache.store.CacheStore` of
-  :class:`CacheEntry` objects (source-call answers keyed by
-  fingerprint),
-* the named :class:`~repro.cache.views.Materialization` objects of
-  materialized integrated views, and
+* an :class:`~repro.cache.store.LRUStore` of :class:`CacheEntry`
+  objects (source-call answers keyed by fingerprint), and
 * the :class:`CacheStats` counters every mutation feeds.
 
-Invalidation semantics (the contract the mediator relies on):
+Invalidation semantics (the contract the mediator relies on): an
+entry dies when a deployment change touches one of the concepts its
+rows are anchored at (the upward closure computed by
+:func:`~repro.cache.invalidation.affected_concepts`), or when its
+source deregisters.  A *class* overlap alone does not kill an entry:
+entries are per-source rows, and another source exporting the same
+class cannot change what this source answered.
 
-* **entries** die when a deployment change touches one of the concepts
-  their rows are anchored at (the upward closure computed by
-  :func:`~repro.cache.invalidation.affected_concepts`), or when their
-  source deregisters.  A *class* overlap alone does not kill an entry:
-  entries are per-source rows, and another source exporting the same
-  class cannot change what this source answered.
-* **materializations** die on concept overlap *or* class overlap —
-  a view's derivation reads every source exporting its classes, so a
-  new exporter of `protein_amount` outdates a materialized view over
-  it even if no concept moved.  A materialization with an empty
-  anchor-concept set is *uncacheable* (the MBM034 lint warning): the
-  engine cannot scope its dependencies, so it dies on every
-  deployment change.
-* ``full_flush_on_change=True`` is the conservative escape hatch:
-  any invalidation event flushes everything.
+Derived facts are not cached here: the mediator evaluates its
+knowledge base once per domain-map revision and answers every
+``ask``/``explain`` from that model.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Dict, Optional
 
 from .. import obs
-from .store import CacheStore, LRUStore
-from .views import Materialization
+from .store import LRUStore
 
 
 class CacheEntry:
@@ -71,8 +60,6 @@ class CacheStats:
         "puts",
         "evictions",
         "invalidated_entries",
-        "invalidated_materializations",
-        "materializations",
         "flushes",
     )
 
@@ -90,38 +77,25 @@ class CacheStats:
 
 
 class AnswerCache:
-    """The medcache policy object: store + materializations + stats.
+    """The medcache policy object: entry store + stats.
 
     One AnswerCache normally serves one mediator.  Sharing the *store*
     between caches (e.g. warming a second deployment from a first) is
-    supported; sharing the AnswerCache itself would cross-wire the
-    materializations, which are per-deployment.
+    supported.
 
     Args:
-        store: the :class:`~repro.cache.store.CacheStore` holding the
-            entries (default: a bounded
-            :class:`~repro.cache.store.LRUStore`).
-        full_flush_on_change: conservative mode — any deployment
-            change flushes every entry and materialization instead of
-            running the domain-map-aware invalidation.
+        store: the :class:`~repro.cache.store.LRUStore` holding the
+            entries (default: a bounded one).
 
-    Lookups, puts, and invalidation sweeps hold a re-entrant lock:
-    concurrent caller threads hit the cache, and the stats counters
-    and sweep-then-discard loops are not atomic on their own.
+    Lookups, puts, and invalidation sweeps hold a lock: concurrent
+    caller threads hit the cache, and the stats counters and
+    sweep-then-discard loops are not atomic on their own.
     """
 
-    def __init__(self, store=None, full_flush_on_change=False):
-        self.store: CacheStore = store if store is not None else LRUStore()
+    def __init__(self, store=None):
+        self.store = store if store is not None else LRUStore()
         self.stats = CacheStats()
-        self.materializations: Dict[str, Materialization] = {}
-        #: conservative mode: any deployment change flushes everything
-        self.full_flush_on_change = full_flush_on_change
-        #: set by the owning mediator so dropping a materialization
-        #: resets the mediator's assembled engine
-        self.on_materializations_changed = None
-        # re-entrant: flush() runs under invalidate()'s lock when
-        # full_flush_on_change is set
-        self._lock = threading.RLock()
+        self._lock = threading.Lock()
 
     # -- entries ---------------------------------------------------------
 
@@ -171,59 +145,23 @@ class AnswerCache:
         """Snapshot list of live entries (oldest first)."""
         return [entry for _key, entry in self.store.items()]
 
-    # -- materializations ------------------------------------------------
-
-    def add_materialization(self, materialization):
-        self.materializations[materialization.view_name] = materialization
-        self.stats.materializations += 1
-        self._materializations_changed()
-
-    def drop_materialization(self, view_name):
-        """Drop one materialization; returns True if it existed."""
-        if self.materializations.pop(view_name, None) is None:
-            return False
-        self._materializations_changed()
-        return True
-
-    def _materializations_changed(self):
-        if self.on_materializations_changed is not None:
-            self.on_materializations_changed()
-
     # -- invalidation ----------------------------------------------------
 
-    def invalidate(self, concepts=(), classes=(), reason=""):
-        """Drop what a deployment change outdated.
-
-        `concepts` is the affected-concept closure of the change;
-        `classes` the exported/derived class names it touched; `reason`
-        is recorded on the invalidation event.  Returns
-        ``(dropped_entries, dropped_materializations)``.  See the
-        module docstring for the exact overlap semantics.
+    def invalidate(self, concepts=(), reason=""):
+        """Drop the entries a deployment change outdated: those
+        anchored at any of `concepts`, the affected-concept closure of
+        the change.  `reason` is recorded on the invalidation event.
+        Returns the number of dropped entries.
         """
         with self._lock:
-            if self.full_flush_on_change:
-                return self.flush(reason=reason or "full_flush_on_change")
             concepts = frozenset(concepts)
-            classes = frozenset(classes)
-            dropped_entries = 0
+            dropped = 0
             for key, entry in self.store.items():
                 if entry.concepts & concepts:
                     self.store.discard(key)
-                    dropped_entries += 1
-            dropped_materializations = 0
-            for name in sorted(self.materializations):
-                materialization = self.materializations[name]
-                if (
-                    materialization.uncacheable
-                    or materialization.concepts & concepts
-                    or materialization.classes & classes
-                ):
-                    del self.materializations[name]
-                    dropped_materializations += 1
-            self._record_invalidation(
-                dropped_entries, dropped_materializations, reason
-            )
-            return dropped_entries, dropped_materializations
+                    dropped += 1
+            self._record_invalidation(dropped, reason)
+            return dropped
 
     def invalidate_source(self, source, reason=""):
         """Drop every entry cached from `source` (deregistration).
@@ -240,59 +178,38 @@ class AnswerCache:
                     self.store.discard(key)
                     dropped += 1
             self._record_invalidation(
-                dropped, 0, reason or "deregister:%s" % source
+                dropped, reason or "deregister:%s" % source
             )
             return dropped
 
     def flush(self, reason="flush"):
-        """The escape hatch: drop every entry and materialization.
+        """Drop every entry; returns how many were dropped.
 
         Args:
             reason: free-text reason recorded on the invalidation
                 event.
         """
         with self._lock:
-            dropped_entries = len(self.store)
-            dropped_materializations = len(self.materializations)
+            dropped = len(self.store)
             self.store.clear()
-            self.materializations.clear()
             self.stats.flushes += 1
-            self._record_invalidation(
-                dropped_entries, dropped_materializations, reason
-            )
-            return dropped_entries, dropped_materializations
+            self._record_invalidation(dropped, reason)
+            return dropped
 
-    def _record_invalidation(self, entries, materializations, reason):
+    def _record_invalidation(self, entries, reason):
         self.stats.invalidated_entries += entries
-        self.stats.invalidated_materializations += materializations
-        if materializations:
-            self._materializations_changed()
-        if entries or materializations:
-            obs.event(
-                "cache.invalidated",
-                entries=entries,
-                materializations=materializations,
-                reason=reason,
-            )
+        if entries:
+            obs.event("cache.invalidated", entries=entries, reason=reason)
             obs.count("cache.invalidated_entries", entries)
-            obs.count("cache.invalidated_materializations", materializations)
 
     # -- export ----------------------------------------------------------
 
     def stats_dict(self):
         """Deterministic JSON-ready snapshot (counts only, no
         timings)."""
-        out = {
-            "entries": self.entry_count,
-            "rows": self.row_count,
-            "materialized_views": sorted(self.materializations),
-        }
+        out = {"entries": self.entry_count, "rows": self.row_count}
         out.update(self.stats.as_dict())
         return out
 
     def __repr__(self):
-        return "AnswerCache(entries=%d, materialized=%d, %r)" % (
-            self.entry_count,
-            len(self.materializations),
-            self.stats,
-        )
+        return "AnswerCache(entries=%d, %r)" % (self.entry_count, self.stats)

@@ -1,12 +1,13 @@
-"""Pluggable entry stores for the answer cache.
+"""The entry store behind the answer cache.
 
 A store is a plain keyed container of :class:`CacheEntry` objects; the
-:class:`AnswerCache` owns the policy (stats, invalidation,
-materializations) and delegates entry storage here.  The default is a
-bounded in-memory LRU; an unbounded dict-backed store exists for tests
-and for shared-store verification runs.  Anything implementing the
-:class:`CacheStore` interface can be plugged into
-``Mediator(cache=<store>)``.
+:class:`AnswerCache` owns the policy (stats, invalidation) and
+delegates entry storage here.  :class:`LRUStore` is the one store: by
+default bounded, and unbounded (it never evicts) with
+``LRUStore(max_entries=None, max_rows=None)`` — what shared-store
+verification runs use, where eviction would hide invalidation
+behaviour.  ``Mediator(cache=<store>)`` wraps a store in an
+:class:`AnswerCache`.
 """
 
 from __future__ import annotations
@@ -15,77 +16,7 @@ import threading
 from collections import OrderedDict
 
 
-class CacheStore:
-    """The minimal store interface the :class:`AnswerCache` needs."""
-
-    def get(self, key):
-        """The entry under `key`, or None (may refresh recency)."""
-        raise NotImplementedError
-
-    def put(self, key, entry):
-        """Store `entry`; returns the list of entries evicted to make
-        room (empty for unbounded stores)."""
-        raise NotImplementedError
-
-    def discard(self, key):
-        """Drop `key` if present; returns True when an entry was
-        removed."""
-        raise NotImplementedError
-
-    def items(self):
-        """A snapshot list of (key, entry) pairs, oldest first."""
-        raise NotImplementedError
-
-    def clear(self):
-        raise NotImplementedError
-
-    def __len__(self):
-        raise NotImplementedError
-
-    @property
-    def row_count(self):
-        """Total cached rows across entries."""
-        return sum(len(entry.rows) for _key, entry in self.items())
-
-
-class DictStore(CacheStore):
-    """An unbounded store: never evicts.  Useful in tests and for
-    cross-deployment verification runs where eviction would hide
-    invalidation behaviour.
-
-    Thread-safe: concurrent caller threads may populate the store.
-    """
-
-    def __init__(self):
-        self._entries = OrderedDict()
-        self._lock = threading.Lock()
-
-    def get(self, key):
-        with self._lock:
-            return self._entries.get(key)
-
-    def put(self, key, entry):
-        with self._lock:
-            self._entries[key] = entry
-        return []
-
-    def discard(self, key):
-        with self._lock:
-            return self._entries.pop(key, None) is not None
-
-    def items(self):
-        with self._lock:
-            return list(self._entries.items())
-
-    def clear(self):
-        with self._lock:
-            self._entries.clear()
-
-    def __len__(self):
-        return len(self._entries)
-
-
-class LRUStore(CacheStore):
+class LRUStore:
     """A bounded least-recently-used store (the default).
 
     Two independent bounds: `max_entries` (answer count) and `max_rows`
@@ -114,6 +45,8 @@ class LRUStore(CacheStore):
             return entry
 
     def put(self, key, entry):
+        """Store `entry`; returns the list of entries evicted to make
+        room."""
         with self._lock:
             old = self._entries.pop(key, None)
             if old is not None:
@@ -141,6 +74,7 @@ class LRUStore(CacheStore):
             return True
 
     def items(self):
+        """A snapshot list of (key, entry) pairs, oldest first."""
         with self._lock:
             return list(self._entries.items())
 

@@ -25,7 +25,7 @@ import runpy
 
 from .. import obs
 from .answers import AnswerCache
-from .store import DictStore
+from .store import LRUStore
 
 
 class VerifyReport:
@@ -145,7 +145,6 @@ def cached_mediators(store):
         original_init(self, *args, **kwargs)
         if self.cache is None:
             self.cache = AnswerCache(store=store)
-            self.cache.on_materializations_changed = self._invalidate
 
     Mediator.__init__ = cached_init
     try:
@@ -171,7 +170,7 @@ def _run_script(path):
 def verify_script(path):
     """Script mode: run `path` twice over one shared cache store."""
     report = VerifyReport(path)
-    store = DictStore()
+    store = LRUStore(max_entries=None, max_rows=None)
     with cached_mediators(store):
         out1, wire1, queries1 = _run_script(path)
         out2, wire2, queries2 = _run_script(path)

@@ -40,7 +40,7 @@ from ..gcm.constraints import check as gcm_check
 from .aggregate import Distribution, aggregate_over_dm
 from ..cache import (
     AnswerCache,
-    CacheStore,
+    LRUStore,
     affected_concepts,
     query_fingerprint,
     refinement_seeds,
@@ -95,8 +95,8 @@ class Mediator:
             :class:`~repro.resilience.ResiliencePolicy` (None = calls
             go straight through).
         cache: the medcache layer — an
-            :class:`~repro.cache.AnswerCache`, a
-            :class:`~repro.cache.CacheStore`, or ``True`` for the
+            :class:`~repro.cache.AnswerCache`, an
+            :class:`~repro.cache.LRUStore`, or ``True`` for the
             default cache (None = nothing is cached).
     """
 
@@ -136,26 +136,22 @@ class Mediator:
             )
         #: the medcache layer: an :class:`~repro.cache.AnswerCache`
         #: (accepted directly, built over a given
-        #: :class:`~repro.cache.CacheStore`, or default-constructed
+        #: :class:`~repro.cache.LRUStore`, or default-constructed
         #: with ``cache=True``), or None — in which case source calls
-        #: and view evaluations are never cached
+        #: are never cached
         if cache is None:
             self.cache = None
         elif isinstance(cache, AnswerCache):
             self.cache = cache
-        elif isinstance(cache, CacheStore):
+        elif isinstance(cache, LRUStore):
             self.cache = AnswerCache(store=cache)
         elif cache is True:
             self.cache = AnswerCache()
         else:
             raise MediatorError(
-                "cache must be an AnswerCache, a CacheStore or True, "
+                "cache must be an AnswerCache, an LRUStore or True, "
                 "not %r" % type(cache).__name__
             )
-        if self.cache is not None:
-            # dropping a materialization must reset the assembled
-            # engine, or a stale snapshot would keep answering
-            self.cache.on_materializations_changed = self._invalidate
         self._sources: Dict[str, RegisteredSource] = {}
         self._views: Dict[str, object] = {}
         self._view_rules_by_name: Dict[str, List[Rule]] = {}
@@ -225,18 +221,9 @@ class Mediator:
             refinement_result = register_concepts(
                 self.dm, registration.refinement, allow_new_roles=True
             )
-        if self.cache is not None:
-            # Invalidate *before* the new anchors/facts join the
-            # knowledge base: if the (eager) registration data were
-            # assembled first, a materialization predating this
-            # registration could still answer on its behalf.
+        if refinement_result is not None:
             self._cache_invalidate_change(
-                seeds=(
-                    refinement_seeds(refinement_result)
-                    if refinement_result is not None
-                    else ()
-                ),
-                classes=registration.capabilities,
+                refinement_seeds(refinement_result),
                 reason="register:%s" % registration.source,
             )
         for class_name, concept, context in registration.anchors:
@@ -257,8 +244,7 @@ class Mediator:
         if self.cache is not None:
             self.cache.invalidate_source(source_name)
             self._cache_invalidate_change(
-                seeds=self.index.concepts_of_source(source_name),
-                classes=self._sources[source_name].registration.capabilities,
+                self.index.concepts_of_source(source_name),
                 reason="deregister:%s" % source_name,
             )
         del self._sources[source_name]
@@ -454,26 +440,8 @@ class Mediator:
                 rules = view.datalog_rules(traced=True)
                 span.set(datalog_rules=len(rules))
                 self._view_rules_by_name[view.name] = rules
-        if self.cache is not None:
-            # a new view's rules may feed (or shadow) what an existing
-            # materialized view derived from the same classes
-            self._cache_invalidate_change(
-                classes=self._view_classes(view),
-                reason="add_view:%s" % view.name,
-            )
         self._invalidate()
         return view
-
-    @staticmethod
-    def _view_classes(view):
-        from ..cache.views import view_classes
-
-        if isinstance(view, IntegratedView):
-            head_classes, body_classes = view_classes(view)
-            return head_classes | body_classes | {view.name}
-        if isinstance(view, DistributionView):
-            return {view.name, view.source_class}
-        return {view.name}
 
     def view(self, name):
         """The view registered under `name` (raises when unknown)."""
@@ -492,26 +460,15 @@ class Mediator:
         with self._engines_lock:
             self._engines.clear()
 
-    @property
-    def _view_rules(self):
-        """Flat list of every integrated view's translated rules (in
-        definition order) — kept for introspection compatibility."""
-        rules: List[Rule] = []
-        for view_rules in self._view_rules_by_name.values():
-            rules.extend(view_rules)
-        return rules
-
-    def _cache_invalidate_change(self, seeds=(), classes=(), reason=""):
-        """Route one deployment change through the medcache
-        invalidation engine (no-op without a cache)."""
+    def _cache_invalidate_change(self, seeds, reason):
+        """Drop the cached answers anchored where a change at the
+        concepts `seeds` can reach (no-op without a cache).  Answer
+        entries never feed the engines, so they are not reset here."""
         if self.cache is None:
             return
-        concepts = affected_concepts(self.dm, set(seeds))
-        entries, materializations = self.cache.invalidate(
-            concepts=concepts, classes=set(classes), reason=reason
+        self.cache.invalidate(
+            concepts=affected_concepts(self.dm, set(seeds)), reason=reason
         )
-        if entries or materializations:
-            self._invalidate()
 
     # -- static analysis ---------------------------------------------------
 
@@ -561,15 +518,7 @@ class Mediator:
         instance facts — what plan execution evaluates retrieved rows
         against, so a plan's filtering is not undone by eagerly loaded
         data.
-
-        A view with a live medcache materialization is served *as
-        data*: its rules are swapped out and its snapshot facts in
-        (only when ``include_data=True`` — the schema-only program
-        keeps the rules, so planning and lint see the definition).
         """
-        materialized_views = (
-            self.cache.materializations if self.cache is not None else {}
-        )
         rules: List[Rule] = []
         rules.extend(
             compile_domain_map(self.dm, assertions_for=self.edge_assertions)
@@ -578,15 +527,11 @@ class Mediator:
             rules.extend(
                 record.registration.cm.all_rules(include_constraints=False)
             )
-        for name, view_rules in self._view_rules_by_name.items():
-            if include_data and name in materialized_views:
-                continue
+        for view_rules in self._view_rules_by_name.values():
             rules.extend(view_rules)
         if include_data:
             rules.extend(self._facts)
             rules.extend(self._materialized)
-            for name in sorted(materialized_views):
-                rules.extend(materialized_views[name].facts)
         return rules
 
     def engine(self, include_data=True):
@@ -759,53 +704,6 @@ class Mediator:
         )
         self._invalidate()
         return distribution
-
-    # -- materialized views (medcache) ----------------------------------------
-
-    def materialize(self, view_or_name):
-        """Materialize an :class:`IntegratedView` (`view_or_name`
-        names one, or is the view itself): evaluate it once
-        over the current knowledge base and serve later ``ask``/
-        ``correlate`` evaluations from the snapshot (the view's rules
-        are swapped out of :meth:`assembled_rules` while the
-        materialization is live).
-
-        Requires a cache (``Mediator(..., cache=...)``) — the snapshot
-        lives in :attr:`AnswerCache.materializations`, where the
-        domain-map-aware invalidation engine drops it when a
-        registration, refinement or new view outdates it.  Returns the
-        :class:`~repro.cache.Materialization`.
-        """
-        from ..cache.views import build_materialization
-
-        if self.cache is None:
-            raise MediatorError(
-                "materialize() needs a cache: construct the mediator "
-                "with Mediator(..., cache=True) or an AnswerCache"
-            )
-        name = view_or_name if isinstance(view_or_name, str) else view_or_name.name
-        view = self.view(name)
-        if not isinstance(view, IntegratedView):
-            raise MediatorError(
-                "only integrated views can be materialized; use "
-                "materialize_distribution for %r" % name
-            )
-        with obs.span("mediator.materialize", view=name) as span:
-            # evaluate with the view's *rules* live (a previous
-            # materialization of the same view must not answer)
-            self.cache.drop_materialization(name)
-            self._invalidate()
-            store = self.evaluate().store
-            materialization = build_materialization(self, view, store)
-            span.set(
-                facts=len(materialization.facts),
-                concepts=len(materialization.concepts),
-            )
-            obs.count("cache.materializations", view=name)
-            # add_materialization resets the engine via the
-            # on_materializations_changed hook
-            self.cache.add_materialization(materialization)
-            return materialization
 
     # -- planned queries -----------------------------------------------------
 

@@ -35,8 +35,8 @@ class IntegratedView:
     def datalog_rules(self, traced=False):
         """The view's F-logic rules parsed and translated to Datalog.
 
-        One definition shared by the mediator (``add_view``), the
-        medlint capability pass, and medcache's materializer.  With
+        One definition shared by the mediator (``add_view``) and the
+        medlint capability and deployment passes.  With
         ``traced=True`` the parse/translate phases are wrapped in the
         same obs spans ``Mediator.add_view`` historically emitted.
         """

@@ -53,8 +53,8 @@ def build_scenario(seed=2001, scale=1, eager=True, via_xml=True,
             interneuron concepts (the Figure 3 mechanism in situ).
         dialogue_via_xml: run source *queries* over the XML wire too.
         cache: optional medcache configuration, passed through to
-            :class:`~repro.core.Mediator` (an AnswerCache, a
-            CacheStore, or True).
+            :class:`~repro.core.Mediator` (an AnswerCache, an
+            LRUStore, or True).
     """
     mediator = Mediator(build_anatom(), name="KIND",
                         dialogue_via_xml=dialogue_via_xml, cache=cache)

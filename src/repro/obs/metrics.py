@@ -67,10 +67,8 @@ class Metrics:
         whose name starts with `prefix` — e.g. ``"cache."`` collects
         the medcache family (``cache.hits``, ``cache.misses``,
         ``cache.puts``, ``cache.dedup``, ``cache.evictions``,
-        ``cache.invalidated_entries``,
-        ``cache.invalidated_materializations``,
-        ``cache.materializations``).  Sorted by name, so the export
-        is deterministic."""
+        ``cache.invalidated_entries``).  Sorted by name, so the
+        export is deterministic."""
         totals = {}
         for key, value in self._counters.items():
             if key[0].startswith(prefix):

@@ -1,14 +1,12 @@
 """medcache wired into the mediator: ctor dispatch, the cache-consult
-path in source_query, stale exclusion, materialized views with
-register-then-ask ordering, selective invalidation, and within-plan
-dedup (which works with the cache disabled)."""
+path in source_query, stale exclusion, selective invalidation, and
+within-plan dedup (which works with the cache disabled)."""
 
 import pytest
 
 from repro import obs
 from repro.cache import AnswerCache, LRUStore
 from repro.core import Mediator
-from repro.core.views import IntegratedView
 from repro.errors import MediatorError
 from repro.neuro import build_scenario, section5_query
 from repro.resilience import FaultSchedule, FaultInjectingWrapper, ResiliencePolicy
@@ -145,24 +143,13 @@ class TestSelectiveInvalidation:
         mediator.deregister("CELLS")
         assert self.cached_sources(mediator) == ["GLIA"]
 
-    def test_full_flush_escape_hatch(self):
-        mediator = Mediator(
-            build_dm(),
-            name="m",
-            cache=AnswerCache(full_flush_on_change=True),
-        )
-        mediator.register(build_cells_wrapper(), eager=False)
-        mediator.register(build_glia_wrapper(), eager=False)
+    def test_same_class_exporter_spares_entries(self, two_world_mediator):
+        # an entry is one source's rows for one class; a *new* source
+        # exporting the same class cannot change those rows
+        mediator = two_world_mediator
         self.populate(mediator)
-        mediator.register(
-            build_third_wrapper(),
-            dm_refinement="Basket_Cell < Neuron",
-            eager=False,
-        )
-        assert mediator.cache.entry_count == 0
-        # conservative by design: *every* deployment change flushed
-        # (the two initial registrations plus the refinement)
-        assert mediator.cache.stats.flushes == 3
+        mediator.register(build_cells_clone(), eager=False)
+        assert self.cached_sources(mediator) == ["CELLS", "GLIA"]
 
 
 def build_third_wrapper(name="EXTRA", class_name="x"):
@@ -197,71 +184,6 @@ def build_cells_clone(name="CELLS2"):
         selectable={"kind"},
     )
     return wrapper
-
-
-ALL_CELLS = IntegratedView(
-    "all_cells",
-    fl_rules=(
-        "X : all_cells :- X : m.\n"
-        "X[kind -> K] :- X : all_cells, X : m[kind -> K].\n"
-    ),
-)
-
-
-def eager_cached_mediator():
-    mediator = Mediator(build_dm(), name="m", cache=AnswerCache())
-    mediator.register(build_cells_wrapper(), eager=True)
-    mediator.register(build_glia_wrapper(), eager=True)
-    mediator.add_view(ALL_CELLS)
-    return mediator
-
-
-class TestMaterialize:
-    def test_requires_a_cache(self):
-        mediator = Mediator(build_dm(), name="m")
-        with pytest.raises(MediatorError):
-            mediator.materialize("whatever")
-
-    def test_materialized_answers_match_live_answers(self):
-        mediator = eager_cached_mediator()
-        live = mediator.ask("X : all_cells")
-        materialization = mediator.materialize("all_cells")
-        assert mediator.ask("X : all_cells") == live
-        assert len(live) == 2
-        assert "Neuron" in materialization.concepts
-        assert "m" in materialization.classes
-        assert "all_cells" in mediator.cache.materializations
-
-    def test_register_after_materialize_invalidates_first(self):
-        # satellite regression: a source registered *after* a view was
-        # materialized must be visible to the very next ask — the
-        # invalidation has to land before the eager evaluation
-        mediator = eager_cached_mediator()
-        mediator.materialize("all_cells")
-        mediator.register(build_cells_clone(), eager=True)
-        assert "all_cells" not in mediator.cache.materializations
-        assert len(mediator.ask("X : all_cells")) == 3
-
-    def test_rematerialize_after_invalidation(self):
-        mediator = eager_cached_mediator()
-        mediator.materialize("all_cells")
-        mediator.register(build_cells_clone(), eager=True)
-        materialization = mediator.materialize("all_cells")
-        assert len(mediator.ask("X : all_cells")) == 3
-        assert mediator.cache.stats.materializations == 2
-        assert len(materialization.facts) > 0
-
-    def test_refinement_in_a_disjoint_branch_spares_it(self):
-        mediator = eager_cached_mediator()
-        mediator.materialize("all_cells")
-        mediator.register(
-            build_third_wrapper(),
-            dm_refinement="Radial_Glia < Glia",
-            eager=True,
-        )
-        # the view is anchored at Neuron; a refinement below Glia
-        # cannot change its rows
-        assert "all_cells" in mediator.cache.materializations
 
 
 class TestPlanDedup:

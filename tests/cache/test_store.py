@@ -1,6 +1,6 @@
-"""LRU/dict store behaviour: bounds, recency, eviction accounting."""
+"""LRU store behaviour: bounds, recency, eviction accounting."""
 
-from repro.cache import CacheEntry, DictStore, LRUStore
+from repro.cache import CacheEntry, LRUStore
 
 
 def entry(key, rows=1):
@@ -64,16 +64,15 @@ class TestLRUStore:
         store.clear()
         assert len(store) == 0 and store.row_count == 0
 
-
-class TestDictStore:
-    def test_never_evicts(self):
-        store = DictStore()
+    def test_unbounded_never_evicts(self):
+        store = LRUStore(max_entries=None, max_rows=None)
         for i in range(1000):
-            assert store.put(i, entry(i)) == []
+            assert store.put(i, entry(i, rows=i % 3)) == []
         assert len(store) == 1000
+        assert store.row_count == sum(i % 3 for i in range(1000))
 
     def test_items_snapshot(self):
-        store = DictStore()
+        store = LRUStore(max_entries=None, max_rows=None)
         store.put("a", entry("a"))
         items = store.items()
         store.discard("a")

@@ -16,9 +16,13 @@ import pytest
 
 import repro.flogic.engine as flogic_engine
 from repro.analysis.deploy import capture_deployments
+from repro.cache import AnswerCache
+from repro.core import Mediator
+from repro.core.views import IntegratedView
 from repro.datalog.engine import evaluate
 from repro.flogic import FLogicEngine
 from repro.neuro import analysis, build_scenario, section5_query
+from tests.cache.conftest import build_cells_wrapper, build_dm, build_glia_wrapper
 
 EXAMPLES = sorted(
     (pathlib.Path(__file__).resolve().parents[2] / "examples").glob("*.py")
@@ -141,3 +145,24 @@ class TestDomainMapRevision:
         fresh.dm.add_rule(self.RULE)
         assert after == correlation_answer(fresh.correlate(section5_query()))
         assert after != before
+
+    @staticmethod
+    def two_worlds_with_orgs_view(cache):
+        dm = build_dm()
+        dm.add_axioms("Organelle < Tissue_Part")
+        mediator = Mediator(dm, name="two-worlds", cache=cache)
+        mediator.register(build_cells_wrapper(), eager=True)
+        mediator.register(build_glia_wrapper(), eager=True)
+        mediator.add_view(IntegratedView("orgs", "X : orgs :- X : 'Organelle'."))
+        return mediator
+
+    def test_cached_view_sees_a_direct_dm_change(self):
+        cached = self.two_worlds_with_orgs_view(AnswerCache())
+        assert cached.ask("X : orgs") == []  # the model is now cached
+        cached.dm.add_axioms("Neuron < Organelle")
+
+        uncached = self.two_worlds_with_orgs_view(None)
+        uncached.dm.add_axioms("Neuron < Organelle")
+        expected = uncached.ask("X : orgs")
+        assert len(expected) == 2
+        assert cached.ask("X : orgs") == expected

@@ -26,7 +26,6 @@ AUDITED_METHODS = {
         "ask",
         "correlate",
         "explain",
-        "materialize",
         "register",
         "source_query",
     ],

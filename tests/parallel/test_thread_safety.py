@@ -12,7 +12,7 @@ import sys
 import threading
 
 from repro.cache.answers import AnswerCache, CacheEntry
-from repro.cache.store import DictStore, LRUStore
+from repro.cache.store import LRUStore
 from repro.obs.metrics import Metrics
 from repro.resilience import ResiliencePolicy, SourceGuard, VirtualClock
 from repro.resilience.breaker import CircuitBreaker
@@ -84,7 +84,8 @@ class TestLRUStoreHammer:
 
 class TestAnswerCacheHammer:
     def test_stats_and_entries_consistent(self):
-        cache = AnswerCache(store=DictStore())  # unbounded: no eviction
+        # unbounded: no eviction
+        cache = AnswerCache(store=LRUStore(max_entries=None, max_rows=None))
         def store_and_lookup(i):
             for j in range(ROUNDS):
                 key = ("k", i, j)
