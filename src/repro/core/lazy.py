@@ -14,7 +14,8 @@ sources registered with ``eager=False``:
    query's ground frame values, validated against the source's binding
    patterns (unsupported selections are simply evaluated mediator-side
    after a scan);
-3. fetch + lift exactly those rows and evaluate the query over them.
+3. fetch + lift exactly those rows and answer the query by continuing
+   the mediator's per-revision model with them.
 
 The result is answer-equivalent to eager evaluation (tested) while
 contacting only relevant sources and pushing selections down.
@@ -147,11 +148,6 @@ def ask_lazy(mediator, fl_query):
         wrapper = mediator.wrapper(source)
         rows = mediator.source_query(source, SourceQuery(class_name, selections))
         facts.extend(wrapper.lift_rows(class_name, rows))
-
-    from ..flogic.engine import FLogicEngine
-
-    engine = FLogicEngine()
-    engine.tell_rules(mediator.assembled_rules())
-    engine.tell_rules(facts)
-    answers = engine.ask(fl_query)
+    # continue the mediator's cached model with the fetched rows
+    answers = mediator.engine().ask(fl_query, extra_rules=facts)
     return answers, fetches

@@ -36,7 +36,7 @@ from ..domainmap.index import SemanticIndex
 from ..domainmap.model import DomainMap
 from ..domainmap.registry import register_concepts
 from ..flogic.engine import FLogicEngine
-from ..gcm.constraints import check as gcm_check
+from ..gcm.constraints import check_model
 from .aggregate import Distribution, aggregate_over_dm
 from ..cache import (
     AnswerCache,
@@ -286,8 +286,8 @@ class Mediator:
         `dialogue_via_xml`.
 
         With the XML dialogue on, the request and answer cross the wire
-        format of :mod:`repro.xmlio.messages` (and are logged); rows
-        come back re-joined with their raw form for lifting.
+        format of :mod:`repro.xmlio.messages` (and are logged); the
+        decoded rows are what the mediator lifts.
 
         Any unexpected exception escaping the wrapper is normalized to
         a :class:`~repro.errors.SourceError` here (the original kept as
@@ -416,15 +416,7 @@ class Mediator:
             ("query:%s.%s" % (source_name, source_query.class_name),
              len(request) + len(answer))
         )
-        _class_name, rows = rows_from_xml(answer)
-        # the wire drops _raw; reconstruct it for lift_rows by keying
-        # the direct rows on object id (an in-process shortcut, so it
-        # bypasses any fault-injecting decorator: `unwrapped`)
-        direct = {
-            row["_object"]: row
-            for row in wrapper.unwrapped.query(source_query)
-        }
-        return [direct[row["_object"]] for row in rows]
+        return rows_from_xml(answer)[1]
 
     # -- views ---------------------------------------------------------------
 
@@ -615,10 +607,11 @@ class Mediator:
 
     def check_integrity(self, constraints=(), raise_on_violation=False):
         """Two-phase integrity check of the given `constraints` over
-        the mediated object base; with `raise_on_violation` the first
-        violation raises instead of being reported."""
-        return gcm_check(
-            self.assembled_rules(),
+        the mediated object base — the model :meth:`ask` answers from;
+        with `raise_on_violation` the first violation raises instead of
+        being reported."""
+        return check_model(
+            self.evaluate().store,
             constraints,
             raise_on_violation=raise_on_violation,
         )
@@ -720,9 +713,9 @@ class Mediator:
 
         ``context.answers`` holds (group value, Distribution) pairs —
         the paper's ``answer(P, D)``.  With `skip_failed_sources` (or a
-        :class:`~repro.resilience.ResiliencePolicy` whose ``degrade``
-        is on), a failing source is recorded rather than aborting the
-        plan, and the result reports the partial answer per source.
+        :class:`~repro.resilience.ResiliencePolicy`), a failing source
+        is recorded rather than aborting the plan, and the result
+        reports the partial answer per source.
         """
         with obs.span("mediator.correlate", seed_class=query.seed_class) as span:
             query_plan, context = planner_execute(

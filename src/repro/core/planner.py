@@ -332,11 +332,8 @@ class PlanContext:
     def degrades_on_failure(self):
         """Does a retrieval failure degrade the answer instead of
         aborting?  True under ``skip_failed_sources`` or a resilience
-        policy with ``degrade`` on."""
-        if self.skip_failed_sources:
-            return True
-        guard = self.mediator.resilience
-        return guard is not None and guard.policy.degrade
+        policy."""
+        return self.skip_failed_sources or self.mediator.resilience is not None
 
     def record_skipped(self, source, exc):
         """Record one source skipped under `skip_failed_sources`."""

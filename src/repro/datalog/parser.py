@@ -1,4 +1,5 @@
-"""Parser for the textual Datalog dialect.
+"""Parser for the textual Datalog dialect, and the rule-language core
+the F-logic parser (:mod:`repro.flogic.parser`) builds on.
 
 Grammar (informal)::
 
@@ -19,16 +20,20 @@ Comments run from ``%`` to end of line.  Symbols are lowercase
 identifiers or single-quoted strings; variables start with an uppercase
 letter or underscore.  Double- and single-quoted literals both become
 string constants.
+
+Both rule languages share one tokenizer: it also recognizes the F-logic
+punctuation ``:``, ``::`` and the frame arrows, which the Datalog
+grammar rejects at the offending token.
 """
 
 from __future__ import annotations
 
 import re
-from typing import List, Optional, Tuple
 
 from ..errors import ParseError
 from .ast import (
     AGGREGATE_FUNCS,
+    COMPARISON_OPS,
     AggregateLiteral,
     Assignment,
     Atom,
@@ -47,12 +52,15 @@ _TOKEN_RE = re.compile(
   | (?P<dqstring>"(?:[^"\\]|\\.)*")
   | (?P<sqstring>'(?:[^'\\]|\\.)*')
   | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<punct>:-|!=|<=|>=|=|<|>|\(|\)|\{|\}|\[|\]|,|;|\.|\+|-|\*|//|/)
+  | (?P<punct>:-|::|:|\*->|->>|->|=>>|=>|!=|<=|>=|=|<|>|\(|\)|\{|\}|\[|\]|,|;|\.|\+|-|\*|//|/)
     """,
     re.VERBOSE,
 )
 
 _KEYWORDS = {"not", "is", "mod"}
+
+#: punctuation only the F-logic grammar accepts
+_FLOGIC_PUNCT = frozenset((":", "::", "->", "->>", "=>", "=>>", "*->"))
 
 
 class _Token:
@@ -71,46 +79,59 @@ def _unescape(body):
     return body.replace("\\\\", "\\").replace("\\'", "'").replace('\\"', '"')
 
 
-def tokenize(text):
-    """Tokenize `text`; raises :class:`ParseError` on illegal input."""
-    tokens: List[_Token] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(
-                "unexpected character %r" % text[pos], text=text, position=pos
-            )
-        kind = m.lastgroup
-        value = m.group()
-        if kind == "ws" or kind == "comment":
-            pos = m.end()
-            continue
-        if kind == "number":
-            number = float(value) if "." in value else int(value)
-            tokens.append(_Token("number", number, pos))
-        elif kind == "dqstring" or kind == "sqstring":
-            tokens.append(_Token("string", _unescape(value[1:-1]), pos))
-        elif kind == "name":
-            if value in _KEYWORDS:
-                tokens.append(_Token(value, value, pos))
-            elif value[0].isupper() or value[0] == "_":
-                tokens.append(_Token("var", value, pos))
-            else:
-                tokens.append(_Token("symbol", value, pos))
-        else:
-            tokens.append(_Token(value, value, pos))
-        pos = m.end()
-    tokens.append(_Token("eof", None, pos))
-    return tokens
+class RuleParser:
+    """The grammar both rule languages share: tokens, terms, bodies,
+    ``is`` arithmetic, comparisons and aggregates.
 
+    A language subclass supplies its clauses and its two body-item
+    hooks, :meth:`parse_negation` and :meth:`parse_goal`, and sets the
+    class attributes below.
+    """
 
-class _Parser:
+    #: the exception every syntax error raises
+    error_class = ParseError
+    #: node built for ``Var = func{...}``
+    aggregate_class = AggregateLiteral
+    #: name prefix of the fresh variables standing for ``_``
+    fresh_prefix = "_anon"
+
     def __init__(self, text):
         self.text = text
-        self.tokens = tokenize(text)
+        self.tokens = self._tokenize(text)
         self.index = 0
-        self._anon_counter = 0
+        self._fresh_counter = 0
+
+    def _tokenize(self, text):
+        tokens = []
+        pos = 0
+        while pos < len(text):
+            m = _TOKEN_RE.match(text, pos)
+            if m is None:
+                raise self.error_class(
+                    "unexpected character %r" % text[pos], text=text, position=pos
+                )
+            kind = m.lastgroup
+            value = m.group()
+            if kind == "ws" or kind == "comment":
+                pos = m.end()
+                continue
+            if kind == "number":
+                number = float(value) if "." in value else int(value)
+                tokens.append(_Token("number", number, pos))
+            elif kind == "dqstring" or kind == "sqstring":
+                tokens.append(_Token("string", _unescape(value[1:-1]), pos))
+            elif kind == "name":
+                if value in _KEYWORDS:
+                    tokens.append(_Token(value, value, pos))
+                elif value[0].isupper() or value[0] == "_":
+                    tokens.append(_Token("var", value, pos))
+                else:
+                    tokens.append(_Token("symbol", value, pos))
+            else:
+                tokens.append(_Token(value, value, pos))
+            pos = m.end()
+        tokens.append(_Token("eof", None, pos))
+        return tokens
 
     # -- token helpers ------------------------------------------------
 
@@ -126,33 +147,24 @@ class _Parser:
     def expect(self, kind):
         token = self.next()
         if token.kind != kind:
-            raise ParseError(
-                "expected %r but found %r" % (kind, token.value),
-                text=self.text,
-                position=token.pos,
-            )
+            self.error("expected %r but found %r" % (kind, token.value), token)
         return token
 
-    def error(self, message):
-        token = self.peek()
-        raise ParseError(message, text=self.text, position=token.pos)
+    def error(self, message, token=None):
+        """Raise a syntax error at `token` (default: the next one)."""
+        if token is None:
+            token = self.peek()
+        raise self.error_class(message, text=self.text, position=token.pos)
 
-    # -- grammar ------------------------------------------------------
+    def expect_end(self, what):
+        if self.peek().kind != "eof":
+            self.error("trailing input after %s" % what)
 
-    def parse_program(self):
-        program = Program()
-        while self.peek().kind != "eof":
-            program.add(self.parse_clause())
-        return program
+    def fresh_var(self):
+        self._fresh_counter += 1
+        return Var("%s%d" % (self.fresh_prefix, self._fresh_counter))
 
-    def parse_clause(self):
-        head = self.parse_atom()
-        body = ()
-        if self.peek().kind == ":-":
-            self.next()
-            body = self.parse_body(stop_kinds=(".",))
-        self.expect(".")
-        return Rule(head, body)
+    # -- bodies -------------------------------------------------------
 
     def parse_body(self, stop_kinds):
         items = [self.parse_body_item()]
@@ -160,14 +172,14 @@ class _Parser:
             self.next()
             items.append(self.parse_body_item())
         if self.peek().kind not in stop_kinds:
-            self.error("expected %s after rule body" % " or ".join(stop_kinds))
+            self.error("expected %s after body" % " or ".join(stop_kinds))
         return tuple(items)
 
     def parse_body_item(self):
         token = self.peek()
         if token.kind == "not":
             self.next()
-            return Literal(self.parse_atom(), positive=False)
+            return self.parse_negation()
         if token.kind == "var":
             nxt = self.peek(1)
             if nxt.kind == "is":
@@ -178,17 +190,23 @@ class _Parser:
                 variable = Var(self.next().value)
                 self.next()  # '='
                 return self.parse_aggregate(variable)
-        # Either a comparison or a plain atom: parse a term first.
-        start = self.index
-        left = self.parse_term()
-        op_token = self.peek()
-        if op_token.kind in ("=", "!=", "<", "<=", ">", ">="):
-            self.next()
-            right = self.parse_term()
-            return Comparison(op_token.kind, left, right)
-        # Not a comparison: re-parse from `start` as an atom.
-        self.index = start
-        return Literal(self.parse_atom())
+        return self.parse_goal()
+
+    def parse_negation(self):
+        """The body item after ``not``."""
+        raise NotImplementedError
+
+    def parse_goal(self):
+        """A positive body item that is not ``is`` or an aggregate."""
+        raise NotImplementedError
+
+    def parse_comparison(self, left):
+        """``left OP term`` when a comparison operator follows, else
+        None (nothing consumed)."""
+        if self.peek().kind not in COMPARISON_OPS:
+            return None
+        op = self.next().kind
+        return Comparison(op, left, self.parse_term())
 
     def _peek_aggregate(self, offset):
         token = self.peek(offset)
@@ -207,63 +225,37 @@ class _Parser:
         group_by = ()
         if self.peek().kind == "[":
             self.next()
-            groups = [self.parse_term()]
-            while self.peek().kind == ",":
-                self.next()
-                groups.append(self.parse_term())
-            self.expect("]")
-            group_by = tuple(groups)
+            group_by = self.parse_term_list("]")
         self.expect(";")
         body = self.parse_body(stop_kinds=("}",))
         self.expect("}")
-        return AggregateLiteral(func, result_var, value, group_by, body)
+        return self.aggregate_class(func, result_var, value, group_by, body)
 
-    def parse_atom(self):
-        token = self.next()
-        if token.kind not in ("symbol", "string"):
-            raise ParseError(
-                "expected predicate name, found %r" % (token.value,),
-                text=self.text,
-                position=token.pos,
-            )
-        name = token.value
-        args = ()
-        if self.peek().kind == "(":
-            self.next()
-            parsed = [self.parse_term()]
-            while self.peek().kind == ",":
-                self.next()
-                parsed.append(self.parse_term())
-            self.expect(")")
-            args = tuple(parsed)
-        return Atom(name, args)
+    # -- terms --------------------------------------------------------
 
     def parse_term(self):
         token = self.next()
         if token.kind == "var":
             if token.value == "_":
-                self._anon_counter += 1
-                return Var("_anon%d" % self._anon_counter)
+                return self.fresh_var()
             return Var(token.value)
-        if token.kind == "number":
-            return Const(token.value)
-        if token.kind == "string":
+        if token.kind == "number" or token.kind == "string":
             return Const(token.value)
         if token.kind == "symbol":
             if self.peek().kind == "(":
                 self.next()
-                args = [self.parse_term()]
-                while self.peek().kind == ",":
-                    self.next()
-                    args.append(self.parse_term())
-                self.expect(")")
-                return Struct(token.value, tuple(args))
+                return Struct(token.value, self.parse_term_list(")"))
             return Const(token.value)
-        raise ParseError(
-            "expected a term, found %r" % (token.value,),
-            text=self.text,
-            position=token.pos,
-        )
+        self.error("expected a term, found %r" % (token.value,), token)
+
+    def parse_term_list(self, close):
+        """``term (',' term)* close``, after the opening bracket."""
+        terms = [self.parse_term()]
+        while self.peek().kind == ",":
+            self.next()
+            terms.append(self.parse_term())
+        self.expect(close)
+        return tuple(terms)
 
     # -- arithmetic expressions ----------------------------------------
 
@@ -296,6 +288,52 @@ class _Parser:
         return self.parse_term()
 
 
+class _Parser(RuleParser):
+    def __init__(self, text):
+        super().__init__(text)
+        for token in self.tokens:
+            if token.kind in _FLOGIC_PUNCT:
+                self.error("%r is F-logic syntax, not Datalog" % token.value, token)
+
+    def parse_program(self):
+        program = Program()
+        while self.peek().kind != "eof":
+            program.add(self.parse_clause())
+        return program
+
+    def parse_clause(self):
+        head = self.parse_atom()
+        body = ()
+        if self.peek().kind == ":-":
+            self.next()
+            body = self.parse_body(stop_kinds=(".",))
+        self.expect(".")
+        return Rule(head, body)
+
+    def parse_negation(self):
+        return Literal(self.parse_atom(), positive=False)
+
+    def parse_goal(self):
+        # Either a comparison or a plain atom: parse a term first.
+        start = self.index
+        comparison = self.parse_comparison(self.parse_term())
+        if comparison is not None:
+            return comparison
+        # Not a comparison: re-parse from `start` as an atom.
+        self.index = start
+        return Literal(self.parse_atom())
+
+    def parse_atom(self):
+        token = self.next()
+        if token.kind not in ("symbol", "string"):
+            self.error("expected predicate name, found %r" % (token.value,), token)
+        args = ()
+        if self.peek().kind == "(":
+            self.next()
+            args = self.parse_term_list(")")
+        return Atom(token.value, args)
+
+
 def parse_program(text):
     """Parse a full program; returns :class:`Program`."""
     return _Parser(text).parse_program()
@@ -305,8 +343,7 @@ def parse_rule(text):
     """Parse exactly one clause."""
     parser = _Parser(text)
     rule = parser.parse_clause()
-    if parser.peek().kind != "eof":
-        parser.error("trailing input after clause")
+    parser.expect_end("clause")
     return rule
 
 
@@ -314,8 +351,7 @@ def parse_atom(text):
     """Parse a single atom (used for goals/queries)."""
     parser = _Parser(text)
     atom = parser.parse_atom()
-    if parser.peek().kind != "eof":
-        parser.error("trailing input after atom")
+    parser.expect_end("atom")
     return atom
 
 
@@ -323,6 +359,5 @@ def parse_term(text):
     """Parse a single term."""
     parser = _Parser(text)
     term = parser.parse_term()
-    if parser.peek().kind != "eof":
-        parser.error("trailing input after term")
+    parser.expect_end("term")
     return term

@@ -29,8 +29,6 @@ from .ast import (
     ARROW_SIG_MULTI,
     ARROW_SIG_SCALAR,
     FLAggregate,
-    FLAssignment,
-    FLComparison,
     FLNegation,
     FLPredicate,
     FLRule,
@@ -64,8 +62,6 @@ __all__ = [
     "ARROW_SIG_MULTI",
     "ARROW_SIG_SCALAR",
     "FLAggregate",
-    "FLAssignment",
-    "FLComparison",
     "FLNegation",
     "FLPredicate",
     "FLRule",

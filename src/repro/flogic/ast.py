@@ -18,6 +18,10 @@ The fragment covers exactly what the paper uses as its concrete GCM:
 A *molecule* bundles a subject with an optional is-a/subclass tag and a
 frame of method specifications; translation flattens each molecule into
 one or more GCM atoms.
+
+Comparisons and ``is`` assignments have no F-logic node: the parser
+builds the Datalog :class:`~repro.datalog.ast.Comparison` and
+:class:`~repro.datalog.ast.Assignment` for them.
 """
 
 from __future__ import annotations
@@ -166,65 +170,11 @@ class FLPredicate:
         return "%s(%s)" % (self.name, ", ".join(str(a) for a in self.args))
 
 
-class FLComparison:
-    """A comparison ``left op right`` in an F-logic body."""
-
-    __slots__ = ("op", "left", "right")
-
-    def __init__(self, op, left, right):
-        self.op = op
-        self.left = coerce_term(left)
-        self.right = coerce_term(right)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FLComparison)
-            and self.op == other.op
-            and self.left == other.left
-            and self.right == other.right
-        )
-
-    def __hash__(self):
-        return hash(("FLComparison", self.op, self.left, self.right))
-
-    def __repr__(self):
-        return "FLComparison(%r, %r, %r)" % (self.op, self.left, self.right)
-
-    def __str__(self):
-        return "%s %s %s" % (self.left, self.op, self.right)
-
-
-class FLAssignment:
-    """``Var is Expr`` arithmetic in an F-logic body."""
-
-    __slots__ = ("target", "expr")
-
-    def __init__(self, target, expr):
-        self.target = target
-        self.expr = coerce_term(expr)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FLAssignment)
-            and self.target == other.target
-            and self.expr == other.expr
-        )
-
-    def __hash__(self):
-        return hash(("FLAssignment", self.target, self.expr))
-
-    def __repr__(self):
-        return "FLAssignment(%r, %r)" % (self.target, self.expr)
-
-    def __str__(self):
-        return "%s is %s" % (self.target, self.expr)
-
-
 class FLAggregate:
     """``Result = func{Value [G1, ...]; body}`` in an F-logic body.
 
     The inner body is a sequence of F-logic body items (molecules,
-    predicates, comparisons) that will itself be translated.
+    predicates, Datalog comparisons) that will itself be translated.
     """
 
     __slots__ = ("func", "result", "value", "group_by", "body")

@@ -143,13 +143,17 @@ class FLogicEngine:
 
     # -- queries ----------------------------------------------------------
 
-    def ask(self, query_text):
+    def ask(self, query_text, extra_rules=()):
         """Answer an F-logic query conjunction.
 
         Returns a deterministically ordered list of bindings (dicts from
         variable name to Python value / term), one per answer.  Example::
 
             engine.ask("X : neuron[has -> C]")
+
+        `extra_rules` (Datalog :class:`Rule` objects, e.g. lazily
+        fetched facts) join this one query without being told, as in
+        :meth:`evaluate_with`.
         """
         with obs.span("flogic.ask", query=query_text) as ask_span:
             fl_items = parse_fl_body(query_text)
@@ -165,7 +169,9 @@ class FLogicEngine:
             )
             goal = Atom("_query", tuple(answer_vars))
             query_rule = Rule(goal, tuple(body))
-            result = self.evaluate_with(list(aux_rules) + [query_rule])
+            result = self.evaluate_with(
+                list(extra_rules) + list(aux_rules) + [query_rule]
+            )
             ask_span.set(answers=len(list(result.store.rows(goal.signature))))
         bindings = []
         for args in result.store.rows(goal.signature):

@@ -22,20 +22,22 @@ instance; the parser substitutes a fresh variable.  Plain predicates
 ``p(X, Y)`` are the degenerate molecule whose subject happens to be a
 compound term in *predicate position*; the parser distinguishes them by
 the absence of tags and frames.
+
+Tokens, terms, ``is`` arithmetic, comparisons and aggregates are the
+Datalog grammar's (:class:`~repro.datalog.parser.RuleParser`):
+comparisons and assignments parse straight to the Datalog
+:class:`~repro.datalog.ast.Comparison` and
+:class:`~repro.datalog.ast.Assignment` nodes.
 """
 
 from __future__ import annotations
 
-import re
-from typing import List
-
+from ..datalog.parser import RuleParser
+from ..datalog.terms import Const, Struct
 from ..errors import FLogicParseError
-from ..datalog.ast import AGGREGATE_FUNCS
-from ..datalog.terms import Const, Struct, Var
 from .ast import (
+    FRAME_ARROWS,
     FLAggregate,
-    FLAssignment,
-    FLComparison,
     FLNegation,
     FLPredicate,
     FLRule,
@@ -43,108 +45,12 @@ from .ast import (
     Molecule,
 )
 
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<comment>%[^\n]*)
-  | (?P<number>-?\d+\.\d+|-?\d+)
-  | (?P<dqstring>"(?:[^"\\]|\\.)*")
-  | (?P<sqstring>'(?:[^'\\]|\\.)*')
-  | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<punct>:-|::|:|\*->|->>|->|=>>|=>|!=|<=|>=|=|<|>|\(|\)|\{|\}|\[|\]|,|;|\.|\+|-|\*|//|/)
-    """,
-    re.VERBOSE,
-)
 
-_KEYWORDS = {"not", "is", "mod"}
-
-_COMPARISON_OPS = ("=", "!=", "<", "<=", ">", ">=")
-
-
-class _Token:
-    __slots__ = ("kind", "value", "pos")
-
-    def __init__(self, kind, value, pos):
-        self.kind = kind
-        self.value = value
-        self.pos = pos
-
-    def __repr__(self):
-        return "_Token(%r, %r, %d)" % (self.kind, self.value, self.pos)
-
-
-def _unescape(body):
-    return body.replace("\\\\", "\\").replace("\\'", "'").replace('\\"', '"')
-
-
-def tokenize(text):
-    tokens: List[_Token] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise FLogicParseError(
-                "unexpected character %r" % text[pos], text=text, position=pos
-            )
-        kind = m.lastgroup
-        value = m.group()
-        if kind in ("ws", "comment"):
-            pos = m.end()
-            continue
-        if kind == "number":
-            number = float(value) if "." in value else int(value)
-            tokens.append(_Token("number", number, pos))
-        elif kind in ("dqstring", "sqstring"):
-            tokens.append(_Token("string", _unescape(value[1:-1]), pos))
-        elif kind == "name":
-            if value in _KEYWORDS:
-                tokens.append(_Token(value, value, pos))
-            elif value[0].isupper() or value[0] == "_":
-                tokens.append(_Token("var", value, pos))
-            else:
-                tokens.append(_Token("symbol", value, pos))
-        else:
-            tokens.append(_Token(value, value, pos))
-        pos = m.end()
-    tokens.append(_Token("eof", None, pos))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, text):
-        self.text = text
-        self.tokens = tokenize(text)
-        self.index = 0
-        self._fresh_counter = 0
-
-    # -- token helpers -------------------------------------------------
-
-    def peek(self, offset=0):
-        return self.tokens[min(self.index + offset, len(self.tokens) - 1)]
-
-    def next(self):
-        token = self.tokens[self.index]
-        if token.kind != "eof":
-            self.index += 1
-        return token
-
-    def expect(self, kind):
-        token = self.next()
-        if token.kind != kind:
-            raise FLogicParseError(
-                "expected %r but found %r" % (kind, token.value),
-                text=self.text,
-                position=token.pos,
-            )
-        return token
-
-    def error(self, message):
-        token = self.peek()
-        raise FLogicParseError(message, text=self.text, position=token.pos)
-
-    def fresh_var(self):
-        self._fresh_counter += 1
-        return Var("_fl%d" % self._fresh_counter)
+class _Parser(RuleParser):
+    error_class = FLogicParseError
+    aggregate_class = FLAggregate
+    # translate.py scopes negated conjunctions by this prefix
+    fresh_prefix = "_fl"
 
     # -- grammar -------------------------------------------------------
 
@@ -168,76 +74,25 @@ class _Parser:
 
     def parse_head_item(self):
         item = self.parse_body_item()
-        if isinstance(item, (FLNegation, FLComparison, FLAggregate, FLAssignment)):
+        if not isinstance(item, (Molecule, FLPredicate)):
             self.error("only molecules and predicates may appear in rule heads")
         return item
 
-    def parse_body(self, stop_kinds):
-        items = [self.parse_body_item()]
-        while self.peek().kind == ",":
+    def parse_negation(self):
+        if self.peek().kind == "(":
             self.next()
-            items.append(self.parse_body_item())
-        if self.peek().kind not in stop_kinds:
-            self.error("expected %s after body" % " or ".join(stop_kinds))
-        return tuple(items)
+            inner = self.parse_body(stop_kinds=(")",))
+            self.expect(")")
+            return FLNegation(inner)
+        return FLNegation((self.parse_body_item(),))
 
-    def parse_body_item(self):
-        token = self.peek()
-        if token.kind == "not":
-            self.next()
-            if self.peek().kind == "(":
-                self.next()
-                inner = self.parse_body(stop_kinds=(")",))
-                self.expect(")")
-                return FLNegation(inner)
-            return FLNegation((self.parse_body_item(),))
-        if token.kind == "var":
-            nxt = self.peek(1)
-            if nxt.kind == "is":
-                variable = Var(self.next().value)
-                self.next()
-                return FLAssignment(variable, self.parse_expression())
-            if nxt.kind == "=" and self._peek_aggregate(2):
-                variable = Var(self.next().value)
-                self.next()
-                return self.parse_aggregate(variable)
-        return self.parse_molecule_or_comparison()
-
-    def _peek_aggregate(self, offset):
-        token = self.peek(offset)
-        return (
-            token.kind == "symbol"
-            and token.value in AGGREGATE_FUNCS
-            and self.peek(offset + 1).kind == "{"
-        )
-
-    def parse_aggregate(self, result_var):
-        func = self.expect("symbol").value
-        if func not in AGGREGATE_FUNCS:
-            self.error("unknown aggregate function %r" % func)
-        self.expect("{")
-        value = self.parse_term()
-        group_by = ()
-        if self.peek().kind == "[":
-            self.next()
-            groups = [self.parse_term()]
-            while self.peek().kind == ",":
-                self.next()
-                groups.append(self.parse_term())
-            self.expect("]")
-            group_by = tuple(groups)
-        self.expect(";")
-        body = self.parse_body(stop_kinds=("}",))
-        self.expect("}")
-        return FLAggregate(func, result_var, value, group_by, body)
-
-    def parse_molecule_or_comparison(self):
+    def parse_goal(self):
+        """A molecule, a predicate or a comparison."""
         # Anonymous molecule ': R[...]'.
         if self.peek().kind == ":":
             self.next()
             tag = self.parse_term()
-            specs = self.parse_frame_if_present()
-            return Molecule(self.fresh_var(), ":", tag, specs)
+            return Molecule(self.fresh_var(), ":", tag, self.parse_frame())
 
         start = self.index
         subject, was_predicate = self.parse_subject()
@@ -246,20 +101,15 @@ class _Parser:
         if token.kind in (":", "::"):
             kind = self.next().kind
             tag = self.parse_term()
-            specs = self.parse_frame_if_present()
-            return Molecule(subject, kind, tag, specs)
+            return Molecule(subject, kind, tag, self.parse_frame())
         if token.kind == "[":
-            specs = self.parse_frame_if_present()
-            return Molecule(subject, None, None, specs)
-        if token.kind in _COMPARISON_OPS:
-            op = self.next().kind
-            right = self.parse_term()
-            return FLComparison(op, subject, right)
+            return Molecule(subject, None, None, self.parse_frame())
+        comparison = self.parse_comparison(subject)
+        if comparison is not None:
+            return comparison
         # Plain predicate (possibly zero-arity) or bare term used as a
         # 0-ary predicate.
         if was_predicate:
-            if not isinstance(subject, Struct):
-                raise AssertionError("predicate parse must yield Struct")
             return FLPredicate(subject.functor, subject.args)
         if isinstance(subject, Const) and isinstance(subject.value, str):
             return FLPredicate(subject.value, ())
@@ -270,21 +120,16 @@ class _Parser:
         """Parse a molecule subject; returns (term, looked_like_predicate)."""
         token = self.peek()
         if token.kind in ("symbol", "string") and self.peek(1).kind == "(":
-            name = self.next().value
+            self.next()
             self.next()  # '('
-            args = [self.parse_term()]
-            while self.peek().kind == ",":
-                self.next()
-                args.append(self.parse_term())
-            self.expect(")")
+            subject = Struct(token.value, self.parse_term_list(")"))
             # f(X)[m -> v] or f(X) : C treat the compound as a term;
             # bare f(X) in body position is a predicate.
-            if self.peek().kind in (":", "::", "["):
-                return Struct(name, tuple(args)), False
-            return Struct(name, tuple(args)), True
+            return subject, self.peek().kind not in (":", "::", "[")
         return self.parse_term(), False
 
-    def parse_frame_if_present(self):
+    def parse_frame(self):
+        """The frame ``[spec; ...]`` if one follows, else ()."""
         if self.peek().kind != "[":
             return ()
         self.next()
@@ -298,76 +143,16 @@ class _Parser:
     def parse_spec(self):
         method = self.parse_term()
         arrow_token = self.next()
-        if arrow_token.kind not in ("->", "->>", "=>", "=>>", "*->"):
-            raise FLogicParseError(
-                "expected a frame arrow, found %r" % (arrow_token.value,),
-                text=self.text,
-                position=arrow_token.pos,
+        if arrow_token.kind not in FRAME_ARROWS:
+            self.error(
+                "expected a frame arrow, found %r" % (arrow_token.value,), arrow_token
             )
         if self.peek().kind == "{":
             self.next()
-            values = [self.parse_term()]
-            while self.peek().kind == ",":
-                self.next()
-                values.append(self.parse_term())
-            self.expect("}")
+            values = self.parse_term_list("}")
         else:
-            values = [self.parse_term()]
-        return MethodSpec(method, arrow_token.kind, tuple(values))
-
-    def parse_term(self):
-        token = self.next()
-        if token.kind == "var":
-            if token.value == "_":
-                return self.fresh_var()
-            return Var(token.value)
-        if token.kind == "number":
-            return Const(token.value)
-        if token.kind == "string":
-            return Const(token.value)
-        if token.kind == "symbol":
-            if self.peek().kind == "(":
-                self.next()
-                args = [self.parse_term()]
-                while self.peek().kind == ",":
-                    self.next()
-                    args.append(self.parse_term())
-                self.expect(")")
-                return Struct(token.value, tuple(args))
-            return Const(token.value)
-        raise FLogicParseError(
-            "expected a term, found %r" % (token.value,),
-            text=self.text,
-            position=token.pos,
-        )
-
-    # -- arithmetic ------------------------------------------------------
-
-    def parse_expression(self):
-        left = self.parse_expr_term()
-        while self.peek().kind in ("+", "-"):
-            op = self.next().kind
-            left = Struct(op, (left, self.parse_expr_term()))
-        return left
-
-    def parse_expr_term(self):
-        left = self.parse_expr_factor()
-        while self.peek().kind in ("*", "/", "//", "mod"):
-            op = self.next().kind
-            left = Struct(op, (left, self.parse_expr_factor()))
-        return left
-
-    def parse_expr_factor(self):
-        token = self.peek()
-        if token.kind == "(":
-            self.next()
-            expr = self.parse_expression()
-            self.expect(")")
-            return expr
-        if token.kind == "-":
-            self.next()
-            return Struct("-", (self.parse_expr_factor(),))
-        return self.parse_term()
+            values = (self.parse_term(),)
+        return MethodSpec(method, arrow_token.kind, values)
 
 
 def parse_fl_program(text):
@@ -378,8 +163,7 @@ def parse_fl_program(text):
 def parse_fl_rule(text):
     parser = _Parser(text)
     rule = parser.parse_rule()
-    if parser.peek().kind != "eof":
-        parser.error("trailing input after rule")
+    parser.expect_end("rule")
     return rule
 
 
@@ -389,6 +173,5 @@ def parse_fl_body(text):
     body = parser.parse_body(stop_kinds=(".", "eof"))
     if parser.peek().kind == ".":
         parser.next()
-    if parser.peek().kind != "eof":
-        parser.error("trailing input after query")
+    parser.expect_end("query")
     return body

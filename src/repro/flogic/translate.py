@@ -41,8 +41,6 @@ from .ast import (
     ARROW_SIG_MULTI,
     ARROW_SIG_SCALAR,
     FLAggregate,
-    FLAssignment,
-    FLComparison,
     FLNegation,
     FLPredicate,
     FLRule,
@@ -153,10 +151,8 @@ class Translator:
             ]
         if isinstance(item, FLPredicate):
             return [Literal(Atom(item.name, item.args))]
-        if isinstance(item, FLComparison):
-            return [Comparison(item.op, item.left, item.right)]
-        if isinstance(item, FLAssignment):
-            return [Assignment(item.target, item.expr)]
+        if isinstance(item, (Comparison, Assignment)):
+            return [item]
         if isinstance(item, FLAggregate):
             inner = self._translate_body_items(
                 item.body, _sibling_variables(item.body, ())
@@ -229,12 +225,8 @@ def _item_variables(item):
     elif isinstance(item, FLPredicate):
         for arg in item.args:
             variables |= set(arg.variables())
-    elif isinstance(item, FLComparison):
-        variables |= set(item.left.variables())
-        variables |= set(item.right.variables())
-    elif isinstance(item, FLAssignment):
-        variables |= set(item.target.variables())
-        variables |= set(item.expr.variables())
+    elif isinstance(item, (Comparison, Assignment)):
+        variables |= set(item.variables())
     elif isinstance(item, FLAggregate):
         variables |= set(item.result.variables())
         for g in item.group_by:

@@ -30,6 +30,7 @@ from .constraints import (
     ConstraintReport,
     Witness,
     check,
+    check_model,
     constraint_from_text,
     witnesses_from_store,
 )
@@ -66,6 +67,7 @@ __all__ = [
     "Witness",
     "cardinality_constraint",
     "check",
+    "check_model",
     "constraint_from_text",
     "existential_edge_constraint",
     "functional_dependency",

@@ -8,7 +8,8 @@ inconsistency class ``ic``.  Witnesses are Skolem structs like
 report can explain *what* failed and *why*.
 
 :class:`Constraint` pairs a name/description with the denial rules;
-:func:`check` evaluates a rule base and collects the witnesses;
+:func:`check` evaluates a rule base and collects the witnesses
+(:func:`check_model` checks a model evaluated elsewhere);
 :class:`ConstraintReport` presents them.
 """
 
@@ -166,10 +167,24 @@ def check(rules, constraints=(), raise_on_violation=False, include_axioms=True):
     if include_axioms:
         base.extend(core_axioms())
         base.extend(signature_inheritance_axioms())
-    model = evaluate(base)
+    return check_model(
+        evaluate(base).store, constraints, raise_on_violation=raise_on_violation
+    )
 
+
+def check_model(store, constraints=(), raise_on_violation=False):
+    """The second phase of :func:`check`: run the constraint denials
+    over an already evaluated model and report its `ic` witnesses.
+
+    Args:
+        store: the model's fact store (e.g. an
+            :class:`~repro.datalog.engine.EvaluationResult`'s ``store``).
+        constraints: the :class:`Constraint` objects to check.
+        raise_on_violation: raise :class:`ConstraintViolation` when any
+            witness is derived.
+    """
     checking = Program()
-    for atom in model.store.iter_atoms():
+    for atom in store.iter_atoms():
         checking.add(Rule(atom))
     for constraint in constraints:
         checking.extend(constraint.rules())

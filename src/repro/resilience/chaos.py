@@ -206,7 +206,6 @@ def run_chaos_scenario(seed, max_retries=2):
         seed=seed,
         breaker_threshold=max_retries + 1,
         breaker_cooldown=120.0,
-        degrade=True,
         clock=clock.now,
         sleep=clock.sleep,
     )
@@ -344,7 +343,6 @@ class ChaosHarness:
             seed=self.seed,
             breaker_threshold=2 * self.max_retries + 2,
             breaker_cooldown=60.0,
-            degrade=True,
             clock=self.clock.now,
             sleep=self.clock.sleep,
         )

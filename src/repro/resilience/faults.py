@@ -270,11 +270,6 @@ class FaultInjectingWrapper:
     def name(self):
         return self.inner.name
 
-    @property
-    def unwrapped(self):
-        """The real wrapper underneath (for in-process shortcuts)."""
-        return self.inner.unwrapped
-
     def __getattr__(self, attr):
         return getattr(self.inner, attr)
 

@@ -11,9 +11,10 @@ A :class:`ResiliencePolicy` bundles every knob of the resilience layer:
 * **circuit breaking** — consecutive-failure threshold and cooldown
   of the closed/open/half-open breaker kept per ``(source, class)``;
 * **staleness** — whether a last-known-good answer may be served
-  (marked as such) when a source stays down;
-* **degradation** — whether retrieval failures degrade the answer
-  (recorded, plan continues) instead of aborting the plan.
+  (marked as such) when a source stays down.
+
+A guarded retrieval failure always degrades the answer (recorded, the
+plan continues) instead of aborting the plan.
 
 Time and sleeping are injectable (``clock`` / ``sleep``) so the fault
 injection harness can drive the whole state machine on a virtual clock
@@ -53,9 +54,6 @@ class ResiliencePolicy:
         serve_stale: serve the last known good rows of an identical
             call (marked ``served-stale``) when retries are exhausted
             or the breaker is open.
-        degrade: record retrieval failures on the plan context (a
-            degraded answer) instead of aborting the plan — the
-            structured successor of ``skip_failed_sources``.
         clock: monotonic time source (injectable for determinism).
         sleep: sleeper for backoff delays (injectable; the chaos
             harness advances a virtual clock instead of blocking).
@@ -73,7 +71,6 @@ class ResiliencePolicy:
         "breaker_threshold",
         "breaker_cooldown",
         "serve_stale",
-        "degrade",
         "clock",
         "sleep",
     )
@@ -91,7 +88,6 @@ class ResiliencePolicy:
         breaker_threshold=5,
         breaker_cooldown=30.0,
         serve_stale=False,
-        degrade=True,
         clock: Optional[Callable[[], float]] = None,
         sleep: Optional[Callable[[float], None]] = None,
     ):
@@ -112,7 +108,6 @@ class ResiliencePolicy:
         self.breaker_threshold = breaker_threshold
         self.breaker_cooldown = breaker_cooldown
         self.serve_stale = serve_stale
-        self.degrade = degrade
         self.clock = clock if clock is not None else time.monotonic
         self.sleep = sleep if sleep is not None else time.sleep
 
@@ -155,17 +150,11 @@ class ResiliencePolicy:
             "breaker_threshold": self.breaker_threshold,
             "breaker_cooldown": self.breaker_cooldown,
             "serve_stale": self.serve_stale,
-            "degrade": self.degrade,
         }
 
     def __repr__(self):
         return (
             "ResiliencePolicy(max_retries=%d, breaker_threshold=%r, "
-            "serve_stale=%r, degrade=%r)"
-            % (
-                self.max_retries,
-                self.breaker_threshold,
-                self.serve_stale,
-                self.degrade,
-            )
+            "serve_stale=%r)"
+            % (self.max_retries, self.breaker_threshold, self.serve_stale)
         )

@@ -152,12 +152,6 @@ class Wrapper:
         self._template_bodies: Dict[Tuple[str, str], Callable] = {}
         self._capabilities: Dict[str, ClassCapability] = {}
 
-    @property
-    def unwrapped(self):
-        """The wrapper itself; decorators (fault injectors) override
-        this to expose the real wrapper underneath."""
-        return self
-
     # -- declaration -------------------------------------------------------
 
     def export_class(
@@ -177,7 +171,9 @@ class Wrapper:
         Args:
             methods: method name -> column name mapping.
             anchor: an :class:`AnchorSpec` (or None).
-            role_links: :class:`RoleLink` objects.
+            role_links: :class:`RoleLink` objects.  Their columns and
+                the anchor's must be exported by some method: lifting
+                reads answer rows, which carry methods only.
             selectable: attribute names the source accepts bound
                 (becomes a binding pattern); the key is always
                 selectable.
@@ -192,6 +188,15 @@ class Wrapper:
             if column not in table.column_names:
                 raise SchemaError(
                     "table %r has no column %r" % (table_name, column)
+                )
+        linked = [link.column for link in role_links if link.column is not None]
+        if anchor is not None and anchor.column is not None:
+            linked.append(anchor.column)
+        for column in linked:
+            if column not in methods.values():
+                raise SchemaError(
+                    "class %r links through column %r, which no method exports"
+                    % (class_name, column)
                 )
         export = ExportedClass(
             class_name,
@@ -354,11 +359,9 @@ class Wrapper:
         row["_object"] = self.object_id(
             export.class_name, raw_row[export.key_column]
         )
-        row["_raw"] = raw_row
         if projection is not None:
             projected = {name: row[name] for name in projection}
             projected["_object"] = row["_object"]
-            projected["_raw"] = raw_row
             return projected
         return row
 
@@ -396,18 +399,25 @@ class Wrapper:
 
         Emits ``instance(obj, class)``, ``method_inst`` values, the
         anchor tagging ``instance(obj, concept)``, and ``role_fact``
-        triples for declared role links.
+        triples for declared role links.  Rows are what :meth:`query`
+        answers (or what crossed the XML wire): a projected row lifts
+        only the methods it carries.
         """
         export = self._export(class_name)
         facts: List[Rule] = []
         for row in rows:
             obj = row["_object"]
-            raw = row["_raw"]
+            # anchor and role-link columns, read through their methods
+            columns = {
+                column: row[method]
+                for method, column in export.methods.items()
+                if method in row
+            }
             facts.append(
                 Rule(Atom("instance", (Const(obj), Const(class_name))))
             )
             for method in export.methods:
-                value = raw.get(export.methods[method])
+                value = row.get(method)
                 if value is not None:
                     facts.append(
                         Rule(
@@ -418,7 +428,7 @@ class Wrapper:
                         )
                     )
             if export.anchor is not None:
-                concept = export.anchor.concept_for(raw)
+                concept = export.anchor.concept_for(columns)
                 if concept is not None:
                     facts.append(
                         Rule(Atom("instance", (Const(obj), Const(concept))))
@@ -430,7 +440,7 @@ class Wrapper:
                         Rule(Atom("anchor", (Const(obj), Const(concept))))
                     )
             for link in export.role_links:
-                target = link.target_for(raw, self)
+                target = link.target_for(columns, self)
                 if target is not None:
                     facts.append(
                         Rule(

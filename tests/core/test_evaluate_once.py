@@ -15,12 +15,14 @@ import runpy
 import pytest
 
 import repro.flogic.engine as flogic_engine
+from repro import obs
 from repro.analysis.deploy import capture_deployments
 from repro.cache import AnswerCache
 from repro.core import Mediator
 from repro.core.views import IntegratedView
 from repro.datalog.engine import evaluate
 from repro.flogic import FLogicEngine
+from repro.gcm import constraint_from_text
 from repro.neuro import analysis, build_scenario, section5_query
 from tests.cache.conftest import build_cells_wrapper, build_dm, build_glia_wrapper
 
@@ -166,3 +168,32 @@ class TestDomainMapRevision:
         expected = uncached.ask("X : orgs")
         assert len(expected) == 2
         assert cached.ask("X : orgs") == expected
+
+
+class TestOtherEvaluatorsShareTheModel:
+    """`check_integrity` and `ask_lazy` work from the model `ask`
+    answers from."""
+
+    def test_check_integrity_sees_inherited_defaults(self):
+        mediator = Mediator(build_dm(), name="m")
+        mediator.add_view(
+            IntegratedView(
+                "items", "item[size *-> 5]. widget :: item. w1 : widget."
+            )
+        )
+        assert mediator.ask("w1[size -> V]") == [{"V": 5}]
+        too_big = constraint_from_text(
+            "too_big", "instance(too_big(X), ic) :- method_val(X, size, 5)."
+        )
+        report = mediator.check_integrity([too_big])
+        assert [str(w.term) for w in report.witnesses] == ["too_big(w1)"]
+
+    def test_ask_lazy_continues_the_cached_model(self):
+        mediator = build_scenario(eager=False).mediator
+        query = "X : neurotransmission[organism -> rat; receiving_neuron -> N]"
+        model = mediator.evaluate()
+        with obs.capture("t") as tracer:
+            answers, _fetches = mediator.ask_lazy(query)
+        assert answers
+        assert tracer.metrics.counter_total("datalog.evaluations") == 0
+        assert mediator.evaluate() is model

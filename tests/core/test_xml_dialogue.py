@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import obs
 from repro.core import Mediator
 from repro.neuro import (
     build_anatom,
@@ -29,11 +30,21 @@ class TestXMLDialogue:
         query = SourceQuery("neurotransmission", {"organism": "rat"})
         direct_rows = direct.source_query("SENSELAB", query)
         wired_rows = wired.source_query("SENSELAB", query)
-        assert [r["_object"] for r in direct_rows] == [
-            r["_object"] for r in wired_rows
-        ]
-        # wired rows keep their raw form for lifting
-        assert all("_raw" in row for row in wired_rows)
+        assert wired_rows == direct_rows
+        # what crossed the wire lifts to the same facts
+        wrapper = wired.wrapper("SENSELAB")
+        assert wrapper.lift_rows(query.class_name, wired_rows) == (
+            wrapper.lift_rows(query.class_name, direct_rows)
+        )
+
+    def test_each_source_call_runs_once(self):
+        wired = make_mediator(True)
+        with obs.capture("t") as tracer:
+            wired.correlate(section5_query())
+        metrics = tracer.metrics
+        queries = metrics.counter_total("source.queries")
+        assert queries > 0
+        assert queries == metrics.counter_value("wire.messages", kind="query")
 
     def test_query_messages_logged(self):
         wired = make_mediator(True)

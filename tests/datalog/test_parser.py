@@ -16,7 +16,7 @@ from repro.datalog import (
     parse_rule,
     parse_term,
 )
-from repro.errors import ParseError
+from repro.errors import FLogicParseError, ParseError
 
 
 class TestTerms:
@@ -215,3 +215,19 @@ class TestPrograms:
     def test_illegal_character(self):
         with pytest.raises(ParseError):
             parse_program("p(a) ?")
+
+    @pytest.mark.parametrize(
+        "text, token",
+        [
+            ("p(X) :- X : c.", ":"),
+            ("p(X) :- X :: c.", "::"),
+            ("p(X) :- q(X -> 1).", "->"),
+            ("p(X) :- q(X), X[m =>> c].", "=>>"),
+            ("c[m *-> 1].", "*->"),
+        ],
+    )
+    def test_flogic_punctuation_rejected_at_its_token(self, text, token):
+        with pytest.raises(ParseError) as info:
+            parse_program(text)
+        assert not isinstance(info.value, FLogicParseError)
+        assert (info.value.line, info.value.column) == (1, text.rindex(token) + 1)

@@ -2,12 +2,12 @@
 
 import pytest
 
+from repro.datalog import Assignment, Comparison
 from repro.datalog.terms import Const, Struct, Var
 from repro.errors import FLogicParseError
 from repro.flogic import (
     FLAggregate,
-    FLAssignment,
-    FLComparison,
+    FLogicEngine,
     FLNegation,
     FLPredicate,
     Molecule,
@@ -98,15 +98,15 @@ class TestBodies:
 
     def test_comparison(self):
         body = parse_fl_body("X != 3")
-        assert body[0] == FLComparison("!=", Var("X"), Const(3))
+        assert body[0] == Comparison("!=", Var("X"), Const(3))
 
     def test_equality_with_struct(self):
         body = parse_fl_body("Y = f(X)")
-        assert body[0] == FLComparison("=", Var("Y"), Struct("f", (Var("X"),)))
+        assert body[0] == Comparison("=", Var("Y"), Struct("f", (Var("X"),)))
 
     def test_assignment(self):
         body = parse_fl_body("Y is X + 1")
-        assert isinstance(body[0], FLAssignment)
+        assert isinstance(body[0], Assignment)
 
     def test_negated_single(self):
         body = parse_fl_body("not r(X, Y)")
@@ -174,6 +174,16 @@ class TestRules:
     def test_missing_period(self):
         with pytest.raises(FLogicParseError):
             parse_fl_rule("p1 : c")
+
+    def test_illegal_character(self):
+        with pytest.raises(FLogicParseError):
+            parse_fl_program("p1 : c ?")
+
+    def test_bare_underscore_is_a_fresh_fl_variable(self):
+        pred = parse_fl_body("r(X, _)")[0]
+        assert pred.args[1].name.startswith("_fl")
+        engine = FLogicEngine().tell("r(a, b). r(a, c).")
+        assert engine.ask("r(X, _)") == [{"X": "a"}]
 
     def test_str_roundtrip(self):
         text = "D : pd[name -> Y; amount ->> {1, 2}] :- X : c, not r(X), N = count{V; q(V)}."

@@ -41,10 +41,6 @@ class Facade:
     def name(self):
         return self.inner.name
 
-    @property
-    def unwrapped(self):
-        return self.inner.unwrapped
-
     def __getattr__(self, attr):
         return getattr(self.inner, attr)
 
@@ -106,7 +102,6 @@ class TestDeadlines:
             backoff_multiplier=1.0,
             breaker_threshold=1000,
             plan_deadline=self.BUDGET,
-            degrade=True,
         )
         mediator = guarded_scenario(policy)
 

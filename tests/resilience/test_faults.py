@@ -134,14 +134,6 @@ class TestFaultInjectingWrapper:
         assert facade.schema_cm() is not None
         assert facade.calls == 0
 
-    def test_unwrapped_exposes_the_real_wrapper(self):
-        wrapper = make_wrapper()
-        facade = FaultInjectingWrapper(wrapper, FaultSchedule().kill("LAB"))
-        assert facade.unwrapped is wrapper
-        assert wrapper.unwrapped is wrapper
-        # the shortcut path bypasses injection entirely
-        assert len(facade.unwrapped.query(sample_query())) == 3
-
 
 class TestMalformedXmlMode:
     def run_xml(self, variant):

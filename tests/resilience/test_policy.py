@@ -15,7 +15,6 @@ class TestPolicyValidation:
         assert policy.call_timeout is None
         assert policy.plan_deadline is None
         assert not policy.serve_stale
-        assert policy.degrade
 
     def test_rejects_negative_retries(self):
         with pytest.raises(ValueError):

@@ -125,7 +125,7 @@ class TestQueries:
         rows = ncmir.query(
             SourceQuery("protein_amount", projection=["protein_name"])
         )
-        assert set(rows[0]) == {"protein_name", "_object", "_raw"}
+        assert set(rows[0]) == {"protein_name", "_object"}
 
     def test_template_execution(self, ncmir):
         ncmir.add_template(
@@ -193,7 +193,7 @@ class TestLifting:
             "dendrite",
             "dendrites",
             "did",
-            methods={"did": "did"},
+            methods={"did": "did", "neuron": "neuron"},
             role_links=[RoleLink("part_of", column="neuron", target_class="neuron")],
         )
         rows = wrapper.query(SourceQuery("dendrite"))
@@ -227,6 +227,23 @@ class TestSchemaExport:
             ncmir.export_class(
                 "other", "protein_amount", "id", methods={"m": "nope"}
             )
+
+    def test_unexported_link_column_rejected(self, ncmir):
+        # lifting reads anchor and role-link columns from answer rows,
+        # which carry exported methods only
+        with pytest.raises(SchemaError):
+            ncmir.export_class(
+                "other", "protein_amount", "id",
+                methods={"amount": "amount"},
+                anchor=AnchorSpec(column="location"),
+            )
+        with pytest.raises(SchemaError):
+            ncmir.export_class(
+                "other", "protein_amount", "id",
+                methods={"amount": "amount"},
+                role_links=[RoleLink("located_in", column="location")],
+            )
+        assert "other" not in ncmir.exports
 
     def test_anchor_spec_validation(self):
         with pytest.raises(SchemaError):
