@@ -161,16 +161,16 @@ def test_cache_stats_json_is_byte_deterministic():
     assert first == second
 
 
-def test_dedup_saves_calls_without_a_cache():
-    with obs.capture("bench-dedup") as tracer:
-        mediator = build_scenario(eager=False).mediator
-        assert mediator.cache is None
+def test_plan_asks_each_source_once_without_a_cache():
+    mediator = build_scenario(eager=False).mediator
+    assert mediator.cache is None
+    with obs.capture("bench-plan-calls") as tracer:
         result = mediator.correlate(section5_query())
-    deduped = tracer.metrics.counter_total("cache.dedup")
+    seed = tracer.metrics.counter_value("source.queries", source="SENSELAB")
     queries = tracer.metrics.counter_total("source.queries")
     report(
-        "PERF-CACHE: within-plan dedup (cache disabled)",
-        ["source queries=%d  deduped=%d" % (queries, deduped)],
+        "PERF-CACHE: source calls of one plan (cache disabled)",
+        ["source queries=%d  seed-source queries=%d" % (queries, seed)],
     )
     assert len(result.context.answers) == 4
-    assert deduped >= 1  # the plan re-probes the seed source
+    assert seed == 1  # planning contacts no source; step 1 asks once

@@ -3,13 +3,11 @@
 The paper's semantic index anchors source data at domain-map concepts —
 exactly the key structure a cache needs: an answer is reusable for as
 long as the anchoring concepts and the registered capabilities are
-unchanged.  medcache exploits that in two layers:
-
-* an **answer cache** on :meth:`Mediator.source_query`, keyed by a
-  deterministic fingerprint of (source, class, bound selections,
-  capability signature) — see :mod:`repro.cache.fingerprint`;
-* **within-plan deduplication** on each plan's call memo, under the
-  same fingerprint (on even when no cache is configured).
+unchanged.  medcache exploits that with an **answer cache** on
+:meth:`Mediator.source_query`, keyed by a deterministic fingerprint of
+(source, class, bound selections, capability signature) — see
+:mod:`repro.cache.fingerprint`.  The same fingerprint keys medguard's
+last-known-good store.
 
 Derived facts are not medcache's concern: the mediator evaluates its
 knowledge base once per domain-map revision and serves every

@@ -110,9 +110,8 @@ def plan_fetches(mediator, fl_items):
         if (source, class_name) in seen:
             return
         seen.add((source, class_name))
-        wrapper = mediator.wrapper(source)
         selections = ground_selections(fl_items, class_name)
-        capability = wrapper.capabilities().get(class_name)
+        capability = mediator.capabilities(source).get(class_name)
         pushable = {}
         if capability is not None:
             for attr, value in selections.items():
@@ -125,12 +124,12 @@ def plan_fetches(mediator, fl_items):
     for name in sorted(names):
         # direct source classes
         for source in mediator.source_names():
-            if name in mediator.wrapper(source).exports:
+            if name in mediator.capabilities(source):
                 add(source, name)
         # DM concepts: anchored source classes
         if mediator.dm.has_concept(name):
             for anchor in mediator.index.anchors_at(name):
-                if anchor.class_name in mediator.wrapper(anchor.source).exports:
+                if anchor.class_name in mediator.capabilities(anchor.source):
                     add(anchor.source, anchor.class_name)
     return fetches
 

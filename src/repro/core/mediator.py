@@ -34,7 +34,8 @@ from ..datalog.ast import Rule
 from ..domainmap.execute import compile_domain_map
 from ..domainmap.index import SemanticIndex
 from ..domainmap.model import DomainMap
-from ..domainmap.registry import register_concepts
+from ..domainmap.dl import parse_axioms
+from ..domainmap.registry import defined_concepts, register_concepts
 from ..flogic.engine import FLogicEngine
 from ..gcm.constraints import check_model
 from .aggregate import Distribution, aggregate_over_dm
@@ -216,12 +217,18 @@ class Mediator:
 
         if self.strict:
             self._require_clean_registration(registration)
-        refinement_result = None
+        # a registration that raises changes nothing: every anchor
+        # concept is checked before the map, the index or the cache
+        # is touched (register_concepts validates before it mutates)
+        refinement = parse_axioms(registration.refinement or "")
+        defined = defined_concepts(refinement)
+        for _class_name, concept, _context in registration.anchors:
+            if concept not in defined:
+                self.dm.require_concept(concept)
         if registration.refinement:
             refinement_result = register_concepts(
-                self.dm, registration.refinement, allow_new_roles=True
+                self.dm, refinement, allow_new_roles=True
             )
-        if refinement_result is not None:
             self._cache_invalidate_change(
                 refinement_seeds(refinement_result),
                 reason="register:%s" % registration.source,
@@ -304,50 +311,30 @@ class Mediator:
         fresh results are cached — a medguard stale-serving fallback
         (last-known-good) is never written into medcache.
 
-        One :func:`~repro.cache.query_fingerprint` keys the plan memo,
-        the answer cache and the guard's last-known-good store.
+        One :func:`~repro.cache.query_fingerprint` keys the answer
+        cache and the guard's last-known-good store.
 
         Args:
             source_name: the registered source to ask.
             source_query: the class, selections and projection.
             plan: the :class:`~repro.core.planner.PlanContext` issuing
-                the call, or None.  A repeat of a call the plan already
-                answered is served from its memo (a ``cache.dedup``
-                event); the plan's deadline bounds the guard's retries
-                and the call's :class:`~repro.resilience.CallOutcome`
-                joins the plan's outcomes.
+                the call, or None.  The plan's deadline bounds the
+                guard's retries and the call's
+                :class:`~repro.resilience.CallOutcome` joins the plan's
+                outcomes.
         """
         wrapper = self.wrapper(source_name)
         class_name = source_query.class_name
         key = query_fingerprint(
             source_name,
             source_query,
-            self._sources[source_name].registration.capabilities.get(
-                class_name
-            ),
+            self.capabilities(source_name).get(class_name),
         )
-        memoized = plan.call_memo.get(key) if plan is not None else None
-        if memoized is not None:  # an empty row list is an answer too
-            obs.event("cache.dedup", source=source_name, class_name=class_name)
-            obs.count("cache.dedup", source=source_name)
-            return list(memoized)
-        rows = self._answer(wrapper, source_query, key, plan)
-        if plan is not None:
-            plan.call_memo[key] = rows
-        return rows
-
-    def _answer(self, wrapper, source_query, key, plan):
-        """The call below the plan memo: answer cache, guard, wire."""
-        source_name = wrapper.name
         cache = self.cache
         if cache is not None:
             entry = cache.lookup(key)
             if entry is not None:
-                obs.event(
-                    "cache.hit",
-                    source=source_name,
-                    class_name=source_query.class_name,
-                )
+                obs.event("cache.hit", source=source_name, class_name=class_name)
                 obs.count("cache.hits", source=source_name)
                 return list(entry.rows)
             obs.count("cache.misses", source=source_name)
@@ -362,7 +349,7 @@ class Mediator:
             outcomes = plan.outcomes if plan is not None else []
             rows = guard.call(
                 source_name,
-                source_query.class_name,
+                class_name,
                 lambda: self._source_query(wrapper, source_query),
                 cache_key=key,
                 deadline=plan.deadline if plan is not None else None,
@@ -373,11 +360,9 @@ class Mediator:
             cache.store_answer(
                 key,
                 source_name,
-                source_query.class_name,
+                class_name,
                 rows,
-                concepts=self.index.concepts_of_class(
-                    source_name, source_query.class_name
-                ),
+                concepts=self.index.concepts_of_class(source_name, class_name),
             )
             obs.count("cache.puts", source=source_name)
         return rows
@@ -429,7 +414,7 @@ class Mediator:
         self._views[view.name] = view
         if isinstance(view, IntegratedView):
             with obs.span("mediator.add_view", view=view.name) as span:
-                rules = view.datalog_rules(traced=True)
+                rules = view.datalog_rules()
                 span.set(datalog_rules=len(rules))
                 self._view_rules_by_name[view.name] = rules
         self._invalidate()
@@ -627,7 +612,7 @@ class Mediator:
             sources = [
                 source
                 for source in sources
-                if target_class in self.wrapper(source).exports
+                if target_class in self.capabilities(source)
             ]
         return sources
 

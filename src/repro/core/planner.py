@@ -16,9 +16,12 @@ from parallel fibers in rat brains?" — is planned in four steps:
 
 :class:`CorrelationQuery` is the declarative form of such a query;
 :func:`plan` turns it into inspectable :class:`PlanStep` objects and
-:func:`execute` runs them against a mediator.  Pushes are validated
-against the sources' declared binding patterns — a selection no pattern
-covers raises :class:`~repro.errors.PlanningError` at *planning* time.
+:func:`execute` runs them against a mediator.  Planning contacts no
+source: pushes are validated against the sources' registered binding
+patterns — a selection no pattern covers raises
+:class:`~repro.errors.PlanningError` at *planning* time — and the (X, Y)
+concepts step 1 binds are read from the :class:`PlanContext` by steps
+2–4 when they run.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from .. import obs
 from ..errors import CapabilityError, PlanningError
 from ..domainmap.graphops import lub
 from ..sources.wrapper import SourceQuery
-from .aggregate import aggregate_over_dm
 
 
 class CorrelationQuery:
@@ -134,31 +136,35 @@ class PushSelectionStep(PlanStep):
 
 
 class SelectSourcesStep(PlanStep):
-    """Step 2: select sources via the domain map's semantic index."""
+    """Step 2: bind the anchor concepts of step 1's rows and select
+    sources via the domain map's semantic index."""
 
     kind = "select-sources"
 
-    def __init__(self, concepts, target_class, exclude=()):
-        self.concepts = tuple(concepts)
+    def __init__(self, anchor_attrs, target_class, exclude=()):
+        self.anchor_attrs = tuple(anchor_attrs)
         self.target_class = target_class
         self.exclude = set(exclude)
+        #: the concepts the step ran at (empty until it runs)
+        self.concepts: List[str] = []
         self.selected: List[str] = []
 
     def describe(self):
         return "select sources anchored at %s exporting %r" % (
-            list(self.concepts),
+            self.concepts,
             self.target_class,
         )
 
     def run(self, context):
         mediator = context.mediator
-        candidates = set(
-            mediator.index.sources_for_any(self.concepts)
-        ) - self.exclude
+        pairs = context.bindings.get(self.anchor_attrs, [])
+        concepts = sorted({c for pair in pairs for c in pair if c})
+        for concept in concepts:
+            mediator.dm.require_concept(concept)
+        self.concepts = context.concepts = concepts
         self.selected = sorted(
-            source
-            for source in candidates
-            if self.target_class in mediator.wrapper(source).exports
+            set(mediator.select_sources(concepts, self.target_class))
+            - self.exclude
         )
         context.selected_sources = list(self.selected)
         return self.selected
@@ -169,21 +175,23 @@ class RetrieveAnchoredStep(PlanStep):
 
     kind = "retrieve"
 
-    def __init__(self, target_class, anchor_attr, concepts, filters):
+    def __init__(self, target_class, anchor_attr, filters):
         self.target_class = target_class
         self.anchor_attr = anchor_attr
-        self.concepts = tuple(concepts)
         self.filters = dict(filters)
+        #: the concepts the step ran at (empty until it runs)
+        self.concepts: List[str] = []
 
     def describe(self):
         return "retrieve %r at %s from selected sources" % (
             self.target_class,
-            list(self.concepts),
+            self.concepts,
         )
 
     def run(self, context):
         from ..errors import SourceError, XMLTransportError
 
+        self.concepts = list(context.concepts)
         collected = []
         for source in context.selected_sources:
             try:
@@ -198,7 +206,7 @@ class RetrieveAnchoredStep(PlanStep):
     def _retrieve_from(self, context, source):
         collected = []
         wrapper = context.mediator.wrapper(source)
-        capability = wrapper.capabilities()[self.target_class]
+        capability = context.mediator.capabilities(source)[self.target_class]
         pushable, local_filters = capability.partition_selections(
             self.filters, always_bound=(self.anchor_attr,)
         )
@@ -227,15 +235,17 @@ class ComputeLubStep(PlanStep):
 
     kind = "compute-lub"
 
-    def __init__(self, concepts, order):
-        self.concepts = tuple(concepts)
+    def __init__(self, order):
         self.order = order
+        #: the concepts the step ran at (empty until it runs)
+        self.concepts: List[str] = []
         self.root: Optional[str] = None
 
     def describe(self):
-        return "lub of %s in the %r order" % (list(self.concepts), self.order)
+        return "lub of %s in the %r order" % (self.concepts, self.order)
 
     def run(self, context):
+        self.concepts = list(context.concepts)
         self.root = lub(context.mediator.dm, self.concepts, order=self.order)
         context.root = self.root
         return self.root
@@ -275,15 +285,14 @@ class AggregateStep(PlanStep):
         store = mediator.evaluate_with(facts, include_data=False).store
         answers = []
         for group_value in sorted(groups, key=repr):
-            distribution = aggregate_over_dm(
-                mediator.dm,
-                store,
+            distribution = mediator.compute_distribution(
                 context.root,
                 self.value_attr,
-                role=self.role,
-                func=self.func,
                 group_attr=self.group_attr,
                 group_value=group_value,
+                role=self.role,
+                func=self.func,
+                store=store,
             )
             answers.append((group_value, distribution))
         context.answers = answers
@@ -291,7 +300,11 @@ class AggregateStep(PlanStep):
 
 
 class PlanContext:
-    """Mutable execution state threaded through the steps.
+    """Mutable execution state threaded through the steps: step 1's
+    rows and `bindings`, the anchor `concepts` step 2 binds from them
+    (read by steps 3 and 4a), the selected sources, retrieved rows,
+    root and answers, and this plan's source-call outcomes and
+    deadline.
 
     With `skip_failed_sources`, retrieval errors from individual
     sources are recorded in `errors` instead of aborting the plan —
@@ -307,6 +320,8 @@ class PlanContext:
         self.mediator = mediator
         self.rows: Dict = {}
         self.bindings: Dict = {}
+        #: the anchor concepts step 2 bound from step 1's rows
+        self.concepts: List[str] = []
         self.selected_sources: List[str] = []
         self.retrieved: List = []
         self.root: Optional[str] = None
@@ -315,10 +330,6 @@ class PlanContext:
         self.errors: List = []
         # The plan's own source-call state: a plan runs on one
         # thread, and concurrent plans each have their own.
-        #: fingerprint -> rows of this plan's answered source calls:
-        #: identical calls inside one plan execute once, even with no
-        #: cache configured
-        self.call_memo: Dict = {}
         #: :class:`~repro.resilience.CallOutcome` of every guarded
         #: call this plan made (the degraded-answer report's input)
         self.outcomes: List = []
@@ -407,13 +418,14 @@ class QueryPlan:
         """Run the steps in order against `context` (a
         :class:`PlanContext`); returns it."""
         for index, step in enumerate(self.steps):
-            with obs.span(
-                "plan.step",
-                index=index + 1,
-                kind=step.kind,
-                describe=step.describe(),
-            ) as span:
-                output = step.run(context)
+            with obs.span("plan.step", index=index + 1, kind=step.kind) as span:
+                try:
+                    output = step.run(context)
+                finally:
+                    # described once it ran: steps 2-4 name the
+                    # concepts they ran at
+                    if span.enabled:
+                        span.set(describe=step.describe())
                 if span.enabled:
                     span.set(cardinality=_cardinality(output))
                     obs.count("planner.steps", kind=step.kind)
@@ -429,31 +441,29 @@ def _cardinality(output):
     return 1
 
 
-def plan(mediator, query, context=None):
+def plan(mediator, query):
     """Plan a :class:`CorrelationQuery` (without executing it).
 
-    Performs capability checks up front: the seed selections must be
-    answerable by the seed source's binding patterns.  The planning
-    probe (step 1, run early for its anchor bindings) runs in
-    `context`, a :class:`PlanContext` — :func:`execute` passes the one
-    the plan then runs in, so the probe's seed call, its outcome and
-    its share of the deadline belong to that run.  None = a fresh one.
+    Contacts no source.  Performs capability checks up front: the seed
+    selections must be answerable by the seed source's registered
+    binding patterns.  The anchor concepts are bound when the plan
+    runs: steps 2–4 read them from the :class:`PlanContext`.
     """
     with obs.span(
         "plan.build",
         seed_class=query.seed_class,
         target_class=query.target_class,
     ):
-        return _plan(mediator, query, context or PlanContext(mediator))
+        return _plan(mediator, query)
 
 
-def _plan(mediator, query, context):
+def _plan(mediator, query):
     seed_source = query.seed_source
     if seed_source is None:
         exporters = [
             name
             for name in mediator.source_names()
-            if query.seed_class in mediator.wrapper(name).exports
+            if query.seed_class in mediator.capabilities(name)
         ]
         if len(exporters) != 1:
             raise PlanningError(
@@ -461,8 +471,7 @@ def _plan(mediator, query, context):
                 % (query.seed_class, exporters)
             )
         seed_source = exporters[0]
-    wrapper = mediator.wrapper(seed_source)
-    capability = wrapper.capabilities().get(query.seed_class)
+    capability = mediator.capabilities(seed_source).get(query.seed_class)
     if capability is None:
         raise PlanningError(
             "source %r does not export seed class %r"
@@ -473,35 +482,32 @@ def _plan(mediator, query, context):
     except CapabilityError as exc:
         raise PlanningError(str(exc)) from exc
 
-    # Anchor concepts are only known after step 1 runs; the plan wires
-    # the steps so later ones read the context.  For inspectability we
-    # run step 1 eagerly here (the paper's planner also needs the X, Y
-    # bindings before source selection).
-    step1 = PushSelectionStep(
-        seed_source, query.seed_class, query.seed_selections, query.anchor_attrs
+    return QueryPlan(
+        [
+            PushSelectionStep(
+                seed_source,
+                query.seed_class,
+                query.seed_selections,
+                query.anchor_attrs,
+            ),
+            SelectSourcesStep(
+                query.anchor_attrs, query.target_class, exclude={seed_source}
+            ),
+            RetrieveAnchoredStep(
+                query.target_class,
+                query.target_anchor_attr,
+                query.target_filters,
+            ),
+            ComputeLubStep(order=query.role),
+            AggregateStep(
+                query.target_class,
+                query.group_attr,
+                query.value_attr,
+                query.role,
+                query.func,
+            ),
+        ]
     )
-    step1.run(context)
-    concept_pairs = context.bindings.get(query.anchor_attrs, [])
-    concepts = sorted({c for pair in concept_pairs for c in pair if c})
-    for concept in concepts:
-        mediator.dm.require_concept(concept)
-
-    step2 = SelectSourcesStep(concepts, query.target_class, exclude={seed_source})
-    step3 = RetrieveAnchoredStep(
-        query.target_class,
-        query.target_anchor_attr,
-        concepts,
-        query.target_filters,
-    )
-    step4a = ComputeLubStep(concepts, order=query.role)
-    step4b = AggregateStep(
-        query.target_class,
-        query.group_attr,
-        query.value_attr,
-        query.role,
-        query.func,
-    )
-    return QueryPlan([step1, step2, step3, step4a, step4b])
 
 
 def execute(mediator, query, skip_failed_sources=False):
@@ -510,13 +516,11 @@ def execute(mediator, query, skip_failed_sources=False):
     With `skip_failed_sources` (or a resilience policy that degrades),
     a source failing during retrieval is recorded in
     ``context.errors`` and the plan continues with the remaining
-    sources.  The whole run — the planning probe included — shares one
-    :class:`PlanContext`: one deadline budget, one outcome list, and
-    one call memo (so the probe's seed query is not re-issued by
-    step 1).
+    sources.  The whole run shares one :class:`PlanContext`: one
+    deadline budget and one outcome list.
     """
     context = PlanContext(mediator, skip_failed_sources=skip_failed_sources)
-    query_plan = plan(mediator, query, context)
+    query_plan = plan(mediator, query)
     return query_plan, query_plan.execute(context)
 
 
@@ -587,8 +591,8 @@ class QueryExplain:
         self.plan = query_plan
         self.context = context
         #: list of dicts: index, kind, describe, seconds, cardinality,
-        #: events (plan.source_skipped skips plus cache.dedup /
-        #: cache.hit markers, each tagged with an ``event`` key)
+        #: events (plan.source_skipped skips plus cache.hit markers,
+        #: each tagged with an ``event`` key)
         self.steps = steps
         self.metrics = metrics
 
@@ -614,7 +618,7 @@ class QueryExplain:
                         "     ! %s: %s (%s)"
                         % (event["source"], event["error"], event["message"])
                     )
-                else:  # cache.dedup / cache.hit markers
+                else:  # cache.hit markers
                     lines.append(
                         "     ! %s %s.%s"
                         % (name, event["source"], event["class_name"])
@@ -659,8 +663,8 @@ class QueryExplain:
 
 
 #: span events surfaced per step in QueryExplain: skips (degradation)
-#: and the medcache dedup/hit markers
-_EXPLAIN_EVENTS = ("plan.source_skipped", "cache.dedup", "cache.hit")
+#: and the medcache hit markers
+_EXPLAIN_EVENTS = ("plan.source_skipped", "cache.hit")
 
 
 def explain(mediator, query, skip_failed_sources=False):

@@ -32,22 +32,16 @@ class IntegratedView:
         self.description = description
         self.depends_on = tuple(depends_on)
 
-    def datalog_rules(self, traced=False):
-        """The view's F-logic rules parsed and translated to Datalog.
+    def datalog_rules(self):
+        """The view's F-logic rules parsed and translated to Datalog,
+        inside ``flogic.parse`` / ``flogic.translate`` obs spans.
 
         One definition shared by the mediator (``add_view``) and the
-        medlint capability and deployment passes.  With
-        ``traced=True`` the parse/translate phases are wrapped in the
-        same obs spans ``Mediator.add_view`` historically emitted.
+        medlint capability and deployment passes.
         """
+        from .. import obs
         from ..flogic.parser import parse_fl_program
         from ..flogic.translate import Translator
-
-        if not traced:
-            return list(
-                Translator().translate_rules(parse_fl_program(self.fl_rules))
-            )
-        from .. import obs
 
         with obs.span("flogic.parse", chars=len(self.fl_rules)):
             fl_rules = parse_fl_program(self.fl_rules)

@@ -72,6 +72,12 @@ class RegistrationResult:
         return "\n".join(lines)
 
 
+def defined_concepts(axioms):
+    """The concepts the DL `axioms` define: their named left-hand
+    sides."""
+    return {axiom.lhs.name for axiom in axioms if isinstance(axiom.lhs, Named)}
+
+
 def register_concepts(dm, axioms, allow_new_roles=False):
     """Refine `dm` with DL axioms introducing new concepts.
 
@@ -94,10 +100,7 @@ def register_concepts(dm, axioms, allow_new_roles=False):
     if not axioms:
         raise DomainMapError("registration contains no axioms")
 
-    defined: Set[str] = set()
-    for axiom in axioms:
-        if isinstance(axiom.lhs, Named):
-            defined.add(axiom.lhs.name)
+    defined = defined_concepts(axioms)
 
     # Validate references: everything mentioned on the rhs (or a complex
     # lhs) must already exist or be defined by this registration.

@@ -22,7 +22,7 @@ from ..datalog.ast import Atom, Program, Rule
 from ..datalog.engine import evaluate
 from ..datalog.parser import parse_program
 from ..datalog.terms import Const, Struct, term_sort_key
-from ..flogic.axioms import core_axioms, signature_inheritance_axioms
+from ..flogic.engine import FLogicEngine
 
 #: the distinguished inconsistency class
 IC_CLASS = "ic"
@@ -139,15 +139,17 @@ def witnesses_from_store(store):
     return found
 
 
-def check(rules, constraints=(), raise_on_violation=False, include_axioms=True):
+def check(rules, constraints=(), raise_on_violation=False):
     """Evaluate `rules` (+ constraint denials) and report `ic` witnesses.
 
     Checking runs in two phases, reflecting the *check* semantics of
-    denials: first the rule base is evaluated to its model, then the
-    constraint denials run over the materialized model as facts.  This
-    keeps denials stratified even when they aggregate over relations
-    that (positively) depend on `instance` — e.g. cardinality checks
-    over reified relation tuples.
+    denials: first the rule base is evaluated to its model by an
+    :class:`~repro.flogic.engine.FLogicEngine` (which links the Table 1
+    axioms, ``*->`` value inheritance included), then the constraint
+    denials run over the materialized model as facts (:func:`check_model`).
+    This keeps denials stratified even when they aggregate over
+    relations that (positively) depend on `instance` — e.g. cardinality
+    checks over reified relation tuples.
 
     Args:
         rules: an iterable of Datalog rules (e.g. ``cm.all_rules()``) or
@@ -155,20 +157,14 @@ def check(rules, constraints=(), raise_on_violation=False, include_axioms=True):
         constraints: extra :class:`Constraint` objects to include.
         raise_on_violation: raise :class:`ConstraintViolation` when any
             witness is derived.
-        include_axioms: add the Table 1 axioms (needed when checking a
-            bare CM's rules outside an engine).
     """
     if hasattr(rules, "all_rules"):  # a ConceptualModel
         cm = rules
         constraints = list(constraints) + list(cm.constraints)
         rules = cm.all_rules(include_constraints=False)
-    base = Program()
-    base.extend(rules)
-    if include_axioms:
-        base.extend(core_axioms())
-        base.extend(signature_inheritance_axioms())
+    engine = FLogicEngine().tell_rules(rules)
     return check_model(
-        evaluate(base).store, constraints, raise_on_violation=raise_on_violation
+        engine.evaluate().store, constraints, raise_on_violation=raise_on_violation
     )
 
 

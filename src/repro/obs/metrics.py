@@ -66,7 +66,7 @@ class Metrics:
         """``{counter name: total across label sets}`` for counters
         whose name starts with `prefix` — e.g. ``"cache."`` collects
         the medcache family (``cache.hits``, ``cache.misses``,
-        ``cache.puts``, ``cache.dedup``, ``cache.evictions``,
+        ``cache.puts``, ``cache.evictions``,
         ``cache.invalidated_entries``).  Sorted by name, so the
         export is deterministic."""
         totals = {}

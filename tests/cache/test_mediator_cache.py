@@ -187,32 +187,13 @@ def build_cells_clone(name="CELLS2"):
 
 
 class TestPlanDedup:
+    """Without a cache, EXPLAIN and correlate run the same plan."""
+
     @pytest.fixture(scope="class")
     def explained(self):
         mediator = build_scenario(eager=False).mediator
-        assert mediator.cache is None  # dedup needs no cache
+        assert mediator.cache is None
         return mediator.explain(section5_query())
-
-    def test_duplicate_plan_call_recorded_as_event(self, explained):
-        events = [
-            event
-            for step in explained.steps
-            for event in step["events"]
-            if event.get("event") == "cache.dedup"
-        ]
-        assert events == [
-            {
-                "event": "cache.dedup",
-                "source": "SENSELAB",
-                "class_name": "neurotransmission",
-            }
-        ]
-
-    def test_dedup_rendered_in_format(self, explained):
-        assert (
-            "! cache.dedup SENSELAB.neurotransmission"
-            in explained.format(mask_timings=True)
-        )
 
     def test_answers_unchanged_by_dedup(self, explained):
         mediator = build_scenario(eager=False).mediator

@@ -41,34 +41,47 @@ class TestPlanSteps:
             ("Pyramidal_Cell",),
         ]
 
+    ANCHORS = ("receiving_neuron", "receiving_compartment")
+
     def test_select_sources_step(self, mediator):
         step = SelectSourcesStep(
-            ["Purkinje_Dendrite"], "protein_amount", exclude={"SENSELAB"}
+            self.ANCHORS, "protein_amount", exclude={"SENSELAB"}
         )
         context = PlanContext(mediator)
+        context.bindings[self.ANCHORS] = [("Purkinje_Cell", "Purkinje_Dendrite")]
         assert step.run(context) == ["NCMIR"]
+        assert context.concepts == ["Purkinje_Cell", "Purkinje_Dendrite"]
 
     def test_select_sources_excludes(self, mediator):
         step = SelectSourcesStep(
-            ["Purkinje_Dendrite"], "protein_amount", exclude={"NCMIR", "SENSELAB"}
+            self.ANCHORS, "protein_amount", exclude={"NCMIR", "SENSELAB"}
         )
         context = PlanContext(mediator)
+        context.bindings[self.ANCHORS] = [("Purkinje_Cell", "Purkinje_Dendrite")]
+        # NCMIR is anchored there and exports the class: only the
+        # exclusion keeps it out
+        assert "NCMIR" in mediator.select_sources(
+            context.bindings[self.ANCHORS][0], "protein_amount"
+        )
         assert step.run(context) == []
+        assert step.concepts == ["Purkinje_Cell", "Purkinje_Dendrite"]
 
     def test_select_sources_filters_by_class(self, mediator):
-        step = SelectSourcesStep(["Pyramidal_Spine"], "protein_amount")
+        anchors = ("receiving_compartment",)
+        step = SelectSourcesStep(anchors, "protein_amount")
         context = PlanContext(mediator)
+        context.bindings[anchors] = [("Pyramidal_Spine",)]
         # SYNAPSE anchors there, but does not export protein_amount
+        assert "SYNAPSE" in mediator.select_sources(["Pyramidal_Spine"])
         assert step.run(context) == []
+        assert context.concepts == ["Pyramidal_Spine"]
 
     def test_retrieve_step_translates_concepts(self, mediator):
         context = PlanContext(mediator)
         context.selected_sources = ["NCMIR"]
+        context.concepts = ["Purkinje_Soma"]
         step = RetrieveAnchoredStep(
-            "protein_amount",
-            "location",
-            ["Purkinje_Soma"],
-            {"ion_bound": "calcium"},
+            "protein_amount", "location", {"ion_bound": "calcium"}
         )
         retrieved = step.run(context)
         assert retrieved
@@ -79,9 +92,18 @@ class TestPlanSteps:
 
     def test_compute_lub_step(self, mediator):
         context = PlanContext(mediator)
-        step = ComputeLubStep(["Purkinje_Dendrite", "Purkinje_Soma"], "has")
+        context.concepts = ["Purkinje_Dendrite", "Purkinje_Soma"]
+        step = ComputeLubStep("has")
         assert step.run(context) == "Purkinje_Cell"
         assert context.root == "Purkinje_Cell"
+
+    def test_steps_name_concepts_only_once_run(self, mediator):
+        plan = mediator.plan(section5_query())
+        assert "Purkinje" not in plan.describe()
+        plan.execute(PlanContext(mediator))
+        text = plan.describe()
+        assert "select sources anchored at ['Purkinje_Cell', " in text
+        assert "lub of ['Purkinje_Cell', 'Purkinje_Dendrite']" in text
 
     def test_steps_have_descriptions(self, mediator):
         plan = mediator.plan(section5_query())

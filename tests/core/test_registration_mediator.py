@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import MediatorError, RegistrationError
+from repro.errors import MediatorError, RegistrationError, UnknownConceptError
 from repro.core import (
     DistributionView,
     IntegratedView,
@@ -11,6 +11,7 @@ from repro.core import (
     parse_registration,
 )
 from repro.domainmap import DomainMap
+from repro.neuro import build_scenario, section5_query
 from repro.sources import AnchorSpec, Column, QueryTemplate, RelStore, Wrapper
 
 
@@ -209,6 +210,68 @@ class TestMediatorRegistration:
         mediator = Mediator(make_dm())
         with pytest.raises(MediatorError):
             mediator.wrapper("LAB")
+
+
+def make_protein_wrapper(concepts):
+    """A ``protein_amount`` source BAD whose location values anchor at
+    `concepts`."""
+    store = RelStore("BAD")
+    store.create_table(
+        "protein", [Column("id", "int"), Column("location", "str")], key="id"
+    ).insert_many(
+        [{"id": i, "location": "loc%d" % i} for i in range(len(concepts))]
+    )
+    wrapper = Wrapper("BAD", store)
+    wrapper.export_class(
+        "protein_amount",
+        "protein",
+        "id",
+        methods={"location": "location"},
+        anchor=AnchorSpec(
+            column="location",
+            mapping={"loc%d" % i: c for i, c in enumerate(concepts)},
+        ),
+        selectable={"location"},
+    )
+    return wrapper
+
+
+class TestFailedRegistration:
+    """A registration that raises changes nothing."""
+
+    SOURCES = ["NCMIR", "SENSELAB", "SYNAPSE"]
+
+    def test_unknown_anchor_leaves_no_orphan(self):
+        mediator = build_scenario(eager=False).mediator
+        bad = make_protein_wrapper(["Purkinje_Cell", "Zz_Not_A_Concept"])
+        with pytest.raises(UnknownConceptError):
+            mediator.register(bad, eager=False)
+        assert mediator.index.sources_for("Purkinje_Cell") == ["NCMIR"]
+        assert mediator.source_names() == self.SOURCES
+        assert len(mediator.correlate(section5_query()).answers) == 4
+        mediator.register(make_protein_wrapper(["Purkinje_Cell"]), eager=False)
+        assert mediator.index.sources_for("Purkinje_Cell") == ["BAD", "NCMIR"]
+
+    def test_unknown_anchor_leaves_map_and_cache_alone(self):
+        mediator = build_scenario(eager=False, cache=True).mediator
+        mediator.correlate(section5_query())
+        entries = len(mediator.cache.entries())
+        revision = mediator.dm.revision
+        concepts = set(mediator.dm.concepts)
+        bad = make_protein_wrapper(["Bad_Cell", "Zz_Not_A_Concept"])
+        with pytest.raises(UnknownConceptError):
+            mediator.register(bad, dm_refinement="Bad_Cell < Neuron", eager=False)
+        assert mediator.dm.revision == revision
+        assert set(mediator.dm.concepts) == concepts
+        assert len(mediator.cache.entries()) == entries
+        assert mediator.source_names() == self.SOURCES
+        # a concept the registration's own refinement defines is known
+        mediator.register(
+            make_protein_wrapper(["Bad_Cell"]),
+            dm_refinement="Bad_Cell < Neuron",
+            eager=False,
+        )
+        assert mediator.index.sources_for("Bad_Cell") == ["BAD"]
 
 
 class TestViews:

@@ -284,3 +284,14 @@ class TestCheckMachinery:
             [cardinality_constraint("has", 2, counted_position=0, exact=1)],
         )
         assert report.ok
+
+    def test_value_inheritance_defaults_reach_the_check(self):
+        # w1 inherits size 5 from item through a '*->' default
+        cm = ConceptualModel("t")
+        cm.add_rule("item[size *-> 5]. widget :: item. w1 : widget.")
+        assert cm.to_engine().ask("w1[size -> V]") == [{"V": 5}]
+        constraint = constraint_from_text(
+            "too_big", "instance(too_big(X), ic) :- method_val(X, size, 5)."
+        )
+        report = check(cm, [constraint])
+        assert [str(witness) for witness in report] == ["too_big(w1)"]

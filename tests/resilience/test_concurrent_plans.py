@@ -149,7 +149,7 @@ class TestDeadlines:
         )
         assert second.context.deadline == started + self.BUDGET
 
-    def test_probe_and_run_share_one_budget(self):
+    def test_seed_call_and_retrieval_share_one_budget(self):
         mediator, clock = self.deployment()
 
         def slow_seed(_query):
@@ -158,7 +158,8 @@ class TestDeadlines:
         swap_wrapper(mediator, "SENSELAB", slow_seed)
         started = clock.now()
         result = mediator.correlate(section5_query())
-        # the probe's time counts against the same deadline
+        # the seed call's time counts against the deadline retrieval
+        # runs under
         assert result.context.deadline == started + self.BUDGET
         report = result.degraded_answer().report_for("NCMIR")
         assert report.attempts == self.BUDGET  # t=1,2,3 and one at t=4
