@@ -26,7 +26,6 @@ from .deploy import (
     analyze_mediator,
     analyze_wrapper,
     capture_deployments,
-    capture_mediators,
     lint_path,
     registered_anchors,
     registration_diagnostics,
@@ -55,7 +54,6 @@ __all__ = [
     "analyze_views",
     "analyze_wrapper",
     "capture_deployments",
-    "capture_mediators",
     "diagnostic",
     "lint_path",
     "reference_diagnostics",

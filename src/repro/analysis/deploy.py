@@ -109,13 +109,7 @@ def analyze_mediator(mediator):
 
     # -- pass 2: the domain map -----------------------------------------
     anchors = registered_anchors(mediator)
-    report.extend(
-        analyze_domain_map(
-            mediator.dm,
-            anchors=anchors,
-            edge_assertions=mediator.edge_assertions,
-        )
-    )
+    report.extend(analyze_domain_map(mediator.dm, anchors=anchors))
 
     # -- pass 3: capabilities and views ---------------------------------
     capabilities = {
@@ -298,17 +292,6 @@ def view_diagnostics(mediator, view):
 
 
 # -- linting deployment scripts -----------------------------------------
-
-
-@contextlib.contextmanager
-def capture_mediators():
-    """Record every Mediator constructed inside the ``with`` block.
-
-    Used by ``repro lint <file.py>`` to lint deployments that example
-    scripts build in their ``main()``.
-    """
-    with capture_deployments() as (mediators, _domain_maps):
-        yield mediators
 
 
 @contextlib.contextmanager

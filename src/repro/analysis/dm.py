@@ -14,8 +14,7 @@ DomainMap` without compiling or evaluating it:
 * **isolated concepts** — declared but participating in no axiom and
   no anchor: unreachable from every query;
 * **anchor points** — source anchors referencing concepts missing from
-  the map, and edge-assertion selections naming edges the map does not
-  have.
+  the map.
 """
 
 from __future__ import annotations
@@ -40,15 +39,13 @@ _VOCABULARY_PREDICATES = {
 }
 
 
-def analyze_domain_map(dm, anchors=(), edge_assertions=None, origin=None):
+def analyze_domain_map(dm, anchors=(), origin=None):
     """All domain-map diagnostics; returns a plain diagnostic list.
 
     Args:
         dm: the :class:`DomainMap` to inspect.
         anchors: (source, class_name, concept) triples to validate
             against the map (a mediator's registered anchor points).
-        edge_assertions: the mediator's ``edge_assertions`` selection
-            (``None``, ``"all"``, or (C, role, D) triples).
         origin: span unit label; defaults to ``domain map <name>``.
     """
     origin = origin or "domain map %s" % dm.name
@@ -142,20 +139,6 @@ def analyze_domain_map(dm, anchors=(), edge_assertions=None, origin=None):
                     span=Span("source %s" % source, detail=class_name),
                 )
             )
-
-    # -- edge-assertion selections ----------------------------------------
-    if edge_assertions not in (None, "all"):
-        triples = dm.role_triples()
-        for src, role, dst in edge_assertions:
-            if (src, role, dst) not in triples:
-                out.append(
-                    diagnostic(
-                        "MBM020",
-                        "edge assertion (%s, %s, %s) matches no (ex) "
-                        "edge of the domain map" % (src, role, dst),
-                        span=Span(origin, detail="%s -[%s]-> %s" % (src, role, dst)),
-                    )
-                )
     return out
 
 

@@ -6,8 +6,8 @@ delegates entry storage here.  :class:`LRUStore` is the one store: by
 default bounded, and unbounded (it never evicts) with
 ``LRUStore(max_entries=None, max_rows=None)`` — what shared-store
 verification runs use, where eviction would hide invalidation
-behaviour.  ``Mediator(cache=<store>)`` wraps a store in an
-:class:`AnswerCache`.
+behaviour.  A mediator takes the store inside its cache:
+``Mediator(cache=AnswerCache(store))``.
 """
 
 from __future__ import annotations

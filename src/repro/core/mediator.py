@@ -41,7 +41,6 @@ from ..gcm.constraints import check_model
 from .aggregate import Distribution, aggregate_over_dm
 from ..cache import (
     AnswerCache,
-    LRUStore,
     affected_concepts,
     query_fingerprint,
     refinement_seeds,
@@ -85,27 +84,25 @@ class Mediator:
         dm: the :class:`~repro.domainmap.DomainMap` mediated over (a
             fresh empty one is created when omitted).
         name: the mediator's name (used in ids and reprs).
-        edge_assertions: which DM edge kinds to compile into
-            assertions (None = the compiler default).
         dialogue_via_xml: round-trip every source query through the
             XML wire format (the architecture's "everything in XML").
         strict: lint every registration and view definition first and
             reject it (state untouched) on error-severity diagnostics.
         resilience: the medguard layer — a
-            :class:`~repro.resilience.SourceGuard` or
-            :class:`~repro.resilience.ResiliencePolicy` (None = calls
-            go straight through).
+            :class:`~repro.resilience.ResiliencePolicy` the mediator
+            builds its :class:`~repro.resilience.SourceGuard` from
+            (None = calls go straight through).  The guard is also the
+            one way a failing source degrades the answer instead of
+            aborting the plan.
         cache: the medcache layer — an
-            :class:`~repro.cache.AnswerCache`, an
-            :class:`~repro.cache.LRUStore`, or ``True`` for the
-            default cache (None = nothing is cached).
+            :class:`~repro.cache.AnswerCache` (None = nothing is
+            cached).
     """
 
     def __init__(
         self,
         dm=None,
         name="mediator",
-        edge_assertions=None,
         dialogue_via_xml=False,
         strict=False,
         resilience=None,
@@ -114,45 +111,30 @@ class Mediator:
         self.name = name
         self.dm = dm if dm is not None else DomainMap("%s_dm" % name)
         self.index = SemanticIndex(self.dm)
-        self.edge_assertions = edge_assertions
         self.dialogue_via_xml = dialogue_via_xml
         #: with ``strict=True`` every registration and view definition
         #: is linted first and rejected (state untouched) if the
         #: analyzer reports error-severity diagnostics
         self.strict = strict
         #: the medguard layer: a :class:`~repro.resilience.SourceGuard`
-        #: (accepted directly or built from a
-        #: :class:`~repro.resilience.ResiliencePolicy`), or None — in
-        #: which case every source call goes straight through
+        #: built from a :class:`~repro.resilience.ResiliencePolicy`, or
+        #: None — in which case every source call goes straight through
         if resilience is None:
             self.resilience = None
-        elif isinstance(resilience, SourceGuard):
-            self.resilience = resilience
         elif isinstance(resilience, ResiliencePolicy):
             self.resilience = SourceGuard(resilience)
         else:
             raise MediatorError(
-                "resilience must be a ResiliencePolicy or SourceGuard, "
-                "not %r" % type(resilience).__name__
+                "resilience must be a ResiliencePolicy, not %r"
+                % type(resilience).__name__
             )
-        #: the medcache layer: an :class:`~repro.cache.AnswerCache`
-        #: (accepted directly, built over a given
-        #: :class:`~repro.cache.LRUStore`, or default-constructed
-        #: with ``cache=True``), or None — in which case source calls
-        #: are never cached
-        if cache is None:
-            self.cache = None
-        elif isinstance(cache, AnswerCache):
-            self.cache = cache
-        elif isinstance(cache, LRUStore):
-            self.cache = AnswerCache(store=cache)
-        elif cache is True:
-            self.cache = AnswerCache()
-        else:
+        #: the medcache layer: an :class:`~repro.cache.AnswerCache`, or
+        #: None — in which case source calls are never cached
+        if cache is not None and not isinstance(cache, AnswerCache):
             raise MediatorError(
-                "cache must be an AnswerCache, an LRUStore or True, "
-                "not %r" % type(cache).__name__
+                "cache must be an AnswerCache, not %r" % type(cache).__name__
             )
+        self.cache = cache
         self._sources: Dict[str, RegisteredSource] = {}
         self._views: Dict[str, object] = {}
         self._view_rules_by_name: Dict[str, List[Rule]] = {}
@@ -298,7 +280,7 @@ class Mediator:
 
         Any unexpected exception escaping the wrapper is normalized to
         a :class:`~repro.errors.SourceError` here (the original kept as
-        ``__cause__``), so callers — ``skip_failed_sources``, the
+        ``__cause__``), so callers — the plan's retrieve step, the
         resilience layer — see one failure vocabulary.  When a
         :class:`~repro.resilience.ResiliencePolicy` is configured, the
         call runs under the guard: retries, circuit breaking, timeouts
@@ -411,12 +393,14 @@ class Mediator:
             raise MediatorError("view %r already defined" % view.name)
         if self.strict:
             self._require_clean_view(view)
-        self._views[view.name] = view
+        # translate before recording: an add_view that raises (say,
+        # an F-logic parse error) leaves the mediator unchanged
         if isinstance(view, IntegratedView):
             with obs.span("mediator.add_view", view=view.name) as span:
                 rules = view.datalog_rules()
                 span.set(datalog_rules=len(rules))
-                self._view_rules_by_name[view.name] = rules
+            self._view_rules_by_name[view.name] = rules
+        self._views[view.name] = view
         self._invalidate()
         return view
 
@@ -497,9 +481,7 @@ class Mediator:
         data.
         """
         rules: List[Rule] = []
-        rules.extend(
-            compile_domain_map(self.dm, assertions_for=self.edge_assertions)
-        )
+        rules.extend(compile_domain_map(self.dm))
         for record in self._sources.values():
             rules.extend(
                 record.registration.cm.all_rules(include_constraints=False)
@@ -570,10 +552,8 @@ class Mediator:
         """Does `fl_query` have at least one answer?"""
         return bool(self.ask(fl_query))
 
-    def explain(self, target, skip_failed_sources=False):
-        """EXPLAIN `target` — a query, or a fact's derivation — with
-        retrieval failures degrading instead of aborting under
-        `skip_failed_sources`.
+    def explain(self, target):
+        """EXPLAIN `target` — a query, or a fact's derivation.
 
         * Given a :class:`CorrelationQuery`, plans *and runs* it under
           a private tracer and returns a
@@ -585,9 +565,7 @@ class Mediator:
           (see :mod:`repro.datalog.provenance`).
         """
         if isinstance(target, CorrelationQuery):
-            return planner_explain(
-                self, target, skip_failed_sources=skip_failed_sources
-            )
+            return planner_explain(self, target)
         return self.engine().explain(target)
 
     def check_integrity(self, constraints=(), raise_on_violation=False):
@@ -690,22 +668,20 @@ class Mediator:
         executing it."""
         return planner_plan(self, query)
 
-    def correlate(self, query, skip_failed_sources=False):
+    def correlate(self, query):
         """Plan and execute the correlation `query`; returns a
         :class:`~repro.core.planner.CorrelationResult` — a ``(plan,
         context)`` pair that also surfaces degradation directly
         (``result.degraded``, ``result.degraded_answer()``).
 
         ``context.answers`` holds (group value, Distribution) pairs —
-        the paper's ``answer(P, D)``.  With `skip_failed_sources` (or a
-        :class:`~repro.resilience.ResiliencePolicy`), a failing source
-        is recorded rather than aborting the plan, and the result
-        reports the partial answer per source.
+        the paper's ``answer(P, D)``.  Under a resilience guard, a
+        failing source is recorded rather than aborting the plan, and
+        the result reports the partial answer per source; without one
+        the failure raises.
         """
         with obs.span("mediator.correlate", seed_class=query.seed_class) as span:
-            query_plan, context = planner_execute(
-                self, query, skip_failed_sources=skip_failed_sources
-            )
+            query_plan, context = planner_execute(self, query)
             span.set(
                 answers=len(context.answers),
                 skipped=len(context.errors),

@@ -197,7 +197,7 @@ class RetrieveAnchoredStep(PlanStep):
             try:
                 collected.extend(self._retrieve_from(context, source))
             except (SourceError, XMLTransportError) as exc:
-                if not context.degrades_on_failure:
+                if context.mediator.resilience is None:
                     raise
                 context.record_skipped(source, exc)
         context.retrieved = collected
@@ -306,17 +306,18 @@ class PlanContext:
     root and answers, and this plan's source-call outcomes and
     deadline.
 
-    With `skip_failed_sources`, retrieval errors from individual
-    sources are recorded in `errors` instead of aborting the plan —
-    the remaining sources still answer (partial results are the norm
-    in federations of independently operated labs).  Skips are *not*
-    silent: each one is kept in `errors`, mirrored on the active
-    trace as a ``plan.source_skipped`` event, and summarized by
+    Under the mediator's resilience guard, retrieval errors from
+    individual sources are recorded in `errors` instead of aborting
+    the plan — the remaining sources still answer (partial results are
+    the norm in federations of independently operated labs); without
+    a guard the first failure raises.  Skips are *not* silent: each
+    one is kept in `errors`, mirrored on the active trace as a
+    ``plan.source_skipped`` event, and summarized by
     :attr:`skipped_sources` / :attr:`degraded` / :meth:`failures` so
     callers can tell a complete answer from a partial one.
     """
 
-    def __init__(self, mediator, skip_failed_sources=False):
+    def __init__(self, mediator):
         self.mediator = mediator
         self.rows: Dict = {}
         self.bindings: Dict = {}
@@ -326,7 +327,6 @@ class PlanContext:
         self.retrieved: List = []
         self.root: Optional[str] = None
         self.answers: List = []
-        self.skip_failed_sources = skip_failed_sources
         self.errors: List = []
         # The plan's own source-call state: a plan runs on one
         # thread, and concurrent plans each have their own.
@@ -339,15 +339,8 @@ class PlanContext:
         if guard is not None and guard.policy.plan_deadline is not None:
             self.deadline = guard.policy.clock() + guard.policy.plan_deadline
 
-    @property
-    def degrades_on_failure(self):
-        """Does a retrieval failure degrade the answer instead of
-        aborting?  True under ``skip_failed_sources`` or a resilience
-        policy."""
-        return self.skip_failed_sources or self.mediator.resilience is not None
-
     def record_skipped(self, source, exc):
-        """Record one source skipped under `skip_failed_sources`."""
+        """Record one source skipped by the retrieve step."""
         self.errors.append((source, exc))
         obs.event(
             "plan.source_skipped",
@@ -510,16 +503,16 @@ def _plan(mediator, query):
     )
 
 
-def execute(mediator, query, skip_failed_sources=False):
+def execute(mediator, query):
     """Plan and execute; returns (plan, context).
 
-    With `skip_failed_sources` (or a resilience policy that degrades),
-    a source failing during retrieval is recorded in
-    ``context.errors`` and the plan continues with the remaining
-    sources.  The whole run shares one :class:`PlanContext`: one
-    deadline budget and one outcome list.
+    Under the mediator's resilience guard, a source failing during
+    retrieval is recorded in ``context.errors`` and the plan continues
+    with the remaining sources; without a guard the failure raises.
+    The whole run shares one :class:`PlanContext`: one deadline budget
+    and one outcome list.
     """
-    context = PlanContext(mediator, skip_failed_sources=skip_failed_sources)
+    context = PlanContext(mediator)
     query_plan = plan(mediator, query)
     return query_plan, query_plan.execute(context)
 
@@ -530,7 +523,7 @@ class CorrelationResult(tuple):
     so callers can detect a partial answer without re-running the
     query through ``explain()``::
 
-        result = mediator.correlate(query, skip_failed_sources=True)
+        result = mediator.correlate(query)
         plan, context = result            # tuple compatibility
         if result.degraded:
             print(result.degraded_answer().format())
@@ -624,10 +617,6 @@ class QueryExplain:
                         % (name, event["source"], event["class_name"])
                     )
         if self.context.degraded:
-            lines.append(
-                "degraded answer: skipped sources %s"
-                % self.context.skipped_sources
-            )
             lines.extend(self.degraded_answer().format().splitlines())
         from ..obs.render import render_metrics
 
@@ -667,7 +656,7 @@ class QueryExplain:
 _EXPLAIN_EVENTS = ("plan.source_skipped", "cache.hit")
 
 
-def explain(mediator, query, skip_failed_sources=False):
+def explain(mediator, query):
     """Plan *and execute* `query` under a private tracer; returns a
     :class:`QueryExplain` with per-step timings and cardinalities.
 
@@ -675,9 +664,7 @@ def explain(mediator, query, skip_failed_sources=False):
     and timings are measured, not estimated.
     """
     with obs.capture("explain") as tracer:
-        query_plan, context = execute(
-            mediator, query, skip_failed_sources=skip_failed_sources
-        )
+        query_plan, context = execute(mediator, query)
     steps = []
     for span in tracer.find_spans("plan.step"):
         steps.append(

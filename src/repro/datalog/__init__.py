@@ -31,7 +31,6 @@ from .ast import (
     Program,
     Rule,
     fact,
-    rename_apart,
 )
 from .engine import (
     DEFAULT_MAX_FACTS,
@@ -58,7 +57,6 @@ from .terms import (
     Term,
     Var,
     coerce_term,
-    const,
     fresh_variable_factory,
     match,
     struct,
@@ -91,7 +89,6 @@ __all__ = [
     "check_program_safety",
     "check_rule_safety",
     "coerce_term",
-    "const",
     "evaluate",
     "explain",
     "fact",
@@ -107,7 +104,6 @@ __all__ = [
     "parse_rule",
     "parse_term",
     "query",
-    "rename_apart",
     "stratify",
     "struct",
     "substitute",

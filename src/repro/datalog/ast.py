@@ -301,21 +301,6 @@ class Rule:
         for item in self.body:
             yield from item.variables()
 
-    def positive_body_atoms(self):
-        for item in self.body:
-            if isinstance(item, Literal) and item.positive:
-                yield item.atom
-
-    def negative_body_atoms(self):
-        for item in self.body:
-            if isinstance(item, Literal) and not item.positive:
-                yield item.atom
-
-    def aggregate_literals(self):
-        for item in self.body:
-            if isinstance(item, AggregateLiteral):
-                yield item
-
     def substitute(self, subst):
         return Rule(self.head.substitute(subst), tuple(b.substitute(subst) for b in self.body))
 
@@ -411,17 +396,3 @@ class Program:
 def fact(pred, *args):
     """Build a ground fact rule ``pred(args).``"""
     return Rule(Atom(pred, args))
-
-
-def rename_apart(rule, fresh):
-    """Rename all of `rule`'s variables using the `fresh` factory.
-
-    Used when the same rule template is instantiated several times in one
-    derivation context (e.g. view unfolding) so variable names cannot
-    collide.
-    """
-    mapping = {}
-    for v in rule.variables():
-        if v not in mapping:
-            mapping[v] = fresh()
-    return rule.substitute(mapping)

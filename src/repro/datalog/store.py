@@ -63,9 +63,6 @@ class FactStore:
         """Membership test for a ground atom."""
         return atom.args in self._facts.get(atom.signature, ())
 
-    def contains_row(self, sig, args):
-        return args in self._facts.get(sig, ())
-
     def rows(self, sig):
         """All argument tuples stored under `sig` (a live set: do not
         mutate while iterating)."""

@@ -173,11 +173,6 @@ def _quote_symbol(name):
     return "'%s'" % name.replace("\\", "\\\\").replace("'", "\\'")
 
 
-def const(value):
-    """Convenience constructor: wrap `value` in :class:`Const`."""
-    return Const(value)
-
-
 def var(name):
     """Convenience constructor for :class:`Var`."""
     return Var(name)

@@ -170,10 +170,10 @@ def edge_assertion_rules(source, role, target):
     return [witness_rule, make_instance, make_link]
 
 
-def _select_edges(dm, spec, kind):
+def _select_edges(dm, spec):
     if spec is None:
         return []
-    triples = dm.role_triples() if kind == "ex" else dm.all_triples()
+    triples = dm.role_triples()
     if spec == "all":
         return sorted(triples)
     chosen = []
@@ -181,30 +181,25 @@ def _select_edges(dm, spec, kind):
         src, role, dst = triple
         if (src, role, dst) not in triples:
             raise DomainMapError(
-                "edge (%s, %s, %s) is not a %s-edge of the domain map"
-                % (src, role, dst, kind)
+                "edge (%s, %s, %s) is not a ex-edge of the domain map"
+                % (src, role, dst)
             )
         chosen.append((src, role, dst))
     return chosen
 
 
-def compile_domain_map(
-    dm,
-    constraints_for=None,
-    assertions_for=None,
-    universal_constraints_for=None,
-):
+def compile_domain_map(dm, assertions_for=None):
     """Compile a domain map to a Datalog rule list for the mediator.
 
     Args:
         dm: the :class:`DomainMap`.
-        constraints_for: ``"all"`` or an iterable of (C, role, D)
-            (ex)-edges to execute as integrity constraints.
-        assertions_for: ``"all"`` or an iterable of (ex)-edges to
-            execute as placeholder-creating assertions.
-        universal_constraints_for: ``"all"`` or (all)-edges to check.
+        assertions_for: ``"all"`` or an iterable of (C, role, D)
+            (ex)-edges to execute as placeholder-creating assertions.
 
-    The Section 4 tc/dc/has_a_star rules are always included.
+    The Section 4 tc/dc/has_a_star rules are always included.  The
+    constraint reading of an edge is added by the caller, phase 2 of
+    an integrity check (:func:`edge_constraint_rules`,
+    :func:`all_edge_constraint_rules`).
     """
     rules: List[Rule] = []
     rules.extend(dm_facts(dm))
@@ -212,10 +207,6 @@ def compile_domain_map(
     rules.extend(closure_rules())
     for text in dm.rules_text:
         rules.extend(parse_program(text))
-    for src, role, dst in _select_edges(dm, constraints_for, "ex"):
-        rules.extend(edge_constraint_rules(src, role, dst))
-    for src, role, dst in _select_edges(dm, assertions_for, "ex"):
+    for src, role, dst in _select_edges(dm, assertions_for):
         rules.extend(edge_assertion_rules(src, role, dst))
-    for src, role, dst in _select_edges(dm, universal_constraints_for, "all"):
-        rules.extend(all_edge_constraint_rules(src, role, dst))
     return rules

@@ -3,15 +3,14 @@
 "As part of registering a source's CM with the mediator, the wrapper
 creates a 'semantic index' of its data into the domain map" (abstract).
 The index records, per DM concept, which source classes hang off it
-(schema-level anchors) and optionally which individual objects were
-tagged with it (object-level anchors).  The mediator consults it to
+(schema-level anchors).  The mediator consults it to
 *select relevant sources* during query processing (step 2 of the
 Section 5 plan).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Sequence, Set
 
 from ..errors import UnknownConceptError
 from .graphops import ancestors, descendants
@@ -52,7 +51,6 @@ class SemanticIndex:
         self.dm = dm
         self._anchors: Set[Anchor] = set()
         self._by_concept: Dict[str, Set[Anchor]] = {}
-        self._object_anchors: Dict[str, Set[Tuple[str, object]]] = {}
 
     # -- registration ------------------------------------------------------
 
@@ -64,24 +62,12 @@ class SemanticIndex:
         self._by_concept.setdefault(concept, set()).add(anchor)
         return anchor
 
-    def add_object_anchor(self, source, obj, concept):
-        """Anchor one object ("tagging" it with a concept)."""
-        self.dm.require_concept(concept)
-        self._object_anchors.setdefault(concept, set()).add((source, obj))
-        return self
-
     def remove_source(self, source):
         """Drop every anchor contributed by a source (deregistration)."""
         self._anchors = {a for a in self._anchors if a.source != source}
         self._by_concept = {}
         for anchor in self._anchors:
             self._by_concept.setdefault(anchor.concept, set()).add(anchor)
-        for concept, objects in list(self._object_anchors.items()):
-            kept = {(s, o) for s, o in objects if s != source}
-            if kept:
-                self._object_anchors[concept] = kept
-            else:
-                del self._object_anchors[concept]
         return self
 
     # -- lookup ---------------------------------------------------------------
@@ -106,52 +92,27 @@ class SemanticIndex:
             }
         )
 
-    def anchors_at(self, concept, include_descendants=True):
-        """Anchors at a concept (by default including its isa-descendants:
-        data anchored at `Purkinje_Cell` *is* `Neuron` data)."""
+    def anchors_at(self, concept):
+        """Anchors at a concept, including its isa-descendants: data
+        anchored at `Purkinje_Cell` *is* `Neuron` data."""
         self.dm.require_concept(concept)
-        targets = {concept}
-        if include_descendants:
-            targets |= descendants(self.dm, concept)
+        targets = {concept} | descendants(self.dm, concept)
         found: Set[Anchor] = set()
         for target in targets:
             found |= self._by_concept.get(target, set())
         return sorted(found, key=lambda a: (a.source, a.class_name, a.concept))
 
-    def sources_for(self, concept, include_descendants=True):
+    def sources_for(self, concept):
         """Which sources can supply data for a concept (source selection,
         step 2 of the Section 5 query plan)."""
-        return sorted(
-            {a.source for a in self.anchors_at(concept, include_descendants)}
-        )
+        return sorted({a.source for a in self.anchors_at(concept)})
 
-    def sources_for_all(self, concepts, include_descendants=True):
-        """Sources anchored at *every* one of the given concepts."""
-        concepts = list(concepts)
-        if not concepts:
-            return []
-        common: Optional[Set[str]] = None
-        for concept in concepts:
-            sources = set(self.sources_for(concept, include_descendants))
-            common = sources if common is None else (common & sources)
-        return sorted(common or set())
-
-    def sources_for_any(self, concepts, include_descendants=True):
+    def sources_for_any(self, concepts):
         """Sources anchored at *at least one* of the given concepts."""
         found: Set[str] = set()
         for concept in concepts:
-            found |= set(self.sources_for(concept, include_descendants))
+            found |= set(self.sources_for(concept))
         return sorted(found)
-
-    def objects_at(self, concept, include_descendants=True):
-        """Object-level anchors at a concept."""
-        targets = {concept}
-        if include_descendants:
-            targets |= descendants(self.dm, concept)
-        found: Set[Tuple[str, object]] = set()
-        for target in targets:
-            found |= self._object_anchors.get(target, set())
-        return sorted(found, key=lambda pair: (pair[0], str(pair[1])))
 
     def coverage(self):
         """Concept -> sorted sources map (for reports / Figure 2 bench)."""

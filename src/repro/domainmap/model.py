@@ -26,7 +26,7 @@ from __future__ import annotations
 import threading
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
-from ..errors import DomainMapError, UnknownConceptError, UnknownRoleError
+from ..errors import DomainMapError, UnknownConceptError
 from .dl import (
     Axiom,
     ConceptExpr,
@@ -132,11 +132,6 @@ class DomainMap:
         self.revision += 1
         return self
 
-    def add_roles(self, names):
-        for name in names:
-            self.add_role(name)
-        return self
-
     def has_concept(self, name):
         return name in self.concepts
 
@@ -144,12 +139,6 @@ class DomainMap:
         if name not in self.concepts:
             raise UnknownConceptError(
                 "concept %r is not declared in domain map %r" % (name, self.name)
-            )
-
-    def require_role(self, name):
-        if name not in self.roles:
-            raise UnknownRoleError(
-                "role %r is not declared in domain map %r" % (name, self.name)
             )
 
     # -- axioms ------------------------------------------------------------

@@ -36,7 +36,6 @@ from .ast import (
     Molecule,
 )
 from .axioms import (
-    all_axioms,
     core_axioms,
     signature_inheritance_axioms,
     value_inheritance_axioms,
@@ -76,7 +75,6 @@ __all__ = [
     "PRED_METHOD_VAL",
     "PRED_SUBCLASS",
     "Translator",
-    "all_axioms",
     "core_axioms",
     "molecule_atoms",
     "parse_fl_body",

@@ -80,10 +80,3 @@ def value_inheritance_axioms():
     """Nonmonotonic default-value inheritance rules."""
     return list(parse_program(_VALUE_INHERITANCE))
 
-
-def all_axioms(include_value_inheritance=True):
-    """Convenience bundle of every axiom group."""
-    rules = core_axioms() + signature_inheritance_axioms()
-    if include_value_inheritance:
-        rules += value_inheritance_axioms()
-    return rules

@@ -36,11 +36,10 @@ from .translate import PRED_DEFAULT_VAL, Translator
 class FLogicEngine:
     """An incremental F-logic knowledge base over the Datalog engine."""
 
-    def __init__(self, signature_inheritance=True):
+    def __init__(self):
         self._rules: List[Rule] = []
         # does some told rule state a '*->' default?
         self._defaults = False
-        self._signature_inheritance = signature_inheritance
         self._result: Optional[EvaluationResult] = None
         # one evaluation of the knowledge base, however many threads ask
         self._evaluation_lock = threading.Lock()
@@ -99,8 +98,7 @@ class FLogicEngine:
         program = Program()
         program.extend(self._rules)
         program.extend(core_axioms())
-        if self._signature_inheritance:
-            program.extend(signature_inheritance_axioms())
+        program.extend(signature_inheritance_axioms())
         if self._defaults or _uses_defaults(extra_rules):
             program.extend(value_inheritance_axioms())
         program.extend(extra_rules)

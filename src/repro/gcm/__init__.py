@@ -36,7 +36,6 @@ from .constraints import (
 )
 from .library import (
     cardinality_constraint,
-    existential_edge_constraint,
     functional_dependency,
     higher_order_bridge,
     key_constraint,
@@ -44,7 +43,6 @@ from .library import (
     partial_order_constraint_ho,
     referential_constraint,
     scalar_method_constraint,
-    universal_edge_constraint,
     value_range_constraint,
 )
 from .model import (
@@ -69,7 +67,6 @@ __all__ = [
     "check",
     "check_model",
     "constraint_from_text",
-    "existential_edge_constraint",
     "functional_dependency",
     "higher_order_bridge",
     "key_constraint",
@@ -77,7 +74,6 @@ __all__ = [
     "partial_order_constraint_ho",
     "referential_constraint",
     "scalar_method_constraint",
-    "universal_edge_constraint",
     "value_range_constraint",
     "witnesses_from_store",
 ]

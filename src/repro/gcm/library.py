@@ -12,9 +12,10 @@ Covers the constraints the paper calls out:
 * :func:`key_constraint` — key attributes over a class.
 * :func:`referential_constraint` — role fillers typed by their declared
   class (inclusion dependency).
-* :func:`existential_edge_constraint` / :func:`universal_edge_constraint`
-  — Section 4's executable readings of domain-map edges as integrity
-  constraints (data completeness w.r.t. ``C -r-> D``).
+
+Section 4's reading of a domain-map edge as an integrity constraint
+lives with the domain-map compiler
+(:func:`repro.domainmap.edge_constraint_rules`).
 
 All generators build rule ASTs directly (no text formatting), so names
 with spaces — ubiquitous in the Neuroscience domain maps — are safe.
@@ -417,52 +418,3 @@ def referential_constraint(relation_pred, arity, position, class_name):
         "relation position must be typed by its declared class",
     )
 
-
-def existential_edge_constraint(source_class, role, target_class):
-    """Section 4: the edge ``C -r-> D`` read as an integrity constraint.
-
-    ``w_{C,r,D}(X) : ic :- X : C, not (Y : D, r(X,Y))`` — useful when
-    the mediated object base must be *data-complete* w.r.t. the edge.
-    """
-    c, r, d = Const(source_class), Const(role), Const(target_class)
-    x, y = Var("X"), Var("Y")
-    aux = _aux_name("exwit", source_class, role, target_class)
-    witness_rule = Rule(
-        Atom(aux, (x,)),
-        (
-            Literal(Atom(role, (x, y))),
-            Literal(Atom("instance", (y, d))),
-        ),
-    )
-    denial = Rule(
-        _ic_head(Struct("w_edge", (c, r, d, x))),
-        (
-            Literal(Atom("instance", (x, c))),
-            Literal(Atom(aux, (x,)), positive=False),
-        ),
-    )
-    return Constraint(
-        "edge_complete(%s -%s-> %s)" % (source_class, role, target_class),
-        [witness_rule, denial],
-        "every C instance must have an r-successor in D",
-    )
-
-
-def universal_edge_constraint(source_class, role, target_class):
-    """The (all) edge ``C -ALL:r-> D`` as an integrity constraint:
-    every r-successor of a C instance must be in D."""
-    c, r, d = Const(source_class), Const(role), Const(target_class)
-    x, y = Var("X"), Var("Y")
-    denial = Rule(
-        _ic_head(Struct("w_all", (c, r, d, x, y))),
-        (
-            Literal(Atom("instance", (x, c))),
-            Literal(Atom(role, (x, y))),
-            Literal(Atom("instance", (y, d)), positive=False),
-        ),
-    )
-    return Constraint(
-        "edge_all(%s -ALL:%s-> %s)" % (source_class, role, target_class),
-        [denial],
-        "every r-successor of a C instance must be in D",
-    )

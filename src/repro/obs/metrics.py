@@ -172,10 +172,6 @@ class EvaluationMetrics:
     def rounds_total(self):
         return sum(len(s.rounds) for s in self.strata)
 
-    def derivation_of(self, atom):
-        """(stratum, round) the atom was first derived in, or None."""
-        return self.derived_at.get(atom)
-
     def as_dict(self):
         return {
             "rule_firings": self.rule_firings,

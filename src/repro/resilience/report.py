@@ -161,10 +161,12 @@ class DegradedAnswer:
 
 def build_degraded_answer(outcomes, skip_records, guard=None, now=None):
     """Assemble a :class:`DegradedAnswer` from a plan's guard-call
-    outcomes and its ``skip_failed_sources``-style skip records.
+    outcomes and its skip records (``PlanContext.errors``).
 
-    Works without a guard too (plain ``skip_failed_sources`` runs):
-    skip records alone yield one ``skipped`` entry per source.
+    A skip record with no guarded call behind it is a source the
+    retrieve step gave up on before calling it (say, its capabilities
+    cannot serve the query): it yields one ``skipped`` entry with one
+    attempt.
     """
     reports: Dict[str, SourceReport] = {}
 
@@ -191,8 +193,8 @@ def build_degraded_answer(outcomes, skip_records, guard=None, now=None):
         report.absorb_status(STATUS_FAILED)
         report.error = "%s: %s" % (type(exc).__name__, exc)
         if report.calls == 0:
-            # no guarded call ran (plain skip_failed_sources): the one
-            # direct attempt is the skip itself
+            # no guarded call ran (a pre-call capability skip): the
+            # one attempt is the skip itself
             report.calls = 1
             report.attempts = 1
 

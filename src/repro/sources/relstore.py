@@ -297,9 +297,6 @@ class RelStore:
             raise RelStoreError("no table %r in store %r" % (name, self.name))
         return table
 
-    def has_table(self, name):
-        return name in self._tables
-
     def table_names(self):
         return sorted(self._tables)
 

@@ -110,20 +110,3 @@ class TestIsolationAndAnchors:
         (diag,) = [d for d in diags if d.code == "MBM024"]
         assert "S.cls" in diag.message
         assert "source S" in str(diag.span)
-
-    def test_mbm020_edge_assertion_without_edge(self):
-        dm = base_map()
-        diags = analyze_domain_map(
-            dm, edge_assertions=[("a", "has", "c")]
-        )
-        assert "MBM020" in codes_of(diags)
-
-    def test_matching_edge_assertion_is_fine(self):
-        dm = base_map()
-        diags = analyze_domain_map(
-            dm, edge_assertions=[("b", "has", "c")]
-        )
-        assert diags == []
-
-    def test_all_edge_assertions_sentinel_ignored(self):
-        assert analyze_domain_map(base_map(), edge_assertions="all") == []

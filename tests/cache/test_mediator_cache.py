@@ -19,23 +19,20 @@ class TestCtorDispatch:
     def test_default_is_no_cache(self):
         assert Mediator(build_dm(), name="m").cache is None
 
-    def test_true_builds_a_default_cache(self):
-        mediator = Mediator(build_dm(), name="m", cache=True)
-        assert isinstance(mediator.cache, AnswerCache)
-
     def test_answer_cache_taken_as_is(self):
         cache = AnswerCache()
         assert Mediator(build_dm(), name="m", cache=cache).cache is cache
 
-    def test_store_wrapped_in_a_cache(self):
-        store = LRUStore(max_entries=4)
-        mediator = Mediator(build_dm(), name="m", cache=store)
-        assert isinstance(mediator.cache, AnswerCache)
-        assert mediator.cache.store is store
-
-    def test_bad_configuration_rejected(self):
+    # an AnswerCache is the one accepted form: neither ``True`` nor a
+    # bare store builds one
+    @pytest.mark.parametrize(
+        "cache",
+        [True, LRUStore(max_entries=4), "lots please"],
+        ids=["True", "LRUStore", "string"],
+    )
+    def test_bad_configuration_rejected(self, cache):
         with pytest.raises(MediatorError):
-            Mediator(build_dm(), name="m", cache="lots please")
+            Mediator(build_dm(), name="m", cache=cache)
 
 
 class TestSourceQueryCache:

@@ -8,7 +8,7 @@ from repro import obs
 from repro.core.planner import QueryExplain
 from repro.neuro import build_scenario, section5_query
 
-from .test_failure_handling import flaky_protein_source
+from .test_failure_handling import flaky_protein_source, guarded
 
 
 @pytest.fixture(scope="module")
@@ -76,24 +76,22 @@ class TestQueryExplain:
     def test_degraded_explain_reports_skips(self):
         scenario = build_scenario(eager=False)
         scenario.mediator.register(flaky_protein_source(), eager=False)
-        explained = scenario.mediator.explain(
-            section5_query(), skip_failed_sources=True
-        )
+        explained = guarded(scenario.mediator).explain(section5_query())
         assert explained.context.skipped_sources == ["FLAKY"]
         retrieve = next(
             step for step in explained.steps if step["kind"] == "retrieve"
         )
         assert retrieve["events"][0]["source"] == "FLAKY"
         text = explained.format(mask_timings=True)
-        assert "degraded answer: skipped sources ['FLAKY']" in text
         assert "! FLAKY:" in text
+        # the DegradedAnswer block has FLAKY's row, with its status
+        rows = [line.split()[:2] for line in text.splitlines()]
+        assert ["FLAKY", "skipped"] in rows
 
     def test_degraded_explain_carries_the_degraded_answer(self):
         scenario = build_scenario(eager=False)
         scenario.mediator.register(flaky_protein_source(), eager=False)
-        explained = scenario.mediator.explain(
-            section5_query(), skip_failed_sources=True
-        )
+        explained = guarded(scenario.mediator).explain(section5_query())
         report = explained.degraded_answer().report_for("FLAKY")
         assert report is not None
         assert report.status == "skipped"
@@ -108,6 +106,40 @@ class TestQueryExplain:
             for entry in document["degraded_answer"]["sources"]
         }
         assert sources["FLAKY"]["status"] == "skipped"
+
+    def test_stale_only_explain_lists_no_skipped_sources(self):
+        # an answer degraded only by stale serving skipped nothing; the
+        # DegradedAnswer block says what happened to each source
+        from repro.resilience import (
+            FaultInjectingWrapper,
+            FaultSchedule,
+            ResiliencePolicy,
+            SourceGuard,
+            VirtualClock,
+        )
+
+        clock = VirtualClock()
+        mediator = build_scenario(eager=False).mediator
+        mediator.resilience = SourceGuard(
+            ResiliencePolicy(
+                max_retries=0,
+                serve_stale=True,
+                clock=clock.now,
+                sleep=clock.sleep,
+            )
+        )
+        mediator.correlate(section5_query())
+        record = mediator._sources["NCMIR"]
+        record.wrapper = FaultInjectingWrapper(
+            record.wrapper, FaultSchedule().kill("NCMIR")
+        )
+        explained = mediator.explain(section5_query())
+        assert explained.context.degraded
+        assert explained.context.skipped_sources == []
+        text = explained.format(mask_timings=True)
+        assert "skipped sources" not in text
+        rows = [line.split()[:2] for line in text.splitlines()]
+        assert ["NCMIR", "served-stale"] in rows
 
     def test_healthy_explain_degraded_answer_is_complete(self, explained):
         assert explained.degraded_answer().complete

@@ -5,6 +5,7 @@ import pytest
 from repro.errors import SourceError
 from repro.neuro import build_scenario, section5_query
 from repro.neuro.ncmir import LOCATION_CONCEPTS
+from repro.resilience import ResiliencePolicy, SourceGuard
 from repro.sources import AnchorSpec, Column, RelStore, Wrapper
 
 
@@ -48,6 +49,13 @@ def flaky_protein_source():
     return wrapper
 
 
+def guarded(mediator):
+    """`mediator` under a guard that never retries: a failing source
+    is skipped and the plan goes on without it."""
+    mediator.resilience = SourceGuard(ResiliencePolicy(max_retries=0))
+    return mediator
+
+
 @pytest.fixture
 def scenario_with_flaky():
     scenario = build_scenario(eager=False)
@@ -61,11 +69,9 @@ class TestFailureHandling:
         with pytest.raises(SourceError):
             mediator.correlate(section5_query())
 
-    def test_skip_failed_sources_continues(self, scenario_with_flaky):
-        mediator = scenario_with_flaky.mediator
-        plan, context = mediator.correlate(
-            section5_query(), skip_failed_sources=True
-        )
+    def test_guard_skips_failed_sources_and_continues(self, scenario_with_flaky):
+        mediator = guarded(scenario_with_flaky.mediator)
+        plan, context = mediator.correlate(section5_query())
         # the flaky source was selected (it anchors at Purkinje concepts)
         assert "FLAKY" in context.selected_sources
         # ... failed ...
@@ -75,20 +81,16 @@ class TestFailureHandling:
         assert "Ryanodine Receptor" in proteins
 
     def test_no_errors_recorded_when_all_healthy(self):
-        mediator = build_scenario(eager=False).mediator
-        _plan, context = mediator.correlate(
-            section5_query(), skip_failed_sources=True
-        )
+        mediator = guarded(build_scenario(eager=False).mediator)
+        _plan, context = mediator.correlate(section5_query())
         assert context.errors == []
         assert context.skipped_sources == []
         assert not context.degraded
         assert context.failures() == []
 
     def test_skipped_sources_exposed_on_context(self, scenario_with_flaky):
-        mediator = scenario_with_flaky.mediator
-        _plan, context = mediator.correlate(
-            section5_query(), skip_failed_sources=True
-        )
+        mediator = guarded(scenario_with_flaky.mediator)
+        _plan, context = mediator.correlate(section5_query())
         assert context.skipped_sources == ["FLAKY"]
         assert context.degraded
         (failure,) = context.failures()
@@ -123,8 +125,8 @@ class TestFailureHandling:
         assert isinstance(excinfo.value.__cause__, KeyError)
 
     def test_correlate_result_surfaces_degradation(self, scenario_with_flaky):
-        result = scenario_with_flaky.mediator.correlate(
-            section5_query(), skip_failed_sources=True
+        result = guarded(scenario_with_flaky.mediator).correlate(
+            section5_query()
         )
         # tuple compatibility is preserved ...
         plan, context = result
@@ -151,9 +153,9 @@ class TestFailureHandling:
     def test_skip_is_traced_as_span_event(self, scenario_with_flaky):
         from repro import obs
 
-        mediator = scenario_with_flaky.mediator
+        mediator = guarded(scenario_with_flaky.mediator)
         with obs.capture("flaky") as tracer:
-            mediator.correlate(section5_query(), skip_failed_sources=True)
+            mediator.correlate(section5_query())
         events = [
             event
             for span in tracer.iter_spans()
@@ -180,8 +182,8 @@ class TestMediatorResilience:
         return ResiliencePolicy(clock=clock.now, sleep=clock.sleep, **kwargs)
 
     def test_policy_degrades_instead_of_raising(self):
-        # with a degrading policy, no skip_failed_sources flag is
-        # needed: a source dying mid-plan is retried, then skipped
+        # under a guard a source dying mid-plan is retried, then
+        # skipped
         from repro.resilience import (
             FaultInjectingWrapper,
             FaultSchedule,
@@ -242,9 +244,13 @@ class TestMediatorResilience:
         from repro.errors import MediatorError
         from repro.core.mediator import Mediator
         from repro.neuro.anatom import build_anatom
+        from repro.resilience import SourceGuard
 
         with pytest.raises(MediatorError):
             Mediator(build_anatom(), resilience="retry hard, please")
+        # a guard is assigned, not passed: the policy is the one form
+        with pytest.raises(MediatorError):
+            Mediator(build_anatom(), resilience=SourceGuard(self.make_policy()))
 
     def test_degraded_answer_covers_only_this_plan(self):
         # two consecutive plans on one mediator: each report slices out

@@ -253,7 +253,9 @@ class TestFailedRegistration:
         assert mediator.index.sources_for("Purkinje_Cell") == ["BAD", "NCMIR"]
 
     def test_unknown_anchor_leaves_map_and_cache_alone(self):
-        mediator = build_scenario(eager=False, cache=True).mediator
+        from repro.cache import AnswerCache
+
+        mediator = build_scenario(eager=False, cache=AnswerCache()).mediator
         mediator.correlate(section5_query())
         entries = len(mediator.cache.entries())
         revision = mediator.dm.revision
@@ -292,6 +294,19 @@ class TestViews:
         mediator.add_view(view)
         with pytest.raises(MediatorError):
             mediator.add_view(IntegratedView("v", "X : v :- X : sample."))
+
+    def test_failed_add_view_leaves_no_view(self):
+        from repro.errors import FLogicParseError
+
+        mediator = Mediator(make_dm())
+        mediator.register(make_wrapper())
+        with pytest.raises(FLogicParseError):
+            # no final dot
+            mediator.add_view(IntegratedView("v", "X : good :- X : sample"))
+        assert mediator.view_names() == []
+        mediator.add_view(IntegratedView("v", "X : good :- X : sample."))
+        assert mediator.view_names() == ["v"]
+        assert len(mediator.ask("X : good")) == 2
 
     def test_distribution_view_materialization(self):
         mediator = Mediator(make_dm())

@@ -4,7 +4,6 @@ import pytest
 
 from repro.flogic import (
     FLogicEngine,
-    all_axioms,
     core_axioms,
     signature_inheritance_axioms,
     value_inheritance_axioms,
@@ -25,11 +24,6 @@ class TestAxiomGroups:
     def test_value_inheritance_rules(self):
         heads = {rule.head.pred for rule in value_inheritance_axioms()}
         assert heads == {"method_val", "inherits", "shadowed"}
-
-    def test_all_axioms_bundles(self):
-        with_vi = all_axioms(include_value_inheritance=True)
-        without = all_axioms(include_value_inheritance=False)
-        assert len(with_vi) > len(without)
 
 
 class TestAxiomSemantics:
@@ -55,12 +49,11 @@ class TestAxiomSemantics:
         assert not engine.evaluate().used_well_founded
 
     def test_signature_inheritance_toggle(self):
-        engine = FLogicEngine(signature_inheritance=False)
+        # signature inheritance is always on: a subclass inherits its
+        # superclass's method signatures
+        engine = FLogicEngine()
         engine.tell("sub :: sup. sup[m => t].")
-        assert engine.ask("sub[m => T]") == []
-        engine_on = FLogicEngine()
-        engine_on.tell("sub :: sup. sup[m => t].")
-        assert engine_on.ask("sub[m => T]") == [{"T": "t"}]
+        assert engine.ask("sub[m => T]") == [{"T": "t"}]
 
     def test_multiple_incomparable_defaults_both_inherited(self):
         # the classic multiple-inheritance ambiguity: with two
