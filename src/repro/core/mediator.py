@@ -62,6 +62,11 @@ from .views import DistributionView, IntegratedView
 WIRE_LOG_LIMIT = 1024
 
 
+def _cm_rules(registration):
+    """The rules a registered source adds to the schema-only program."""
+    return registration.cm.all_rules(include_constraints=False)
+
+
 class RegisteredSource:
     """Mediator-side record of one registered source."""
 
@@ -140,9 +145,10 @@ class Mediator:
         self._view_rules_by_name: Dict[str, List[Rule]] = {}
         self._facts: List[Rule] = []
         self._materialized: List[Rule] = []
-        #: include_data -> (dm.revision, engine): the full knowledge
-        #: base and the schema-only program, each evaluated once
-        self._engines: Dict[bool, Tuple[int, FLogicEngine]] = {}
+        #: (dm.revision, schema-only engine, full engine): the full
+        #: knowledge base continues the schema-only model with the
+        #: instance data, and writes maintain both (see _write)
+        self._models: Optional[Tuple[int, FLogicEngine, FLogicEngine]] = None
         self._engines_lock = threading.Lock()
         self._wire_log: Deque[Tuple[str, int]] = deque(maxlen=WIRE_LOG_LIMIT)
 
@@ -215,33 +221,49 @@ class Mediator:
                 refinement_seeds(refinement_result),
                 reason="register:%s" % registration.source,
             )
-        for class_name, concept, context in registration.anchors:
-            self.index.add_anchor(wrapper.name, class_name, concept, context)
         record = RegisteredSource(wrapper, registration)
-        self._sources[wrapper.name] = record
-        if registration.facts:
+
+        def commit():
+            for class_name, concept, context in registration.anchors:
+                self.index.add_anchor(wrapper.name, class_name, concept, context)
+            self._sources[wrapper.name] = record
             self._facts.extend(registration.facts)
-        self._invalidate()
+
+        self._write(
+            commit,
+            schema_added=_cm_rules(registration),
+            data_added=registration.facts,
+        )
         return registration
 
     def deregister(self, source_name):
         """Remove the source named `source_name` (anchors included).
-        Previously loaded facts are rebuilt from the remaining
-        sources."""
-        if source_name not in self._sources:
+        Its rules and loaded facts are retracted from the evaluated
+        models (see :meth:`engine`)."""
+        record = self._sources.get(source_name)
+        if record is None:
             raise RegistrationError("source %r is not registered" % source_name)
+        concepts = self.index.concepts_of_source(source_name)
+
+        def commit():
+            del self._sources[source_name]
+            self.index.remove_source(source_name)
+            self._facts = [
+                fact
+                for other in self._sources.values()
+                for fact in other.registration.facts
+            ]
+
+        self._write(
+            commit,
+            schema_removed=_cm_rules(record.registration),
+            data_removed=record.registration.facts,
+        )
         if self.cache is not None:
             self.cache.invalidate_source(source_name)
             self._cache_invalidate_change(
-                self.index.concepts_of_source(source_name),
-                reason="deregister:%s" % source_name,
+                concepts, reason="deregister:%s" % source_name
             )
-        del self._sources[source_name]
-        self.index.remove_source(source_name)
-        self._facts = []
-        for record in self._sources.values():
-            self._facts.extend(record.registration.facts)
-        self._invalidate()
 
     def wrapper(self, source_name):
         """The registered :class:`~repro.sources.Wrapper` named
@@ -399,9 +421,15 @@ class Mediator:
             with obs.span("mediator.add_view", view=view.name) as span:
                 rules = view.datalog_rules()
                 span.set(datalog_rules=len(rules))
-            self._view_rules_by_name[view.name] = rules
-        self._views[view.name] = view
-        self._invalidate()
+        else:
+            rules = []
+
+        def commit():
+            if isinstance(view, IntegratedView):
+                self._view_rules_by_name[view.name] = rules
+            self._views[view.name] = view
+
+        self._write(commit, schema_added=rules)
         return view
 
     def view(self, name):
@@ -417,9 +445,53 @@ class Mediator:
 
     # -- knowledge base ----------------------------------------------------
 
-    def _invalidate(self):
+    def _write(self, commit, schema_added=(), schema_removed=(),
+               data_added=(), data_removed=()):
+        """The one write path: `commit()` updates the mediator's records,
+        which add the rules `schema_added` to the schema-only program
+        and remove `schema_removed` from it, and add and remove instance
+        data likewise.
+
+        Every evaluated model is maintained with those rules before
+        anything is committed, so a write whose maintenance raises
+        leaves the mediator unchanged.  The records and the maintained
+        models are then swapped in together under the engine lock: a
+        reader sees the models from before the write or from after it.
+        Models not evaluated yet (or of an older domain-map revision)
+        are just dropped.
+        """
         with self._engines_lock:
-            self._engines.clear()
+            models = self._models
+            if not (schema_added or schema_removed or data_added or data_removed):
+                commit()
+                return
+        schema = full = None
+        if models is not None and models[0] == self.dm.revision and models[1].evaluated:
+            _revision, old_schema, old_full = models
+            schema = old_schema
+            if schema_added or schema_removed:
+                schema = old_schema.revised(schema_added, schema_removed)
+                schema.evaluate()
+            if old_full is not old_schema and old_full.evaluated:
+                full = old_full.revised(
+                    list(schema_added) + list(data_added),
+                    list(schema_removed) + list(data_removed),
+                )
+                full.evaluate()
+        with self._engines_lock:
+            commit()
+            if schema is None:
+                self._models = None
+            else:
+                if full is None or not (self._facts or self._materialized):
+                    full = self._data_engine(schema)
+                self._models = (models[0], schema, full)
+
+    def _data_engine(self, schema):
+        """The full knowledge base: `schema`'s model continued with the
+        instance data, or that model itself when there is none."""
+        data = self._facts + self._materialized
+        return schema.revised(added=data) if data else schema
 
     def _cache_invalidate_change(self, seeds, reason):
         """Drop the cached answers anchored where a change at the
@@ -483,9 +555,7 @@ class Mediator:
         rules: List[Rule] = []
         rules.extend(compile_domain_map(self.dm))
         for record in self._sources.values():
-            rules.extend(
-                record.registration.cm.all_rules(include_constraints=False)
-            )
+            rules.extend(_cm_rules(record.registration))
         for view_rules in self._view_rules_by_name.values():
             rules.extend(view_rules)
         if include_data:
@@ -497,18 +567,23 @@ class Mediator:
         """The mediator's F-logic engine over :meth:`assembled_rules`
         (``include_data=False``: the schema-only program).
 
-        Each of the two engines is built once and evaluates once; both
-        are dropped by every registration, view, materialization and
-        domain-map change (a direct ``dm.add_axiom`` included: they are
-        keyed on ``dm.revision``).
+        The schema-only program is evaluated once; the full knowledge
+        base continues that model with the instance data (with none, it
+        is that model).  Registrations, deregistrations, views and
+        materializations maintain both models (see :meth:`_write`); a
+        domain-map change drops them (a direct ``dm.add_axiom``
+        included: they are keyed on ``dm.revision``).
         """
         with self._engines_lock:
-            cached = self._engines.get(include_data)
-            if cached is None or cached[0] != self.dm.revision:
-                engine = FLogicEngine()
-                engine.tell_rules(self.assembled_rules(include_data=include_data))
-                cached = self._engines[include_data] = (self.dm.revision, engine)
-            return cached[1]
+            models = self._models
+            if models is None or models[0] != self.dm.revision:
+                schema = FLogicEngine().tell_rules(
+                    self.assembled_rules(include_data=False)
+                )
+                models = self._models = (
+                    self.dm.revision, schema, self._data_engine(schema)
+                )
+            return models[2] if include_data else models[1]
 
     def evaluate(self):
         """Evaluate the knowledge base; returns an EvaluationResult."""
@@ -655,10 +730,10 @@ class Mediator:
             role=view.role,
             func=view.func,
         )
-        self._materialized.extend(
-            view.materialize_facts(group_value, root, distribution, extra)
+        facts = view.materialize_facts(group_value, root, distribution, extra)
+        self._write(
+            lambda: self._materialized.extend(facts), data_added=facts
         )
-        self._invalidate()
         return distribution
 
     # -- planned queries -----------------------------------------------------

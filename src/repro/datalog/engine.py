@@ -21,6 +21,8 @@ check guarantees is always eventually possible.
 
 from __future__ import annotations
 
+import copy
+import math
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .. import obs
@@ -58,8 +60,8 @@ class EvaluationResult:
         self.strata = strata
         self.metrics = metrics
         self.program = tuple(program)
-        # the _Continuation of this model, built on first use
-        self._continuation = None
+        # the _Plan for maintaining this model, built on first use
+        self._plan = None
 
     def is_true(self, atom):
         return self.store.contains(atom)
@@ -78,7 +80,7 @@ DEFAULT_MAX_FACTS = 2_000_000
 
 
 def evaluate(program, check_safety=True, strategy="seminaive", max_facts=None,
-             base=None):
+             base=None, removed=()):
     """Evaluate `program` and return an :class:`EvaluationResult`.
 
     Stratifiable programs get the stratified semi-naive treatment; with
@@ -98,23 +100,31 @@ def evaluate(program, check_safety=True, strategy="seminaive", max_facts=None,
     `base`, an earlier result, makes `program` a list of rules to add to
     ``base.program``: the combined model is continued from `base` where
     that is sound (see :func:`_continue`), and `base` stays as it is.
-    Only `program` is then checked for safety.
+    Only `program` is then checked for safety.  `removed` lists rules
+    of ``base.program`` the new model goes without (one occurrence
+    each): they are retracted from `base` before `program` is added.
     """
     if strategy not in ("seminaive", "naive"):
         raise EvaluationError("unknown evaluation strategy %r" % strategy)
     if check_safety:
         check_program_safety(program)
     if base is not None:
-        return _continue(base, list(program), strategy, max_facts)
+        return _continue(base, list(program), list(removed), strategy, max_facts)
+    if removed:
+        raise EvaluationError("removed= needs the base= it is removed from")
+    # a rule stated twice is evaluated once, but kept twice in the
+    # result's program: removing one copy later leaves it stated
+    program = tuple(program)
+    unique = _unique(program)
     tracer = obs.active()
     metrics = obs.EvaluationMetrics() if tracer.enabled else None
     try:
-        strata = stratify(program)
+        strata = stratify(unique)
     except StratificationError:
-        if not is_aggregate_stratified(program):
+        if not is_aggregate_stratified(unique):
             raise
         true_store, undefined = well_founded_model(
-            program, check_safety=False, metrics=metrics
+            unique, check_safety=False, metrics=metrics
         )
         if metrics is not None:
             metrics.store_size = len(true_store)
@@ -135,7 +145,7 @@ def evaluate(program, check_safety=True, strategy="seminaive", max_facts=None,
         tracer=tracer,
     )
     for index, stratum in enumerate(strata):
-        rules = [r for r in program if r.head.signature in stratum]
+        rules = [r for r in unique if r.head.signature in stratum]
         if metrics is None:
             evaluator.saturate(rules)
             continue
@@ -164,70 +174,105 @@ def evaluate(program, check_safety=True, strategy="seminaive", max_facts=None,
     return EvaluationResult(store, strata=strata, metrics=metrics, program=program)
 
 
-def _continue(base, extra, strategy, max_facts):
-    """The model of ``base.program`` plus the rules `extra`, continued
-    from the evaluated `base` instead of recomputed.
+def _continue(base, extra, removed, strategy, max_facts):
+    """The model of ``base.program`` without the rules `removed` and
+    with the rules `extra`, maintained from the evaluated `base` instead
+    of recomputed.
 
     The store of `base` is left untouched: the new model lives in a
-    copy-on-write :meth:`FactStore.overlay` of it.  The extra facts are
-    the delta.  Semi-naive rounds run stratum by stratum over the base
-    rules, with every positive literal whose relation gained facts as a
-    delta position; there is no first full pass.  Extra proper rules
-    must define relations the base program neither defines nor
-    references; they are stratified on their own and saturated after
-    the base strata (by `strategy`; the base strata only ever see the
-    new facts, so they always run semi-naive rounds).
+    copy-on-write :meth:`FactStore.overlay` of it.  Removed facts are
+    retracted first (:func:`_retract`).  The extra facts are then the
+    delta: semi-naive rounds run stratum by stratum over the base rules,
+    with every positive literal whose relation gained facts as a delta
+    position; there is no first full pass.  Extra proper rules must
+    define relations the base program neither defines nor references;
+    they are stratified on their own and saturated after the base
+    strata (by `strategy`; the base strata only ever see the new facts,
+    so they always run semi-naive rounds).
 
-    Continuing is unsound in some cases, and the whole combined program
+    Maintaining is unsound in some cases, and the whole combined program
     is evaluated instead.  The fallback reason is recorded on the
     ``datalog.continue`` span and counted in the ``datalog.fallbacks``
     counter:
 
     * ``well-founded`` — the base needed the well-founded semantics;
+    * ``rule-removed`` — a removed rule is not a fact;
     * ``head-in-base`` — an extra rule's head relation is defined or
       referenced by the base program;
     * ``unstratified`` — the extra rules are not stratifiable on their
       own;
-    * ``negation`` / ``aggregate`` — new facts reach a relation that a
-      base rule negates or aggregates over.
+    * ``negation`` / ``aggregate`` — new facts reach, or retracted
+      facts leave, a relation that a base rule negates or aggregates
+      over.
     """
     tracer = obs.active()
-    with tracer.span("datalog.continue", extra_rules=len(extra)) as span:
+    attrs = {"extra_rules": len(extra)}
+    if removed:
+        attrs["removed_rules"] = len(removed)
+    with tracer.span("datalog.continue", **attrs) as span:
         if base.used_well_founded:
             reason = "well-founded"
         else:
-            reason, result = _Continuation.of(base).run(
-                extra, strategy, max_facts, tracer, span
-            )
+            reason, result = None, base
+            if removed:
+                reason, result = _retract(base, removed, tracer)
+            if reason is None and (extra or not removed):
+                reason, result = _Plan.of(result).run(
+                    result, extra, strategy, max_facts, tracer, span
+                )
         if reason is None:
             return result
         span.set(fallback=reason)
         tracer.count("datalog.fallbacks", reason=reason)
         return evaluate(
-            base.program + tuple(extra),
+            _without_rules(base.program, removed) + tuple(extra),
             check_safety=False,
             strategy=strategy,
             max_facts=max_facts,
         )
 
 
-class _Continuation:
-    """What continuing from one stratified model needs, computed once
-    per :class:`EvaluationResult`."""
+def _unique(rules):
+    """`rules` without repeats, in order."""
+    return list(dict.fromkeys(rules))
 
-    def __init__(self, base):
-        self.base = base
-        program = base.program
-        #: relations the base program defines or reads
+
+def _without_rules(program, removed):
+    """`program` as a tuple, with one occurrence of each rule of
+    `removed` taken out (rules it does not hold are ignored)."""
+    if not removed:
+        return tuple(program)
+    pending = {}
+    for rule in removed:
+        pending[rule] = pending.get(rule, 0) + 1
+
+    def spared(rule):
+        left = pending[rule]
+        pending[rule] = left - 1
+        return left <= 0
+
+    return tuple(rule for rule in program if rule not in pending or spared(rule))
+
+
+class _Plan:
+    """What maintaining one stratified model needs.
+
+    It depends only on the model's proper rules and strata, so a model
+    maintained by facts alone shares its base's plan (see
+    :meth:`with_relations`)."""
+
+    def __init__(self, program, strata):
+        #: relations the program defines or reads
         self.referenced = {rule.head.signature for rule in program}
-        #: per base stratum: (ordered proper rules, relations read by
-        #: a positive literal, {relation negated/aggregated: reason})
+        #: per stratum: (ordered proper rules, relations read by a
+        #: positive literal, {relation negated/aggregated: reason})
         self.strata = []
-        for stratum in base.strata:
+        proper = _unique(rule for rule in program if not rule.is_fact)
+        for stratum in strata:
             rules = [
                 _ordered_rule(rule, delta_first=True)
-                for rule in program
-                if rule.head.signature in stratum and not rule.is_fact
+                for rule in proper
+                if rule.head.signature in stratum
             ]
             triggers = {delta[0] for _rule, _body, deltas in rules for delta in deltas}
             guarded = {}
@@ -243,16 +288,56 @@ class _Continuation:
                                 self.referenced.add(inner.atom.signature)
                                 guarded[inner.atom.signature] = "aggregate"
             self.strata.append((rules, triggers, guarded))
+        self._retraction = None
 
     @classmethod
-    def of(cls, base):
+    def of(cls, result):
         # concurrent first uses may each build one; either is correct
-        if base._continuation is None:
-            base._continuation = cls(base)
-        return base._continuation
+        if result._plan is None:
+            result._plan = cls(result.program, result.strata)
+        return result._plan
 
-    def run(self, extra, strategy, max_facts, tracer, span):
-        """``(None, result)``, or ``(fallback reason, None)``."""
+    def with_relations(self, signatures):
+        """This plan, for a program that also has facts of the
+        relations `signatures`."""
+        new = set(signatures) - self.referenced
+        if not new:
+            return self
+        plan = copy.copy(self)
+        plan.referenced = self.referenced | new
+        return plan
+
+    def retraction_index(self):
+        """``(by_head, by_body, dependents, guarded)``: the proper rules
+        by head (body ordered for a bound head, with its positive
+        atoms) and by positive body literal (that literal first), each
+        a :class:`_RuleIndex`; the relations each relation's facts
+        derive; and every negated or aggregated relation with its
+        fallback reason."""
+        if self._retraction is None:
+            by_head, by_body = _RuleIndex(), _RuleIndex()
+            dependents, guarded = {}, {}
+            for rules, _triggers, stratum_guarded in self.strata:
+                guarded.update(stratum_guarded)
+                for rule, _body, deltas in rules:
+                    body = _order_body_items(
+                        list(rule.body), bound=rule.head.variables()
+                    )
+                    positives = [
+                        item.atom
+                        for item in body
+                        if isinstance(item, Literal) and item.positive
+                    ]
+                    by_head.add(rule.head, (rule, body, positives))
+                    for sig, delta_body, _position in deltas:
+                        by_body.add(delta_body[0].atom, (rule, delta_body))
+                        dependents.setdefault(sig, set()).add(rule.head.signature)
+            self._retraction = (by_head, by_body, dependents, guarded)
+        return self._retraction
+
+    def run(self, base, extra, strategy, max_facts, tracer, span):
+        """Continue `base` with the rules `extra`: ``(None, result)``,
+        or ``(fallback reason, None)``."""
         facts = [rule for rule in extra if rule.is_fact]
         proper = [rule for rule in extra if not rule.is_fact]
         if any(
@@ -270,7 +355,7 @@ class _Continuation:
 
         metrics = obs.EvaluationMetrics() if tracer.enabled else None
         derived_at = metrics.derived_at if metrics is not None else None
-        store = self.base.store.overlay()
+        store = base.store.overlay()
         evaluator = _Evaluator(
             store,
             seminaive=(strategy == "seminaive"),
@@ -295,7 +380,7 @@ class _Continuation:
             stratum_metrics = None
             if metrics is not None:
                 stratum_metrics = metrics.begin_stratum(
-                    index, ("%s/%d" % sig for sig in self.base.strata[index])
+                    index, ("%s/%d" % sig for sig in base.strata[index])
                 )
             evaluator.rounds(
                 rules, gained, stratum_metrics, derived_at, gained=gained
@@ -312,16 +397,107 @@ class _Continuation:
         if metrics is not None:
             metrics.rule_firings = evaluator.rule_firings
             metrics.store_size = len(store)
-            span.set(facts_derived=len(store) - len(self.base.store) - delta_in)
+            span.set(facts_derived=len(store) - len(base.store) - delta_in)
             tracer.count("datalog.rule_firings", evaluator.rule_firings)
             tracer.count("datalog.facts_derived", metrics.facts_derived)
             tracer.gauge("datalog.store_size", len(store))
-        return None, EvaluationResult(
+        result = EvaluationResult(
             store,
-            strata=self.base.strata + extra_strata,
+            strata=base.strata + extra_strata,
             metrics=metrics,
-            program=self.base.program + tuple(extra),
+            program=base.program + tuple(extra),
         )
+        if not proper:
+            result._plan = self.with_relations(
+                rule.head.signature for rule in facts
+            )
+        return None, result
+
+
+def _retract(base, removed, tracer):
+    """`base` without the facts `removed`: ``(None, result)``, or
+    ``(fallback reason, None)``.
+
+    This is the Backward/Forward algorithm (Motik, Nenov, Piro and
+    Horrocks, AAAI 2015).  A candidate fact is deleted only when a
+    backward search finds no proof of it that avoids the facts already
+    deleted; the consequences of each deleted fact (found forward,
+    against the old model) are the next candidates.  A removed fact the
+    remaining program still states is no candidate.  Unlike
+    delete-and-rederive, a fact that keeps another proof never leaves
+    the model, so its consequences are never visited.
+
+    The ``datalog.retract`` span records, and the tracer counts, three
+    numbers that do not depend on the order in which facts are met:
+    ``removed`` (facts deleted), ``checked`` (candidates whose proofs
+    were searched) and ``rederived`` (candidates found still provable).
+    """
+    if any(not rule.is_fact for rule in removed):
+        return "rule-removed", None
+    program = _without_rules(base.program, removed)
+    plan = _Plan.of(base)
+    by_head, by_body, dependents, guarded = plan.retraction_index()
+    affected = set()
+    frontier = [rule.head.signature for rule in removed]
+    while frontier:
+        sig = frontier.pop()
+        if sig not in affected:
+            affected.add(sig)
+            frontier.extend(dependents.get(sig, ()))
+    explicit = {
+        (head.signature, head.args)
+        for head in (rule.head for rule in program if not rule.body)
+        if head.signature in affected
+    }
+    with tracer.span("datalog.retract", removed_rules=len(removed)) as span:
+        retraction = _Retraction(base.store, by_head, by_body, affected, explicit)
+        candidates = [
+            (rule.head.signature, rule.head.args)
+            for rule in removed
+            if (rule.head.signature, rule.head.args) not in explicit
+            and rule.head.args in base.store.rows(rule.head.signature)
+        ]
+        considered = set()
+        while candidates:
+            deleted = []
+            for fact in candidates:
+                if fact in considered:
+                    continue
+                considered.add(fact)
+                retraction.check(fact)
+                if fact not in retraction.proved:
+                    reason = guarded.get(fact[0])
+                    if reason is not None:
+                        return reason, None
+                    retraction.deleted.add(fact)
+                    deleted.append(fact)
+            candidates = retraction.consequences(deleted)
+        store = base.store.overlay()
+        for sig, args in retraction.deleted:
+            store.remove_row(sig, args)
+        metrics = None
+        if tracer.enabled:
+            removed_count = len(retraction.deleted)
+            span.set(
+                removed=removed_count,
+                checked=len(considered),
+                rederived=len(considered) - removed_count,
+            )
+            metrics = obs.EvaluationMetrics()
+            metrics.rule_firings = retraction.rule_firings
+            metrics.store_size = len(store)
+            tracer.count("datalog.rule_firings", retraction.rule_firings)
+            tracer.count("datalog.facts_removed", removed_count)
+            tracer.count("datalog.facts_checked", len(considered))
+            tracer.count(
+                "datalog.facts_rederived", len(considered) - removed_count
+            )
+            tracer.gauge("datalog.store_size", len(store))
+    result = EvaluationResult(
+        store, strata=base.strata, metrics=metrics, program=program
+    )
+    result._plan = plan
+    return None, result
 
 
 def query(program, goal, check_safety=True):
@@ -677,6 +853,211 @@ class _Evaluator:
                 yield unified
 
 
+class _Retraction:
+    """The state of one :func:`_retract`: the facts checked, proved and
+    deleted so far, each a ``(signature, args)`` pair.
+
+    A fact is proved when it is still stated, when its relation cannot
+    have lost facts (it does not depend on a removed fact's relation),
+    or when a rule instance whose positive atoms are all proved derives
+    it.  :meth:`check` searches backward for such an instance, checking
+    every positive atom of each instance it tries; a fact whose check is
+    still open (a cycle) is not proved yet, so each newly proved fact is
+    propagated forward to the checked facts it proves.  Once a top-level
+    :meth:`check` returns, every checked fact that has a proof is
+    proved; the rest have none.
+    """
+
+    def __init__(self, model, by_head, by_body, affected, explicit):
+        self.model = model
+        self.by_head = by_head
+        self.by_body = by_body
+        self.affected = affected
+        self.explicit = explicit
+        self.checked = set()
+        #: proved facts of affected relations (a store, for the forward
+        #: propagation's joins)
+        self.proved_store = FactStore()
+        self.proved = set()
+        self.deleted = set()
+        #: rule instances fired forward from deleted facts
+        self.rule_firings = 0
+        self._model_solver = _Evaluator(model)
+        self._proof_solver = _ProofSolver(
+            _ProvedView(model, self.proved_store, affected), model
+        )
+
+    def check(self, root):
+        """Search for a proof of the fact `root`."""
+        if root in self.checked or self._settle(root):
+            return
+        stack = [[root, self._instances(root), (), 0]]
+        while stack:
+            frame = stack[-1]
+            fact, instances, atoms, position = frame
+            if fact in self.proved:
+                stack.pop()
+                continue
+            child = None
+            while position < len(atoms):
+                atom = atoms[position]
+                position += 1
+                if atom not in self.checked and not self._settle(atom):
+                    child = atom
+                    break
+            frame[3] = position
+            if child is not None:
+                stack.append([child, self._instances(child), (), 0])
+                continue
+            if atoms and all(atom in self.proved for atom in atoms):
+                self._prove(fact)
+                stack.pop()
+                continue
+            atoms = next(instances, None)
+            if atoms is None:
+                stack.pop()  # no proof (yet)
+            elif not atoms:
+                self._prove(fact)
+                stack.pop()
+            else:
+                frame[2], frame[3] = atoms, 0
+
+    def _settle(self, fact):
+        """Mark `fact` checked; True when that already decides it (it
+        is stated, or its relation is unaffected: proved)."""
+        self.checked.add(fact)
+        if fact[0] not in self.affected or fact in self.explicit:
+            self._prove(fact)
+            return True
+        return False
+
+    def _instances(self, fact):
+        """Per rule instance deriving `fact` in the old model, avoiding
+        deleted facts: its positive atoms of affected relations."""
+        for (rule, body, positives), subst in self.by_head.matches(*fact):
+            for solution in self._model_solver._solve(body, 0, subst, None, None):
+                atoms = []
+                for atom in positives:
+                    if atom.signature not in self.affected:
+                        continue
+                    ground = (
+                        atom.signature,
+                        tuple(substitute(arg, solution) for arg in atom.args),
+                    )
+                    if ground in self.deleted:
+                        break
+                    atoms.append(ground)
+                else:
+                    yield atoms
+
+    def _prove(self, fact):
+        """Record `fact` as proved, then every checked fact a rule
+        instance over proved facts derives from it."""
+        work = [fact]
+        while work:
+            fact = work.pop()
+            if fact in self.proved:
+                continue
+            self.proved.add(fact)
+            sig, args = fact
+            if sig not in self.affected:
+                continue
+            self.proved_store.add_row(sig, args)
+            for (rule, body), subst in self.by_body.matches(sig, args):
+                for solution in self._proof_solver._solve(body, 1, subst, None, None):
+                    head = rule.head.substitute(solution)
+                    derived = (head.signature, head.args)
+                    if derived in self.checked and derived not in self.proved:
+                        work.append(derived)
+
+    def consequences(self, deleted):
+        """The facts of the old model that rule instances with a
+        positive atom among `deleted` derive, and that are not deleted
+        yet: the next candidates."""
+        found = []
+        seen = set()
+        for sig, args in deleted:
+            for (rule, body), subst in self.by_body.matches(sig, args):
+                for solution in self._model_solver._solve(body, 1, subst, None, None):
+                    self.rule_firings += 1
+                    head = rule.head.substitute(solution)
+                    fact = (head.signature, head.args)
+                    if fact not in seen and fact not in self.deleted:
+                        seen.add(fact)
+                        found.append(fact)
+        return found
+
+
+class _ProvedView:
+    """The proved facts as a store for positive literals: those of
+    affected relations, and every fact of the other relations."""
+
+    def __init__(self, model, proved, affected):
+        self.model = model
+        self.proved = proved
+        self.affected = affected
+
+    def candidates(self, atom, subst):
+        store = self.proved if atom.signature in self.affected else self.model
+        return store.candidates(atom, subst)
+
+
+class _ProofSolver(_Evaluator):
+    """Solves rule bodies for :class:`_Retraction`: positive literals
+    against the proved facts, negation and aggregates against the old
+    model (their relations lose no facts, or the retraction falls
+    back)."""
+
+    def __init__(self, proved, model):
+        super().__init__(proved, negation_store=model)
+        self._model = _Evaluator(model)
+
+    def _solve_aggregate(self, agg, subst):
+        return self._model._solve_aggregate(agg, subst)
+
+
+class _RuleIndex:
+    """Entries keyed by an atom pattern, found by the ground facts that
+    match it.  A pattern with a constant argument is filed under its
+    first one, so a fact only meets patterns that agree with it there
+    or have no constant."""
+
+    def __init__(self):
+        #: signature -> (patterns without a constant, {(position,
+        #: constant): patterns}); a pattern is (atom, entry)
+        self._by_sig = {}
+
+    def add(self, pattern, entry):
+        loose, keyed = self._by_sig.setdefault(pattern.signature, ([], {}))
+        for position, arg in enumerate(pattern.args):
+            if isinstance(arg, Const):
+                keyed.setdefault((position, arg), []).append((pattern, entry))
+                return
+        loose.append((pattern, entry))
+
+    def matches(self, sig, args):
+        """``(entry, substitution)`` for each pattern of `sig` that the
+        ground arguments `args` match."""
+        filed = self._by_sig.get(sig)
+        if filed is None:
+            return
+        loose, keyed = filed
+        groups = [loose]
+        for position, arg in enumerate(args):
+            group = keyed.get((position, arg))
+            if group:
+                groups.append(group)
+        for group in groups:
+            for pattern, entry in group:
+                subst = {}
+                for term, ground in zip(pattern.args, args):
+                    subst = unify(term, ground, subst)
+                    if subst is None:
+                        break
+                else:
+                    yield entry, subst
+
+
 def _apply_aggregate(func, values):
     if func == "count":
         return len(set(values))
@@ -690,14 +1071,23 @@ def _apply_aggregate(func, values):
     if not numbers:
         raise EvaluationError("aggregate %s over empty group" % func)
     if func == "sum":
-        return sum(numbers)
+        return _sum(numbers)
     if func == "min":
         return min(numbers)
     if func == "max":
         return max(numbers)
     if func == "avg":
-        return sum(numbers) / len(numbers)
+        return _sum(numbers) / len(numbers)
     raise EvaluationError("unknown aggregate %r" % func)
+
+
+def _sum(numbers):
+    """The correctly rounded sum of float values, whatever order the
+    store yields them in (a maintained model's rows come in another
+    order than a fresh one's); integers add exactly."""
+    if any(isinstance(number, float) for number in numbers):
+        return math.fsum(numbers)
+    return sum(numbers)
 
 
 def _ordered_rule(rule, delta_first=False):

@@ -9,13 +9,19 @@ the store answers from the most selective available index.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, FrozenSet, Iterable, Iterator, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, Set, Tuple
 
 from .ast import Atom
 from .terms import Const, Struct, Term, Var, term_sort_key, walk
 
 Signature = Tuple[str, int]
 FactArgs = Tuple[Term, ...]
+
+#: how many :meth:`FactStore.overlay` generations a maintained model
+#: may stack before it is folded into one flat store (see
+#: :meth:`FactStore.folded`): an ancestor stays alive, stale rows
+#: included, while it owns a relation the model still shares
+MAX_OVERLAY_DEPTH = 8
 
 
 class FactStore:
@@ -25,10 +31,12 @@ class FactStore:
         self._facts: Dict[Signature, Set[FactArgs]] = defaultdict(set)
         # _indexes[sig][position][ground term] -> set of fact tuples
         self._indexes: Dict[Signature, Dict[int, Dict[Term, Set[FactArgs]]]] = {}
-        # copy-on-write children (see overlay()): relations still read
-        # from the parent store, and that parent
-        self._shared: Set[Signature] = set()
-        self._parent: Optional[FactStore] = None
+        # copy-on-write children (see overlay()): the store each
+        # relation still shared with an ancestor is read from (the one
+        # that owns its rows)
+        self._owners: Dict[Signature, FactStore] = {}
+        #: overlay generations above the nearest flat store
+        self.depth = 0
 
     def __len__(self):
         return sum(len(rows) for rows in self._facts.values())
@@ -50,13 +58,30 @@ class FactStore:
         rows = self._facts[sig]
         if args in rows:
             return False
-        if sig in self._shared:
+        if sig in self._owners:
             rows = self._unshare(sig)
         rows.add(args)
         indexes = self._indexes.get(sig)
         if indexes:
             for position, index in indexes.items():
                 index.setdefault(args[position], set()).add(args)
+        return True
+
+    def remove_row(self, sig, args):
+        """Delete a ground argument tuple from `sig`, keeping the
+        relation's indexes consistent; True if it was stored."""
+        rows = self._facts.get(sig)
+        if not rows or args not in rows:
+            return False
+        if sig in self._owners:
+            rows = self._unshare(sig)
+        rows.discard(args)
+        for position, index in self._indexes.get(sig, {}).items():
+            bucket = index.get(args[position])
+            if bucket is not None:
+                bucket.discard(args)
+                if not bucket:
+                    del index[args[position]]
         return True
 
     def contains(self, atom):
@@ -72,25 +97,40 @@ class FactStore:
         """A copy-on-write child of this store.
 
         The child starts with this store's facts without copying them:
-        it reads each relation (and its indexes, built lazily here) from
-        this store until its first insertion into that relation, which
-        copies the relation's rows.  This store must not change while
-        the child is in use; the child's insertions never reach it.
+        it reads each relation (and its indexes, built lazily there)
+        from the store that owns the relation's rows until its first
+        change to that relation, which copies the rows and indexes.
+        This store must not change while the child is in use; the
+        child's changes never reach it.  A child only refers to the
+        owners of the relations it shares, so a chain of overlays
+        keeps alive just the stores still owning some relation.
         """
         child = FactStore()
         child._facts.update((sig, rows) for sig, rows in self._facts.items() if rows)
-        child._shared = set(child._facts)
-        child._parent = self
+        owners = self._owners
+        child._owners = {sig: owners.get(sig, self) for sig in child._facts}
+        child.depth = self.depth + 1
         return child
 
+    def folded(self):
+        """This store, or a flat copy of it once its overlay chain is
+        deeper than :data:`MAX_OVERLAY_DEPTH`."""
+        return self.copy() if self.depth > MAX_OVERLAY_DEPTH else self
+
     def _unshare(self, sig):
-        self._shared.discard(sig)
+        # the owner's indexes are copied, not rebuilt row by row
+        owner_indexes = self._owners.pop(sig)._indexes.get(sig, {})
         rows = self._facts[sig] = set(self._facts[sig])
+        self._indexes[sig] = {
+            position: {key: set(bucket) for key, bucket in index.items()}
+            for position, index in owner_indexes.items()
+        }
         return rows
 
     def _index_for(self, sig, position):
-        if sig in self._shared:
-            return self._parent._index_for(sig, position)
+        owner = self._owners.get(sig)
+        if owner is not None:
+            return owner._index_for(sig, position)
         indexes = self._indexes.setdefault(sig, {})
         index = indexes.get(position)
         if index is None:

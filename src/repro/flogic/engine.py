@@ -11,16 +11,17 @@ programs non-stratifiable (intentionally — the paper resolves such
 programs with the well-founded semantics), so keeping them out of
 default-free programs preserves cheap stratified evaluation.
 
-The knowledge base is evaluated once per `tell`; queries and other
-additions that leave it unchanged (:meth:`FLogicEngine.evaluate_with`)
-continue from that model (``evaluate(..., base=)``, see
-:func:`~repro.datalog.engine.evaluate`).
+The knowledge base is evaluated once; after that, telling and
+retracting rules maintain the model instead of recomputing it, and
+queries and other additions that leave it unchanged
+(:meth:`FLogicEngine.evaluate_with`) continue from it (``evaluate(...,
+base=, removed=)``, see :func:`~repro.datalog.engine.evaluate`).
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, Optional, Sequence
 
 from .. import obs
 from ..datalog.ast import Atom, Program, Rule
@@ -37,10 +38,16 @@ class FLogicEngine:
     """An incremental F-logic knowledge base over the Datalog engine."""
 
     def __init__(self):
-        self._rules: List[Rule] = []
+        # the told rules, in telling order, with how often each was
+        # told: a write copies it and adjusts the counts of its rules
+        self._told: Dict[Rule, int] = {}
         # does some told rule state a '*->' default?
         self._defaults = False
         self._result: Optional[EvaluationResult] = None
+        # what evaluate() maintains while _result is None: (the model
+        # or engine it starts from, rules added, rules removed, whether
+        # that model has '*->' defaults), or None for a full evaluation
+        self._basis = None
         # one evaluation of the knowledge base, however many threads ask
         self._evaluation_lock = threading.Lock()
 
@@ -82,21 +89,78 @@ class FLogicEngine:
         self._add_rules([Rule(Atom(pred, args))])
         return self
 
+    def retract_rules(self, rules):
+        """Take told Datalog :class:`Rule` objects out again, one
+        occurrence each (rules never told are ignored)."""
+        self._revise((), list(rules))
+        return self
+
     def _add_rules(self, rules):
         if rules:
-            self._rules.extend(rules)
-            self._defaults = self._defaults or _uses_defaults(rules)
-            self._result = None
+            self._revise(rules, ())
+
+    def _revise(self, added, removed):
+        with self._evaluation_lock:
+            if self._result is not None:
+                self._basis = (self._result, [], [], self._defaults)
+                self._result = None
+            if self._basis is not None:
+                pending_added, pending_removed = self._basis[1:3]
+                for rule in removed:
+                    if rule in pending_added:
+                        pending_added.remove(rule)
+                    else:
+                        pending_removed.append(rule)
+                pending_added.extend(added)
+            self._count_rules(self._told, added, removed)
+
+    def _count_rules(self, told, added, removed):
+        """Make `told`, adjusted by the rules `added` and `removed`,
+        this engine's told rules."""
+        for rule in removed:
+            count = told.get(rule, 0)
+            if count > 1:
+                told[rule] = count - 1
+            elif count:
+                del told[rule]
+        for rule in added:
+            told[rule] = told.get(rule, 0) + 1
+        self._told = told
+        if _uses_defaults(removed):
+            self._defaults = _uses_defaults(told)
+        else:
+            self._defaults = self._defaults or _uses_defaults(added)
+
+    def revised(self, added=(), removed=()):
+        """A new engine over this one's rules without `removed` (one
+        occurrence each) and with `added`.  Its model is maintained
+        from this engine's, evaluated when first needed, rather than
+        recomputed; this engine stays as it is and must not be told
+        more afterwards."""
+        added, removed = list(added), list(removed)
+        engine = FLogicEngine()
+        engine._defaults = self._defaults
+        engine._count_rules(dict(self._told), added, removed)
+        engine._basis = (self, added, removed, self._defaults)
+        return engine
+
+    @property
+    def evaluated(self):
+        """Is the model of the knowledge base computed?"""
+        return self._result is not None
 
     # -- evaluation ---------------------------------------------------------
 
     @property
     def rules(self):
-        return tuple(self._rules)
+        return tuple(
+            rule for rule, count in self._told.items() for _ in range(count)
+        )
 
     def _assemble(self, extra_rules=()):
-        program = Program()
-        program.extend(self._rules)
+        # a list, not a Program: a rule told twice (two sources stating
+        # one fact) stays twice, so retracting one copy keeps the other
+        program = list(self.rules)
         program.extend(core_axioms())
         program.extend(signature_inheritance_axioms())
         if self._defaults or _uses_defaults(extra_rules):
@@ -108,17 +172,46 @@ class FLogicEngine:
         """The fully assembled Datalog program the engine would run —
         told rules plus core/inheritance axioms — without evaluating
         anything.  Static analysis (``repro lint``) works on this."""
-        return self._assemble(extra_rules=extra_rules)
+        return Program(self._assemble(extra_rules=extra_rules))
 
     def evaluate(self):
-        """Evaluate the knowledge base; results are cached until the
-        next `tell`."""
+        """Evaluate the knowledge base once; later tells and retracts
+        maintain the cached model.
+
+        Linking the value-inheritance axioms (the first ``*->``
+        default) or unlinking them (retracting the last) changes the
+        program's axioms; that change is evaluated from scratch, with
+        the reason ``value-inheritance`` on the ``flogic.evaluate`` span
+        and in the ``datalog.fallbacks`` counter.
+        """
         with self._evaluation_lock:
             if self._result is None:
-                with obs.span("flogic.evaluate", rules=len(self._rules)) as span:
-                    self._result = evaluate(self._assemble())
-                    span.set(facts=len(self._result.store))
+                basis, self._basis = self._basis, None
+                if basis is not None and basis[3] == self._defaults:
+                    self._result = self._maintain(*basis[:3])
+                else:
+                    self._result = self._evaluate_all(
+                        None if basis is None else "value-inheritance"
+                    )
             return self._result
+
+    def _evaluate_all(self, fallback):
+        with obs.span("flogic.evaluate", rules=sum(self._told.values())) as span:
+            if fallback is not None:
+                span.set(fallback=fallback)
+                obs.count("datalog.fallbacks", reason=fallback)
+            result = evaluate(self._assemble())
+            span.set(facts=len(result.store))
+        return result
+
+    @staticmethod
+    def _maintain(base, added, removed):
+        if isinstance(base, FLogicEngine):
+            base = base.evaluate()
+        result = evaluate(added, base=base, removed=removed)
+        # a told model outlives the writes after it: bound its chain
+        result.store = result.store.folded()
+        return result
 
     def evaluate_with(self, extra_rules):
         """The model of the knowledge base plus `extra_rules` (Datalog

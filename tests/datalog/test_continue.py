@@ -20,6 +20,7 @@ from repro.datalog import (
     parse_program,
 )
 from repro.flogic import FLogicEngine
+from tests.conftest import examples
 
 NODES = ["a", "b", "c", "d", "e"]
 
@@ -86,7 +87,7 @@ def continued_and_fresh(base_program, extra):
 
 
 class TestContinuedEqualsFresh:
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=examples(150), deadline=None)
     @given(
         st.lists(edb_facts, max_size=12),
         rule_subsets,

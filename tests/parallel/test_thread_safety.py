@@ -177,8 +177,11 @@ class TestStaleStoreHammer:
 
 class TestEvaluateOnceHammer:
     """Concurrent ``correlate`` and ``ask`` on one cold mediator: the
-    threads race to build and evaluate the two cached engines and then
-    continue from the same models."""
+    threads race to build and evaluate the schema-only model and the
+    full model that continues it, and then continue from the same
+    models.  With a writer registering and deregistering a source
+    among them, every ask sees the models from before a write or from
+    after it, never a mix."""
 
     ASKS = (
         "X : 'Compartment'",
@@ -241,4 +244,43 @@ class TestEvaluateOnceHammer:
         for include_data in (False, True):
             assert mediator.engine(include_data).evaluate().store.same_facts(
                 sequential.engine(include_data).evaluate().store
+            )
+
+    def test_interleaved_writes_show_whole_models(self):
+        from repro.neuro import build_scenario
+        from tests.core.test_maintain_models import decoy_source, rounded
+
+        queries = ("X : protein_amount", self.ASKS[1])
+        mediator = build_scenario().mediator
+        decoy = decoy_source("DECOY", 11)
+        without = [rounded(mediator.ask(query)) for query in queries]
+        mediator.register(decoy, eager=True)
+        with_decoy = [rounded(mediator.ask(query)) for query in queries]
+        mediator.deregister(decoy.name)
+        assert all(a != b for a, b in zip(without, with_decoy))
+        torn = []
+
+        def work(index):
+            if index == 0:
+                for _cycle in range(10):
+                    mediator.register(decoy, eager=True)
+                    mediator.deregister(decoy.name)
+                return
+            for turn in range(40):
+                which = (index + turn) % len(queries)
+                answer = rounded(mediator.ask(queries[which]))
+                if answer not in (without[which], with_decoy[which]):
+                    torn.append((queries[which], answer))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            hammer(work)
+        finally:
+            sys.setswitchinterval(interval)
+        assert torn == []
+        fresh = build_scenario().mediator
+        for include_data in (False, True):
+            assert mediator.engine(include_data).evaluate().store.same_facts(
+                fresh.engine(include_data).evaluate().store
             )
