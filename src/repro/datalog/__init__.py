@@ -57,8 +57,6 @@ from .terms import (
     Term,
     Var,
     coerce_term,
-    fresh_variable_factory,
-    match,
     struct,
     substitute,
     term_sort_key,
@@ -92,12 +90,10 @@ __all__ = [
     "evaluate",
     "explain",
     "fact",
-    "fresh_variable_factory",
     "is_aggregate_stratified",
     "is_stratifiable",
     "magic_query",
     "magic_transform",
-    "match",
     "match_atom",
     "parse_atom",
     "parse_program",

@@ -1,8 +1,9 @@
 """Builtin evaluation: comparisons and arithmetic expressions.
 
-Builtins operate on ground :class:`Const` values.  ``=`` additionally
-acts as unification when a side is unbound.  Arithmetic expression trees
-are :class:`Struct` terms with functors ``+ - * / // mod abs min max``.
+Builtins operate on ground :class:`Const` values; the join kernel
+(:mod:`.join`) applies them, and there ``=`` also matches a side not
+bound yet against the other.  Arithmetic expression trees are
+:class:`Struct` terms with functors ``+ - * / // mod abs min max``.
 """
 
 from __future__ import annotations
@@ -10,8 +11,7 @@ from __future__ import annotations
 import numbers
 
 from ..errors import EvaluationError
-from .ast import Assignment, Comparison
-from .terms import Const, Struct, Term, Var, substitute, unify, walk
+from .terms import Const, Struct, Var, walk
 
 _ARITH_BINARY = {
     "+": lambda a, b: a + b,
@@ -96,36 +96,3 @@ def compare_values(op, left, right):
     if op == ">=":
         return lk >= rk
     raise EvaluationError("unknown comparison operator %r" % op)
-
-
-def solve_comparison(item, subst):
-    """Yield extended substitutions satisfying a comparison.
-
-    ``=`` unifies (0 or 1 solutions, possibly binding variables); other
-    operators test ground values and yield `subst` unchanged on success.
-    """
-    left = walk(item.left, subst)
-    right = walk(item.right, subst)
-    if item.op == "=":
-        unified = unify(left, right, subst)
-        if unified is not None:
-            yield unified
-        return
-    left = substitute(left, subst)
-    right = substitute(right, subst)
-    if not left.is_ground() or not right.is_ground():
-        raise EvaluationError(
-            "comparison %s has unbound arguments (%s, %s)" % (item, left, right)
-        )
-    left_value = left.value if isinstance(left, Const) else left
-    right_value = right.value if isinstance(right, Const) else right
-    if compare_values(item.op, left_value, right_value):
-        yield subst
-
-
-def solve_assignment(item, subst):
-    """Yield extended substitutions for ``Target is Expr``."""
-    value = Const(evaluate_expression(item.expr, subst))
-    unified = unify(item.target, value, subst)
-    if unified is not None:
-        yield unified

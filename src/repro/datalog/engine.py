@@ -14,25 +14,27 @@ The evaluator computes the minimal model of a safe program:
   paper requires of the GCM rule language ("Datalog with well-founded
   negation", Section 3).
 
-Rule bodies are greedily reordered at evaluation time so builtins and
-negation run as soon as their variables are bound, which the safety
-check guarantees is always eventually possible.
+Rule bodies are joined by the compiled kernel of :mod:`.join`: each
+rule is compiled once per delta position, with the delta's literal read
+first and the rest ordered by what is bound before each item (builtins
+and negation as soon as their variables are bound, which the safety
+check guarantees is always eventually possible).  A model's
+:class:`_Plan` owns the compiled rules, so the continuations and
+retractions of the model reuse the joins its evaluation compiled.
 """
 
 from __future__ import annotations
 
 import copy
-import math
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .. import obs
 from ..errors import EvaluationError, StratificationError
-from .ast import AggregateLiteral, Assignment, Atom, Comparison, Literal, Program, Rule
-from .builtins import solve_assignment, solve_comparison
+from .ast import AggregateLiteral, Atom, Literal
+from .join import _CompiledRule, _ProofStores, _Stores
 from .safety import check_program_safety
 from .store import FactStore
 from .stratify import is_aggregate_stratified, stratify
-from .terms import Const, Struct, Term, Var, substitute, term_sort_key, unify, walk
+from .terms import Const, Term, substitute, term_sort_key, unify
 
 
 class EvaluationResult:
@@ -137,6 +139,12 @@ def evaluate(program, check_safety=True, strategy="seminaive", max_facts=None,
             metrics=metrics,
             program=program,
         )
+    plan = _Plan(program, strata)
+    facts = [[] for _stratum in strata]
+    where = {sig: index for index, stratum in enumerate(strata) for sig in stratum}
+    for rule in unique:
+        if rule.is_fact:
+            facts[where[rule.head.signature]].append(rule.head)
     store = FactStore()
     evaluator = _Evaluator(
         store,
@@ -144,10 +152,11 @@ def evaluate(program, check_safety=True, strategy="seminaive", max_facts=None,
         max_facts=max_facts if max_facts is not None else DEFAULT_MAX_FACTS,
         tracer=tracer,
     )
-    for index, stratum in enumerate(strata):
-        rules = [r for r in unique if r.head.signature in stratum]
+    for index, (stratum, (rules, _triggers, _guarded)) in enumerate(
+        zip(strata, plan.strata)
+    ):
         if metrics is None:
-            evaluator.saturate(rules)
+            evaluator.saturate(facts[index], rules)
             continue
         stratum_metrics = metrics.begin_stratum(
             index, ("%s/%d" % sig for sig in stratum)
@@ -156,6 +165,7 @@ def evaluate(program, check_safety=True, strategy="seminaive", max_facts=None,
             "datalog.stratum", index=index, relations=len(stratum)
         ) as span:
             evaluator.saturate(
+                facts[index],
                 rules,
                 stratum_metrics=stratum_metrics,
                 derived_at=metrics.derived_at,
@@ -171,7 +181,9 @@ def evaluate(program, check_safety=True, strategy="seminaive", max_facts=None,
         tracer.count("datalog.rule_firings", evaluator.rule_firings)
         tracer.count("datalog.facts_derived", metrics.facts_derived)
         tracer.gauge("datalog.store_size", len(store))
-    return EvaluationResult(store, strata=strata, metrics=metrics, program=program)
+    result = EvaluationResult(store, strata=strata, metrics=metrics, program=program)
+    result._plan = plan
+    return result
 
 
 def _continue(base, extra, removed, strategy, max_facts):
@@ -255,29 +267,29 @@ def _without_rules(program, removed):
 
 
 class _Plan:
-    """What maintaining one stratified model needs.
+    """A stratified model's rules, compiled: what evaluating and
+    maintaining it needs.
 
     It depends only on the model's proper rules and strata, so a model
     maintained by facts alone shares its base's plan (see
-    :meth:`with_relations`)."""
+    :meth:`with_relations`), and with it the joins compiled so far."""
 
     def __init__(self, program, strata):
         #: relations the program defines or reads
         self.referenced = {rule.head.signature for rule in program}
-        #: per stratum: (ordered proper rules, relations read by a
+        #: per stratum: (compiled proper rules, relations read by a
         #: positive literal, {relation negated/aggregated: reason})
         self.strata = []
         proper = _unique(rule for rule in program if not rule.is_fact)
-        for stratum in strata:
-            rules = [
-                _ordered_rule(rule, delta_first=True)
-                for rule in proper
-                if rule.head.signature in stratum
-            ]
-            triggers = {delta[0] for _rule, _body, deltas in rules for delta in deltas}
+        where = {sig: index for index, stratum in enumerate(strata) for sig in stratum}
+        grouped = [[] for _stratum in strata]
+        for rule in proper:
+            grouped[where[rule.head.signature]].append(_CompiledRule(rule))
+        for rules in grouped:
+            triggers = {sig for rule in rules for sig, _position in rule.deltas}
             guarded = {}
-            for rule, _body, _deltas in rules:
-                for item in rule.body:
+            for compiled in rules:
+                for item in compiled.rule.body:
                     if isinstance(item, Literal):
                         self.referenced.add(item.atom.signature)
                         if not item.positive:
@@ -308,30 +320,24 @@ class _Plan:
         return plan
 
     def retraction_index(self):
-        """``(by_head, by_body, dependents, guarded)``: the proper rules
-        by head (body ordered for a bound head, with its positive
-        atoms) and by positive body literal (that literal first), each
-        a :class:`_RuleIndex`; the relations each relation's facts
-        derive; and every negated or aggregated relation with its
-        fallback reason."""
+        """``(by_head, by_body, dependents, guarded)``: the compiled
+        proper rules by head and, as ``(rule, body index)``, by positive
+        body literal, each a :class:`_RuleIndex`; the relations each
+        relation's facts derive; and every negated or aggregated
+        relation with its fallback reason."""
         if self._retraction is None:
             by_head, by_body = _RuleIndex(), _RuleIndex()
             dependents, guarded = {}, {}
             for rules, _triggers, stratum_guarded in self.strata:
                 guarded.update(stratum_guarded)
-                for rule, _body, deltas in rules:
-                    body = _order_body_items(
-                        list(rule.body), bound=rule.head.variables()
-                    )
-                    positives = [
-                        item.atom
-                        for item in body
-                        if isinstance(item, Literal) and item.positive
-                    ]
-                    by_head.add(rule.head, (rule, body, positives))
-                    for sig, delta_body, _position in deltas:
-                        by_body.add(delta_body[0].atom, (rule, delta_body))
-                        dependents.setdefault(sig, set()).add(rule.head.signature)
+                for compiled in rules:
+                    head = compiled.rule.head
+                    by_head.add(head, compiled)
+                    for sig, position in compiled.deltas:
+                        by_body.add(
+                            compiled.rule.body[position].atom, (compiled, position)
+                        )
+                        dependents.setdefault(sig, set()).add(head.signature)
             self._retraction = (by_head, by_body, dependents, guarded)
         return self._retraction
 
@@ -365,7 +371,7 @@ class _Plan:
         gained = FactStore()
         for rule in facts:
             if store.add(rule.head):
-                gained.add(rule.head)
+                gained.add_row(rule.head.signature, rule.head.args)
         delta_in = len(gained)
         span.set(delta_in=delta_in)
         for index, (rules, triggers, guarded) in enumerate(self.strata):
@@ -387,13 +393,15 @@ class _Plan:
             )
         offset = len(self.strata)
         for index, stratum in enumerate(extra_strata, start=offset):
-            rules = [rule for rule in proper if rule.head.signature in stratum]
+            rules = [
+                _CompiledRule(rule) for rule in proper if rule.head.signature in stratum
+            ]
             stratum_metrics = None
             if metrics is not None:
                 stratum_metrics = metrics.begin_stratum(
                     index, ("%s/%d" % sig for sig in stratum)
                 )
-            evaluator.saturate(rules, stratum_metrics, derived_at)
+            evaluator.saturate((), rules, stratum_metrics, derived_at)
         if metrics is not None:
             metrics.rule_firings = evaluator.rule_firings
             metrics.store_size = len(store)
@@ -514,7 +522,7 @@ def query(program, goal, check_safety=True):
 def match_atom(store, goal):
     """All bindings of `goal` against a fact store (deterministic order)."""
     solutions = []
-    for args in store.rows(goal.signature):
+    for args in store.candidates(goal, {}):
         subst = {}
         ok = True
         for pattern, ground in zip(goal.args, args):
@@ -567,7 +575,7 @@ def well_founded_model(program, check_safety=True, max_rounds=10_000, metrics=No
     if check_safety:
         check_program_safety(program)
     tracer = obs.active()
-    rules = list(program)
+    rules = [_CompiledRule(rule) for rule in program]
     with tracer.span("datalog.wellfounded", rules=len(rules)) as wf_span:
         true_estimate = FactStore()  # T: certainly-true facts
         possible = _gamma(rules, FactStore())  # U_0 = Gamma(empty): everything possible
@@ -595,15 +603,19 @@ def well_founded_model(program, check_safety=True, max_rounds=10_000, metrics=No
 
 
 def _gamma(rules, anti_store):
-    """Least model of `rules` with negation evaluated against `anti_store`."""
+    """Least model of the compiled `rules` with negation evaluated
+    against `anti_store`."""
     store = FactStore()
     evaluator = _Evaluator(store, negation_store=anti_store)
-    evaluator.saturate(rules)
+    evaluator.saturate(
+        [rule.rule.head for rule in rules if rule.rule.is_fact],
+        [rule for rule in rules if not rule.rule.is_fact],
+    )
     return store
 
 
 class _Evaluator:
-    """Semi-naive saturation of a rule set against a shared store.
+    """Semi-naive saturation of compiled rules against a shared store.
 
     With `negation_store` set, negated subgoals are tested against that
     fixed store (well-founded Gamma operator); otherwise they read the
@@ -614,7 +626,7 @@ class _Evaluator:
     def __init__(self, store, negation_store=None, seminaive=True, max_facts=None,
                  tracer=None):
         self.store = store
-        self.negation_store = negation_store
+        self.stores = _Stores(store, negation_store)
         self.seminaive = seminaive
         self.max_facts = max_facts
         self.tracer = tracer if tracer is not None else obs.NOOP
@@ -631,76 +643,50 @@ class _Evaluator:
 
     # -- saturation --------------------------------------------------
 
-    def saturate(self, rules, stratum_metrics=None, derived_at=None):
-        facts = [r for r in rules if r.is_fact]
-        proper = [r for r in rules if not r.is_fact]
+    def saturate(self, facts, rules, stratum_metrics=None, derived_at=None):
+        """Add the ground atoms `facts` and saturate the store under the
+        compiled proper `rules` (:class:`_CompiledRule`)."""
         collect = stratum_metrics is not None
         stratum_index = stratum_metrics.index if collect else 0
         delta = FactStore()
-        for rule in facts:
-            if self.store.add(rule.head):
-                delta.add(rule.head)
+        for head in facts:
+            if self.store.add(head):
+                delta.add_row(head.signature, head.args)
                 if collect and derived_at is not None:
-                    derived_at.setdefault(rule.head, (stratum_index, 0))
+                    derived_at.setdefault(head, (stratum_index, 0))
 
-        local_sigs = {r.head.signature for r in rules}
-        ordered = [_ordered_rule(rule) for rule in proper]
-
-        # First full pass: every rule against the complete store.  Heads
-        # are buffered per rule so the store is never mutated while a
-        # candidate set from the same relation is being iterated.
-        for rule, body, _deltas in ordered:
-            heads = [
-                rule.head.substitute(subst)
-                for subst in self._solve(body, 0, {}, None, None)
-            ]
-            if collect:
-                self.rule_firings += len(heads)
-            for head in heads:
-                if not head.is_ground():
-                    raise EvaluationError("derived non-ground fact %s" % head)
-                if self.store.add(head):
-                    delta.add(head)
-                    if collect and derived_at is not None:
-                        derived_at.setdefault(head, (stratum_index, 0))
+        # First full pass: every rule against the complete store.  Each
+        # rule's heads are collected before any is stored, so the store
+        # never changes during a join.
+        for rule in rules:
+            self._fire(rule, rule.join().run(self.stores), delta,
+                       collect, derived_at, stratum_index, 0)
         if collect:
             stratum_metrics.rounds.append(len(delta))
             stratum_metrics.facts_derived += len(delta)
 
         # Only rules reading a relation of this stratum can fire again.
+        local_sigs = {rule.sig for rule in rules}
+        local_sigs.update(head.signature for head in facts)
         recursive = [
-            entry
-            for entry in ordered
-            if any(delta[0] in local_sigs for delta in entry[2])
+            rule
+            for rule in rules
+            if any(sig in local_sigs for sig, _position in rule.deltas)
         ]
 
         if not self.seminaive:
             # Naive ablation: every recursive rule refires against the
             # full store each round until nothing new is derived.
-            changed = bool(delta)
             round_no = 0
-            while changed:
-                changed = False
+            while len(delta):
                 round_no += 1
-                derived_this_round = 0
-                for rule, body, _deltas in recursive:
-                    heads = [
-                        rule.head.substitute(subst)
-                        for subst in self._solve(body, 0, {}, None, None)
-                    ]
-                    if collect:
-                        self.rule_firings += len(heads)
-                    for head in heads:
-                        if self.store.add(head):
-                            changed = True
-                            derived_this_round += 1
-                            if collect and derived_at is not None:
-                                derived_at.setdefault(
-                                    head, (stratum_index, round_no)
-                                )
+                delta = FactStore()
+                for rule in recursive:
+                    self._fire(rule, rule.join().run(self.stores), delta,
+                               collect, derived_at, stratum_index, round_no)
                 if collect:
-                    stratum_metrics.rounds.append(derived_this_round)
-                    stratum_metrics.facts_derived += derived_this_round
+                    stratum_metrics.rounds.append(len(delta))
+                    stratum_metrics.facts_derived += len(delta)
                 self._check_budget()
             return
 
@@ -709,16 +695,31 @@ class _Evaluator:
             return
         self.rounds(recursive, delta, stratum_metrics, derived_at)
 
-    def rounds(self, ordered, delta, stratum_metrics=None, derived_at=None,
+    def _fire(self, rule, heads, new, collect, derived_at, stratum_index, round_no):
+        """Store the head tuples `heads` of `rule`; the new ones also go
+        to the store `new`."""
+        sig = rule.sig
+        add = self.store.add_row
+        if collect:
+            self.rule_firings += len(heads)
+        for args in heads:
+            if add(sig, args):
+                new.add_row(sig, args)
+                if collect and derived_at is not None:
+                    derived_at.setdefault(
+                        Atom(sig[0], args), (stratum_index, round_no)
+                    )
+
+    def rounds(self, rules, delta, stratum_metrics=None, derived_at=None,
                gained=None):
-        """Semi-naive rounds over `ordered` rules (as built by
-        :func:`_ordered_rule`), starting from the new facts `delta`.
+        """Semi-naive rounds over the compiled `rules`, starting from the
+        new facts `delta`.
 
         Each round fires every positive body literal whose relation has
-        facts in the delta against those facts alone, the rest of the
-        body against the whole store; the facts the round adds are the
-        next round's delta.  With `gained` set, they are also added to
-        that store after each round.
+        facts in the delta against those facts alone (read first), the
+        rest of the body against the whole store; the facts the round
+        adds are the next round's delta.  With `gained` set, they are
+        also added to that store after each round.
         """
         collect = stratum_metrics is not None
         stratum_index = stratum_metrics.index if collect else 0
@@ -730,27 +731,14 @@ class _Evaluator:
                 "datalog.round", round=round_no, delta_in=len(delta)
             ) as round_span:
                 new_delta = FactStore()
-                for rule, _body, deltas in ordered:
-                    for sig, body, position in deltas:
-                        if sig not in delta_sigs:
-                            continue
-                        heads = [
-                            rule.head.substitute(subst)
-                            for subst in self._solve(body, 0, {}, position, delta)
-                        ]
-                        if collect:
-                            self.rule_firings += len(heads)
-                        for head in heads:
-                            if not head.is_ground():
-                                raise EvaluationError(
-                                    "derived non-ground fact %s" % head
-                                )
-                            if self.store.add(head):
-                                new_delta.add(head)
-                                if collect and derived_at is not None:
-                                    derived_at.setdefault(
-                                        head, (stratum_index, round_no)
-                                    )
+                for rule in rules:
+                    for sig, position in rule.deltas:
+                        if sig in delta_sigs:
+                            self._fire(
+                                rule, rule.join(position).run(self.stores, delta),
+                                new_delta, collect, derived_at, stratum_index,
+                                round_no,
+                            )
                 if collect:
                     stratum_metrics.rounds.append(len(new_delta))
                     stratum_metrics.facts_derived += len(new_delta)
@@ -759,98 +747,6 @@ class _Evaluator:
             if gained is not None:
                 gained.merge(new_delta)
             delta = new_delta
-
-    # -- body solving ------------------------------------------------
-
-    def _solve(self, body, index, subst, delta_position, delta):
-        """Yield substitutions satisfying body[index:] under `subst`.
-
-        When `delta_position` is not None, the literal at that body
-        index draws its candidate facts from `delta` instead of the full
-        store (semi-naive restriction).
-        """
-        if index == len(body):
-            yield subst
-            return
-        item = body[index]
-        if isinstance(item, Literal):
-            if item.positive:
-                source = (
-                    delta
-                    if delta_position == index and delta is not None
-                    else self.store
-                )
-                atom = item.atom
-                for args in source.candidates(atom, subst):
-                    new = subst
-                    ok = True
-                    for pattern, ground in zip(atom.args, args):
-                        new = unify(pattern, ground, new)
-                        if new is None:
-                            ok = False
-                            break
-                    if ok:
-                        yield from self._solve(
-                            body, index + 1, new, delta_position, delta
-                        )
-            else:
-                ground = item.atom.substitute(subst)
-                if not ground.is_ground():
-                    raise EvaluationError(
-                        "negated subgoal %s not ground at evaluation time"
-                        % ground
-                    )
-                target = (
-                    self.negation_store
-                    if self.negation_store is not None
-                    else self.store
-                )
-                if not target.contains(ground):
-                    yield from self._solve(
-                        body, index + 1, subst, delta_position, delta
-                    )
-        elif isinstance(item, Comparison):
-            for new in solve_comparison(item, subst):
-                yield from self._solve(body, index + 1, new, delta_position, delta)
-        elif isinstance(item, Assignment):
-            for new in solve_assignment(item, subst):
-                yield from self._solve(body, index + 1, new, delta_position, delta)
-        elif isinstance(item, AggregateLiteral):
-            for new in self._solve_aggregate(item, subst):
-                yield from self._solve(body, index + 1, new, delta_position, delta)
-        else:
-            raise EvaluationError("unsupported body item %r" % (item,))
-
-    def _solve_aggregate(self, agg, subst):
-        """Group the aggregate subgoal's solutions and bind the result."""
-        inner_body = _order_body_items(list(agg.body))
-        groups: Dict[Tuple, List] = {}
-        for inner in self._solve(inner_body, 0, dict(subst), None, None):
-            key = tuple(substitute(g, inner) for g in agg.group_by)
-            value = substitute(agg.value, inner)
-            if not value.is_ground():
-                raise EvaluationError(
-                    "aggregate value %s not ground" % value
-                )
-            groups.setdefault(key, []).append(value)
-        for key, values in sorted(
-            groups.items(),
-            key=lambda kv: tuple(term_sort_key(t) for t in kv[0]),
-        ):
-            result_value = _apply_aggregate(agg.func, values)
-            new = dict(subst)
-            ok = True
-            for pattern, ground in zip(agg.group_by, key):
-                unified = unify(pattern, ground, new)
-                if unified is None:
-                    ok = False
-                    break
-                new = unified
-            if not ok:
-                continue
-            unified = unify(agg.result, Const(result_value), new)
-            if unified is not None:
-                yield unified
 
 
 class _Retraction:
@@ -882,10 +778,8 @@ class _Retraction:
         self.deleted = set()
         #: rule instances fired forward from deleted facts
         self.rule_firings = 0
-        self._model_solver = _Evaluator(model)
-        self._proof_solver = _ProofSolver(
-            _ProvedView(model, self.proved_store, affected), model
-        )
+        self._model = _Stores(model)
+        self._proof = _ProofStores(self.proved_store, model, affected)
 
     def check(self, root):
         """Search for a proof of the fact `root`."""
@@ -934,16 +828,15 @@ class _Retraction:
     def _instances(self, fact):
         """Per rule instance deriving `fact` in the old model, avoiding
         deleted facts: its positive atoms of affected relations."""
-        for (rule, body, positives), subst in self.by_head.matches(*fact):
-            for solution in self._model_solver._solve(body, 0, subst, None, None):
+        sig, args = fact
+        for rule in self.by_head.entries(sig, args):
+            join, relations = rule.backward()
+            for rows in join.run(self._model, (args,)):
                 atoms = []
-                for atom in positives:
-                    if atom.signature not in self.affected:
+                for relation, row in zip(relations, rows):
+                    if relation not in self.affected:
                         continue
-                    ground = (
-                        atom.signature,
-                        tuple(substitute(arg, solution) for arg in atom.args),
-                    )
+                    ground = (relation, row)
                     if ground in self.deleted:
                         break
                     atoms.append(ground)
@@ -963,10 +856,9 @@ class _Retraction:
             if sig not in self.affected:
                 continue
             self.proved_store.add_row(sig, args)
-            for (rule, body), subst in self.by_body.matches(sig, args):
-                for solution in self._proof_solver._solve(body, 1, subst, None, None):
-                    head = rule.head.substitute(solution)
-                    derived = (head.signature, head.args)
+            for rule, position in self.by_body.entries(sig, args):
+                for head in rule.join(position).run(self._proof, (args,)):
+                    derived = (rule.sig, head)
                     if derived in self.checked and derived not in self.proved:
                         work.append(derived)
 
@@ -977,200 +869,44 @@ class _Retraction:
         found = []
         seen = set()
         for sig, args in deleted:
-            for (rule, body), subst in self.by_body.matches(sig, args):
-                for solution in self._model_solver._solve(body, 1, subst, None, None):
+            for rule, position in self.by_body.entries(sig, args):
+                for head in rule.join(position).run(self._model, (args,)):
                     self.rule_firings += 1
-                    head = rule.head.substitute(solution)
-                    fact = (head.signature, head.args)
+                    fact = (rule.sig, head)
                     if fact not in seen and fact not in self.deleted:
                         seen.add(fact)
                         found.append(fact)
         return found
 
 
-class _ProvedView:
-    """The proved facts as a store for positive literals: those of
-    affected relations, and every fact of the other relations."""
-
-    def __init__(self, model, proved, affected):
-        self.model = model
-        self.proved = proved
-        self.affected = affected
-
-    def candidates(self, atom, subst):
-        store = self.proved if atom.signature in self.affected else self.model
-        return store.candidates(atom, subst)
-
-
-class _ProofSolver(_Evaluator):
-    """Solves rule bodies for :class:`_Retraction`: positive literals
-    against the proved facts, negation and aggregates against the old
-    model (their relations lose no facts, or the retraction falls
-    back)."""
-
-    def __init__(self, proved, model):
-        super().__init__(proved, negation_store=model)
-        self._model = _Evaluator(model)
-
-    def _solve_aggregate(self, agg, subst):
-        return self._model._solve_aggregate(agg, subst)
-
-
 class _RuleIndex:
     """Entries keyed by an atom pattern, found by the ground facts that
-    match it.  A pattern with a constant argument is filed under its
+    may match it.  A pattern with a constant argument is filed under its
     first one, so a fact only meets patterns that agree with it there
-    or have no constant."""
+    or have no constant; the entry's join does the full match."""
 
     def __init__(self):
-        #: signature -> (patterns without a constant, {(position,
-        #: constant): patterns}); a pattern is (atom, entry)
+        #: signature -> (entries of patterns without a constant,
+        #: {(position, constant): entries})
         self._by_sig = {}
 
     def add(self, pattern, entry):
         loose, keyed = self._by_sig.setdefault(pattern.signature, ([], {}))
         for position, arg in enumerate(pattern.args):
             if isinstance(arg, Const):
-                keyed.setdefault((position, arg), []).append((pattern, entry))
+                keyed.setdefault((position, arg), []).append(entry)
                 return
-        loose.append((pattern, entry))
+        loose.append(entry)
 
-    def matches(self, sig, args):
-        """``(entry, substitution)`` for each pattern of `sig` that the
-        ground arguments `args` match."""
+    def entries(self, sig, args):
+        """The entries whose pattern of `sig` the ground arguments
+        `args` may match."""
         filed = self._by_sig.get(sig)
         if filed is None:
             return
         loose, keyed = filed
-        groups = [loose]
+        yield from loose
         for position, arg in enumerate(args):
             group = keyed.get((position, arg))
             if group:
-                groups.append(group)
-        for group in groups:
-            for pattern, entry in group:
-                subst = {}
-                for term, ground in zip(pattern.args, args):
-                    subst = unify(term, ground, subst)
-                    if subst is None:
-                        break
-                else:
-                    yield entry, subst
-
-
-def _apply_aggregate(func, values):
-    if func == "count":
-        return len(set(values))
-    numbers = []
-    for v in values:
-        if not isinstance(v, Const) or isinstance(v.value, str):
-            raise EvaluationError(
-                "aggregate %s over non-numeric value %s" % (func, v)
-            )
-        numbers.append(v.value)
-    if not numbers:
-        raise EvaluationError("aggregate %s over empty group" % func)
-    if func == "sum":
-        return _sum(numbers)
-    if func == "min":
-        return min(numbers)
-    if func == "max":
-        return max(numbers)
-    if func == "avg":
-        return _sum(numbers) / len(numbers)
-    raise EvaluationError("unknown aggregate %r" % func)
-
-
-def _sum(numbers):
-    """The correctly rounded sum of float values, whatever order the
-    store yields them in (a maintained model's rows come in another
-    order than a fresh one's); integers add exactly."""
-    if any(isinstance(number, float) for number in numbers):
-        return math.fsum(numbers)
-    return sum(numbers)
-
-
-def _ordered_rule(rule, delta_first=False):
-    """``(rule, body, deltas)``: the body in its greedy evaluation order
-    (see module docstring), and per positive literal a ``(relation,
-    body, position)`` triple for reading that literal from a semi-naive
-    delta.
-
-    With `delta_first` the literal is moved to the front of its body
-    and the rest reordered around its bindings: right for a delta much
-    smaller than its relation, as when a model is continued with a few
-    new facts.  A full evaluation keeps the literal in place: its first
-    delta is nearly all of each relation, and there the greedy order's
-    constant-bound literals are the better lead.  Counted in
-    unifications, delta-first saturation of the Section 5 schema
-    program does 3.4x the work (25 368 against 7 488; the scale-1
-    knowledge base gains 13%), while in-place continuation of the
-    Section 5 correlates does 1.33x the work (27 444 against 20 568).
-    The solutions, and so the rule firings, are the same in any
-    order."""
-    items = list(rule.body)
-    body = _order_body_items(items)
-    deltas = []
-    for index, item in enumerate(body):
-        if not (isinstance(item, Literal) and item.positive):
-            continue
-        if delta_first:
-            rest = body[:index] + body[index + 1:]
-            deltas.append((
-                item.atom.signature,
-                [item] + _order_body_items(rest, bound=item.variables()),
-                0,
-            ))
-        else:
-            deltas.append((item.atom.signature, body, index))
-    return rule, body, deltas
-
-
-def _order_body_items(items, bound=()):
-    ordered = []
-    bound: Set[Var] = set(bound)
-    remaining = list(items)
-    while remaining:
-        chosen = None
-        # Priority 1: ready builtins / negation / aggregate (cheap filters).
-        for item in remaining:
-            if _is_ready_filter(item, bound):
-                chosen = item
-                break
-        # Priority 2: the first positive literal (generator).
-        if chosen is None:
-            for item in remaining:
-                if isinstance(item, Literal) and item.positive:
-                    chosen = item
-                    break
-        # Priority 3: an '=' comparison with one groundable side, an
-        # aggregate (they can self-bind), or anything left.
-        if chosen is None:
-            for item in remaining:
-                if isinstance(item, (AggregateLiteral, Comparison, Assignment)):
-                    chosen = item
-                    break
-        if chosen is None:
-            chosen = remaining[0]
-        remaining.remove(chosen)
-        ordered.append(chosen)
-        for v in chosen.variables():
-            bound.add(v)
-        if isinstance(chosen, AggregateLiteral):
-            bound.update(chosen.inner_variables())
-    return ordered
-
-
-def _is_ready_filter(item, bound):
-    """Is `item` a pure filter whose variables are already bound?"""
-    if isinstance(item, Literal) and not item.positive:
-        return all(v in bound or v.is_anonymous for v in item.variables())
-    if isinstance(item, Comparison):
-        if item.op == "=":
-            left_ok = all(v in bound for v in item.left.variables())
-            right_ok = all(v in bound for v in item.right.variables())
-            return left_ok or right_ok
-        return all(v in bound for v in item.variables())
-    if isinstance(item, Assignment):
-        return all(v in bound for v in item.expr.variables())
-    return False
+                yield from group

@@ -24,8 +24,9 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from ..errors import EvaluationError
 from .ast import AggregateLiteral, Assignment, Atom, Comparison, Literal, Program, Rule
-from .engine import _Evaluator, _order_body_items, evaluate
-from .terms import substitute, term_sort_key, unify
+from .engine import evaluate
+from .join import _compile, _Stores
+from .terms import substitute, term_sort_key
 
 
 class Derivation:
@@ -106,7 +107,9 @@ class _Explainer:
         for rule in program:
             self.rules_by_sig.setdefault(rule.head.signature, []).append(rule)
         self.memo: Dict[Atom, Derivation] = {}
-        self.solver = _Evaluator(store)
+        self.stores = _Stores(store)
+        #: rule -> its body compiled to start from a ground head
+        self.joins = {}
 
     def explain(self, atom, path):
         if atom in self.memo:
@@ -138,12 +141,9 @@ class _Explainer:
         the rule's solutions are tried in the order of their ground
         positive body atoms under :func:`term_sort_key` — never in set
         iteration order, so the tree is the same in every process."""
-        subst = {}
-        for pattern, ground in zip(rule.head.args, atom.args):
-            subst = unify(pattern, ground, subst)
-            if subst is None:
-                return None
-        body = _order_body_items(list(rule.body))
+        join = self.joins.get(rule)
+        if join is None:
+            join = self.joins[rule] = _compile(rule.body, lead=rule.head)
         positives = [
             item.atom for item in rule.body
             if isinstance(item, Literal) and item.positive
@@ -158,7 +158,11 @@ class _Explainer:
 
         # tried in key order, so what the memo records is canonical too
         solutions = sorted(
-            self.solver._solve(body, 0, subst, None, None), key=ground_key
+            (
+                join.substitution(slots)
+                for slots in join.run(self.stores, (atom.args,))
+            ),
+            key=ground_key,
         )
         for solution in solutions:
             children = self._explain_body(rule.body, solution, path)

@@ -2,8 +2,9 @@
 
 :class:`FactStore` maps relation signatures ``(pred, arity)`` to sets of
 ground argument tuples, with lazily built hash indexes per argument
-position.  The evaluator asks for facts matching a partially bound atom;
-the store answers from the most selective available index.
+position.  The evaluator's compiled joins read a relation's rows (a
+scan, or a membership test of a fully bound literal) or one position's
+index (a literal with a bound argument).
 """
 
 from __future__ import annotations
@@ -12,10 +13,13 @@ from collections import defaultdict
 from typing import Dict, FrozenSet, Iterable, Iterator, Set, Tuple
 
 from .ast import Atom
-from .terms import Const, Struct, Term, Var, term_sort_key, walk
+from .terms import Term, term_sort_key, walk
 
 Signature = Tuple[str, int]
 FactArgs = Tuple[Term, ...]
+
+#: the index of a relation without rows
+_NO_INDEX = {}
 
 #: how many :meth:`FactStore.overlay` generations a maintained model
 #: may stack before it is folded into one flat store (see
@@ -127,6 +131,14 @@ class FactStore:
         }
         return rows
 
+    def index(self, sig, position):
+        """The hash index of `sig` on argument `position`: each ground
+        term there maps to the set of rows holding it (live: do not
+        mutate; built on first use)."""
+        if not self._facts.get(sig):
+            return _NO_INDEX
+        return self._index_for(sig, position)
+
     def _index_for(self, sig, position):
         owner = self._owners.get(sig)
         if owner is not None:
@@ -148,15 +160,11 @@ class FactStore:
         scan of the relation when no position is bound.
         """
         sig = atom.signature
-        rows = self._facts.get(sig)
-        if not rows:
-            return ()
         for position, arg in enumerate(atom.args):
             bound = walk(arg, subst)
-            if bound.is_ground() and not isinstance(bound, Var):
-                index = self._index_for(sig, position)
-                return index.get(bound, ())
-        return rows
+            if bound.is_ground():
+                return self.index(sig, position).get(bound, ())
+        return self.rows(sig)
 
     def iter_atoms(self, pred=None):
         """Iterate stored facts as :class:`Atom` objects.

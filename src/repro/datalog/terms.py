@@ -261,39 +261,6 @@ def unify(left, right, subst=None, occurs_check=True):
     return None
 
 
-def match(pattern, ground, subst=None):
-    """One-way matching: bind variables in `pattern` against a ground term.
-
-    Faster than full unification for fact lookup because the engine
-    guarantees stored facts are ground.  Returns an extended substitution
-    or None.
-    """
-    if subst is None:
-        subst = {}
-    pattern = walk(pattern, subst)
-    if isinstance(pattern, Var):
-        new = dict(subst)
-        new[pattern] = ground
-        return new
-    if isinstance(pattern, Const):
-        if isinstance(ground, Const) and pattern.value == ground.value:
-            return subst
-        return None
-    if isinstance(pattern, Struct):
-        if (
-            not isinstance(ground, Struct)
-            or pattern.functor != ground.functor
-            or pattern.arity != ground.arity
-        ):
-            return None
-        for p_arg, g_arg in zip(pattern.args, ground.args):
-            subst = match(p_arg, g_arg, subst)
-            if subst is None:
-                return None
-        return subst
-    raise TypeError("unexpected pattern term: %r" % (pattern,))
-
-
 def term_sort_key(term):
     """A total order over ground terms, used for deterministic output.
 
@@ -308,14 +275,3 @@ def term_sort_key(term):
     if isinstance(term, Var):
         return (2, term.name)
     raise TypeError("not a term: %r" % (term,))
-
-
-def fresh_variable_factory(prefix="_G"):
-    """Return a callable producing globally-unused variable names."""
-    counter = [0]
-
-    def fresh():
-        counter[0] += 1
-        return Var("%s%d" % (prefix, counter[0]))
-
-    return fresh

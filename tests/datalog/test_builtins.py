@@ -3,14 +3,22 @@
 import pytest
 
 from repro.datalog.ast import Assignment, Comparison
-from repro.datalog.builtins import (
-    compare_values,
-    evaluate_expression,
-    solve_assignment,
-    solve_comparison,
-)
+from repro.datalog.builtins import compare_values, evaluate_expression
+from repro.datalog.join import _compile, _Stores
+from repro.datalog.store import FactStore
 from repro.datalog.terms import Const, Struct, Var
 from repro.errors import EvaluationError
+
+
+def solve(item, bindings=None):
+    """The solutions of the body item `item`, compiled as a join, with
+    the variables of `bindings` bound on entry."""
+    bindings = bindings or {}
+    join = _compile([item], bound=list(bindings))
+    return [
+        join.substitution(slots)
+        for slots in join.run(_Stores(FactStore()), entry=list(bindings.values()))
+    ]
 
 
 class TestExpressionEvaluation:
@@ -88,26 +96,26 @@ class TestCompareValues:
 class TestSolvers:
     def test_comparison_filters(self):
         item = Comparison("<", Var("X"), Const(5))
-        assert list(solve_comparison(item, {Var("X"): Const(3)})) != []
-        assert list(solve_comparison(item, {Var("X"): Const(9)})) == []
+        assert solve(item, {Var("X"): Const(3)}) != []
+        assert solve(item, {Var("X"): Const(9)}) == []
 
     def test_equality_unifies(self):
         item = Comparison("=", Var("X"), Const(3))
-        results = list(solve_comparison(item, {}))
+        results = solve(item)
         assert len(results) == 1
         assert results[0][Var("X")] == Const(3)
 
     def test_unbound_strict_comparison_raises(self):
         item = Comparison("<", Var("X"), Const(5))
         with pytest.raises(EvaluationError):
-            list(solve_comparison(item, {}))
+            solve(item)
 
     def test_assignment_binds(self):
         item = Assignment(Var("Y"), Struct("+", (Const(1), Const(2))))
-        results = list(solve_assignment(item, {}))
+        results = solve(item)
         assert results[0][Var("Y")] == Const(3)
 
     def test_assignment_as_check(self):
         item = Assignment(Var("Y"), Const(3))
-        assert list(solve_assignment(item, {Var("Y"): Const(3)})) != []
-        assert list(solve_assignment(item, {Var("Y"): Const(4)})) == []
+        assert solve(item, {Var("Y"): Const(3)}) != []
+        assert solve(item, {Var("Y"): Const(4)}) == []

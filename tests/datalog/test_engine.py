@@ -426,6 +426,16 @@ class TestSafetyIntegration:
         rows = answers("seed. p(X) :- seed, X = 5.", "p(X)")
         assert rows == [{"X": 5}]
 
+    @pytest.mark.parametrize("strategy", ["seminaive", "naive"])
+    def test_unchecked_unsafe_rule_fails_when_it_fires(self, strategy):
+        # the unsafe rule fires in a recursive round, where the naive
+        # strategy used to store the head unchecked (a ValueError)
+        program = parse_program(
+            "t(a). r(X, Y) :- s(X). s(X) :- t(X). s(X) :- r(X, _z)."
+        )
+        with pytest.raises(EvaluationError, match=r"derived non-ground fact r\(a, Y\)"):
+            evaluate(program, check_safety=False, strategy=strategy)
+
 
 class TestEvaluationResult:
     def test_facts_listing_deterministic(self):

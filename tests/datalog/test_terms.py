@@ -7,8 +7,6 @@ from repro.datalog.terms import (
     Struct,
     Var,
     coerce_term,
-    fresh_variable_factory,
-    match,
     occurs_in,
     struct,
     substitute,
@@ -140,31 +138,8 @@ class TestUnification:
         assert occurs_in(Var("X"), Var("Y"), subst)
 
 
-class TestMatch:
-    def test_match_binds_pattern_vars(self):
-        subst = match(struct("f", Var("X")), struct("f", Const(1)))
-        assert subst == {Var("X"): Const(1)}
-
-    def test_match_ground_mismatch(self):
-        assert match(Const(1), Const(2)) is None
-
-    def test_match_consistent_repeated_vars(self):
-        pattern = struct("f", Var("X"), Var("X"))
-        assert match(pattern, struct("f", Const(1), Const(1))) is not None
-        assert match(pattern, struct("f", Const(1), Const(2))) is None
-
-
 class TestOrderingAndFactories:
     def test_term_sort_key_total_over_mixed_types(self):
         terms = [Const(2), Const("a"), Const(1.5), struct("f", Const(1)), Const((1, 2))]
         ordered = sorted(terms, key=term_sort_key)
         assert len(ordered) == len(terms)
-
-    def test_fresh_variables_are_distinct(self):
-        fresh = fresh_variable_factory()
-        names = {fresh().name for _ in range(100)}
-        assert len(names) == 100
-
-    def test_fresh_variables_are_anonymous(self):
-        fresh = fresh_variable_factory()
-        assert fresh().is_anonymous
