@@ -144,7 +144,7 @@ def evaluate(program, check_safety=True, strategy="seminaive", max_facts=None,
     where = {sig: index for index, stratum in enumerate(strata) for sig in stratum}
     for rule in unique:
         if rule.is_fact:
-            facts[where[rule.head.signature]].append(rule.head)
+            facts[where[rule.head.signature]].append(_stated_fact(rule))
     store = FactStore()
     evaluator = _Evaluator(
         store,
@@ -242,6 +242,14 @@ def _continue(base, extra, removed, strategy, max_facts):
             strategy=strategy,
             max_facts=max_facts,
         )
+
+
+def _stated_fact(rule):
+    """The head of the fact `rule`, which must be ground (an unsafe
+    fact reaches evaluation when safety checks are off)."""
+    if not rule.head.is_ground():
+        raise EvaluationError("stated non-ground fact %s" % rule.head)
+    return rule.head
 
 
 def _unique(rules):
@@ -344,7 +352,7 @@ class _Plan:
     def run(self, base, extra, strategy, max_facts, tracer, span):
         """Continue `base` with the rules `extra`: ``(None, result)``,
         or ``(fallback reason, None)``."""
-        facts = [rule for rule in extra if rule.is_fact]
+        facts = [_stated_fact(rule) for rule in extra if rule.is_fact]
         proper = [rule for rule in extra if not rule.is_fact]
         if any(
             rule.head.signature in self.referenced for rule in proper
@@ -369,9 +377,9 @@ class _Plan:
             tracer=tracer,
         )
         gained = FactStore()
-        for rule in facts:
-            if store.add(rule.head):
-                gained.add_row(rule.head.signature, rule.head.args)
+        for head in facts:
+            if store.add_row(head.signature, head.args):
+                gained.add_row(head.signature, head.args)
         delta_in = len(gained)
         span.set(delta_in=delta_in)
         for index, (rules, triggers, guarded) in enumerate(self.strata):
@@ -416,9 +424,7 @@ class _Plan:
             program=base.program + tuple(extra),
         )
         if not proper:
-            result._plan = self.with_relations(
-                rule.head.signature for rule in facts
-            )
+            result._plan = self.with_relations(head.signature for head in facts)
         return None, result
 
 
@@ -608,7 +614,7 @@ def _gamma(rules, anti_store):
     store = FactStore()
     evaluator = _Evaluator(store, negation_store=anti_store)
     evaluator.saturate(
-        [rule.rule.head for rule in rules if rule.rule.is_fact],
+        [_stated_fact(rule.rule) for rule in rules if rule.rule.is_fact],
         [rule for rule in rules if not rule.rule.is_fact],
     )
     return store
@@ -650,7 +656,7 @@ class _Evaluator:
         stratum_index = stratum_metrics.index if collect else 0
         delta = FactStore()
         for head in facts:
-            if self.store.add(head):
+            if self.store.add_row(head.signature, head.args):
                 delta.add_row(head.signature, head.args)
                 if collect and derived_at is not None:
                     derived_at.setdefault(head, (stratum_index, 0))

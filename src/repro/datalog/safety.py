@@ -88,8 +88,11 @@ def safety_violations(rule):
     Yields :class:`SafetyError` objects in source order (head first,
     then body items left to right), each with the specific diagnostic
     code of the violated condition.  An empty result means the rule is
-    safe.
+    safe.  A ground fact is safe at once, so it skips the analysis:
+    the facts lifted from source rows are all ground.
     """
+    if not rule.body and rule.head.is_ground():
+        return
     limited = _limited_variables(rule.body)
 
     head_vars = set(rule.head.variables())

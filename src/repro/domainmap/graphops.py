@@ -18,6 +18,17 @@ processing:
   a set of anchor concepts (the "region of correspondence" between
   sources).
 
+Every derivation that depends on the map alone is memoized on
+:attr:`DomainMap.revision <repro.domainmap.model.DomainMap.revision>`
+(see :meth:`DomainMap.derived
+<repro.domainmap.model.DomainMap.derived>`): :func:`isa_closure`,
+:func:`deductive_closure`, :func:`navigation_graph` and its reverse, and
+:func:`part_tree` run once per revision and return read-only values
+(frozensets and ``MappingProxyType`` adjacency), so a correlate over an
+unchanged map re-derives nothing.  A memo hit opens no ``dm.*`` span,
+so a trace shows the derivations actually run.  :func:`lub` stays per
+call, because its concepts vary.
+
 Two backends are provided: the default in-memory graph algorithms, and
 :func:`closure_rules`, the paper's own Datalog program for ``tc``/``dc``
 — the test-suite proves them equivalent.
@@ -39,7 +50,7 @@ from .. import obs
 from ..errors import NoUpperBoundError
 from ..datalog.ast import Program, Rule
 from ..datalog.parser import parse_program
-from ..graph import add_edge, reachable, reverse, subgraph
+from ..graph import add_edge, reachable, read_only, reverse, subgraph
 
 
 def transitive_closure(pairs):
@@ -54,10 +65,20 @@ def transitive_closure(pairs):
     return {(node, other) for node in graph for other in reachable(graph, [node])}
 
 
+def _concept_graph(dm):
+    """An adjacency dict with no edges yet, one node per concept."""
+    # tuple() copies the set in one step: a concurrent add_concept
+    # cannot change it while the comprehension iterates
+    graph: Dict[str, Dict[str, str]] = {
+        concept: {} for concept in tuple(dm.concepts)
+    }
+    return graph
+
+
 def isa_graph(dm):
     """The direct isa digraph over concepts (eqv as mutual isa), as an
     adjacency dict ``{sub: {sup: "isa"}}``."""
-    graph: Dict[str, Dict[str, str]] = {concept: {} for concept in dm.concepts}
+    graph = _concept_graph(dm)
     for sub, sup in dm.isa_pairs():
         add_edge(graph, sub, sup, "isa")
     for a, b in dm.eqv_pairs():
@@ -67,7 +88,12 @@ def isa_graph(dm):
 
 
 def isa_closure(dm, reflexive=True):
-    """(Reflexive-)transitive closure of isa over the concepts."""
+    """(Reflexive-)transitive closure of isa over the concepts, as a
+    frozenset derived once per revision of `dm`."""
+    return dm.derived(("tc", reflexive), lambda: _isa_closure(dm, reflexive))
+
+
+def _isa_closure(dm, reflexive):
     with obs.span(
         "dm.tc", concepts=len(dm.concepts), reflexive=reflexive
     ) as span:
@@ -76,17 +102,17 @@ def isa_closure(dm, reflexive=True):
             (sub, sup) for sub, sups in graph.items() for sup in sups
         )
         if reflexive:
-            closure |= {(c, c) for c in dm.concepts}
+            closure |= {(c, c) for c in tuple(dm.concepts)}
         if span.enabled:
             span.set(pairs=len(closure))
             obs.count("dm.graphops", op="tc")
-        return closure
+        return frozenset(closure)
 
 
 def role_graph(dm, role):
     """Direct (ex) edges of one role as an adjacency dict over concepts
     (edges labelled with the role)."""
-    graph: Dict[str, Dict[str, str]] = {concept: {} for concept in dm.concepts}
+    graph = _concept_graph(dm)
     for src, edge_role, dst in dm.role_triples():
         if edge_role == role:
             add_edge(graph, src, dst, role)
@@ -108,16 +134,24 @@ def deductive_closure(dm, role, mode="full"):
       relation for *traversal*: generalizing targets upward (to, say,
       `Neuron`) and then descending isa again would leak into sibling
       regions of the map.
+
+    The links are a frozenset derived once per revision of `dm`.
     """
+    return dm.derived(
+        ("dc", role, mode), lambda: _deductive_closure(dm, role, mode)
+    )
+
+
+def _deductive_closure(dm, role, mode):
     with obs.span("dm.dc", role=role, mode=mode) as span:
-        links = _deductive_closure(dm, role, mode)
+        links = frozenset(_role_links(dm, role, mode))
         if span.enabled:
             span.set(links=len(links))
             obs.count("dm.graphops", op="dc")
         return links
 
 
-def _deductive_closure(dm, role, mode):
+def _role_links(dm, role, mode):
     rtc = isa_closure(dm, reflexive=True)
     below: Dict[str, Set[str]] = {}
     above: Dict[str, Set[str]] = {}
@@ -169,8 +203,16 @@ def navigation_graph(dm, order="isa"):
     has).  Target-up generalization is deliberately excluded from
     navigation: it would climb to generic concepts (`Neuron`) and
     descend into sibling regions.
+
+    The graph is read-only and derived once per revision of `dm`.
     """
-    graph: Dict[str, Dict[str, str]] = {concept: {} for concept in dm.concepts}
+    return dm.derived(
+        ("nav", order), lambda: read_only(_navigation_graph(dm, order))
+    )
+
+
+def _navigation_graph(dm, order):
+    graph = _concept_graph(dm)
     if order != "isa":
         _add_role_links(graph, dm, order)
     for sub, sup in dm.isa_pairs():
@@ -179,6 +221,14 @@ def navigation_graph(dm, order="isa"):
         add_edge(graph, a, b, "isa")
         add_edge(graph, b, a, "isa")
     return graph
+
+
+def _navigation_up(dm, order):
+    """The reverse of :func:`navigation_graph` (specific -> general),
+    read-only and derived once per revision of `dm`."""
+    return dm.derived(
+        ("nav_up", order), lambda: read_only(reverse(navigation_graph(dm, order)))
+    )
 
 
 def _add_role_links(graph, dm, role):
@@ -210,14 +260,9 @@ def role_containers(dm, concept, role):
     every concept contains itself.
     """
     nav = navigation_graph(dm, role)
-    return _containers(nav, reverse(nav), concept)
-
-
-def _containers(nav, up, concept):
-    """:func:`role_containers` over a navigation graph `nav` and its
-    reverse `up`."""
     if concept not in nav:
         return {concept}
+    up = _navigation_up(dm, role)
     reach = reachable(up, [concept]) | {concept}
     holders = {
         u
@@ -231,8 +276,7 @@ def _containers(nav, up, concept):
 def ancestors(dm, concept, order="isa"):
     """All strict ancestors of a concept in the given order
     (isa-ancestors by default; containers for a role order)."""
-    graph = navigation_graph(dm, order)
-    return reachable(reverse(graph), [concept]) - {concept}
+    return reachable(_navigation_up(dm, order), [concept]) - {concept}
 
 
 def descendants(dm, concept, order="isa"):
@@ -247,24 +291,18 @@ def upper_bounds(dm, concepts, order="isa"):
     For a role order, "ancestor" means *container*: the path must use
     at least one role edge (see :func:`role_containers`).
     """
-    nav = navigation_graph(dm, order)
-    return _upper_bounds(dm, concepts, order, nav, reverse(nav))
-
-
-def _upper_bounds(dm, concepts, order, nav, up):
-    """:func:`upper_bounds` over the navigation graph `nav` of `order`
-    and its reverse `up`."""
     concepts = list(concepts)
     if not concepts:
         raise NoUpperBoundError("lub of an empty concept set is undefined")
     for concept in concepts:
         dm.require_concept(concept)
+    up = _navigation_up(dm, order)
     common: Optional[Set[str]] = None
     for concept in concepts:
         if order == "isa":
             ups = reachable(up, [concept]) | {concept}
         else:
-            ups = _containers(nav, up, concept)
+            ups = role_containers(dm, concept, order)
         common = ups if common is None else (common & ups)
     return common or set()
 
@@ -277,14 +315,13 @@ def least_upper_bounds(dm, concepts, order="isa"):
     """
     concepts = list(concepts)
     with obs.span("dm.lub", concepts=len(concepts), order=order) as span:
-        nav = navigation_graph(dm, order)
-        up = reverse(nav)
-        bounds = _upper_bounds(dm, concepts, order, nav, up)
+        bounds = upper_bounds(dm, concepts, order)
         if not bounds:
             raise NoUpperBoundError(
                 "concepts %s have no common %s-ancestor"
                 % (sorted(concepts), order)
             )
+        up = _navigation_up(dm, order)
         above = {o: reachable(up, [o]) for o in bounds}
         minimal = {
             b for b in bounds if not any(o != b and b in above[o] for o in bounds)
@@ -312,13 +349,20 @@ def part_graph(dm, role="has"):
 
 
 def part_tree(dm, root, role="has"):
-    """The subgraph (adjacency dict) of direct `role` links reachable
-    from `root` — what the mediator's recursive `aggregate` traverses
-    (Example 4)."""
+    """The subgraph (an adjacency mapping) of direct `role` links
+    reachable from `root` — what the mediator's recursive `aggregate`
+    traverses (Example 4).  The tree is read-only and derived once per
+    revision of `dm`."""
     dm.require_concept(root)
+    return dm.derived(
+        ("part_tree", root, role), lambda: _part_tree(dm, root, role)
+    )
+
+
+def _part_tree(dm, root, role):
     with obs.span("dm.part_tree", root=root, role=role) as span:
         graph = part_graph(dm, role)
-        tree = subgraph(graph, {root} | reachable(graph, [root]))
+        tree = read_only(subgraph(graph, {root} | reachable(graph, [root])))
         if span.enabled:
             span.set(nodes=len(tree))
             obs.count("dm.graphops", op="part_tree")
@@ -341,7 +385,7 @@ def region_of_correspondence(dm, anchors, role="has"):
     anchors = list(anchors)
     root = lub(dm, anchors, order=role)
     nav = navigation_graph(dm, role)
-    up = reverse(nav)
+    up = _navigation_up(dm, role)
     region: Set[str] = {root}
     below_root = {root} | reachable(nav, [root])
     for anchor in anchors:

@@ -111,8 +111,9 @@ class DomainMap:
         #: bumped by every change (add_concept/add_role/add_axiom/
         #: add_rule), so derived state can tell it is stale
         self.revision = 0
-        # (revision, edges) of the last drawing, see edges()
-        self._edges = (None, ())
+        # (revision, {key: value}) of what was derived from the map at
+        # that revision, see derived()
+        self._derived = (-1, {})
         self._synthetic_counter = 0
 
     # -- declaration -----------------------------------------------------
@@ -195,6 +196,33 @@ class DomainMap:
         self.revision += 1
         return self
 
+    # -- derived state -----------------------------------------------------
+
+    def derived(self, key, compute):
+        """``compute()``, derived once per :attr:`revision` and kept
+        under `key` until the map changes.
+
+        Every caller shares the value, so it must be read-only
+        (a frozenset, a tuple, a ``MappingProxyType``).  The revision is
+        read *before* computing and the value is stored under it: a
+        value computed while a mutator ran sits under a revision that
+        mutator has made stale, so no later read returns it.  Two
+        threads may compute the same value; either one is kept.
+        """
+        revision = self.revision
+        memo_revision, values = self._derived
+        if memo_revision == revision and key in values:
+            return values[key]
+        value = compute()
+        memo_revision, values = self._derived
+        if memo_revision != revision:
+            if memo_revision > revision:
+                return value  # the map changed meanwhile: keep the newer memo
+            values = {}
+            self._derived = (revision, values)
+        values[key] = value
+        return value
+
     # -- edge view -----------------------------------------------------------
 
     def edges(self):
@@ -202,17 +230,15 @@ class DomainMap:
 
         Drawn once per :attr:`revision`; each call returns a new list.
         """
-        revision, edges = self._edges
-        if revision != self.revision:
-            with _DRAWING:
-                revision = self.revision
-                self._synthetic_counter = 0
-                out: List[Edge] = []
-                for axiom in self.axioms:
-                    out.extend(self._axiom_edges(axiom))
-                edges = tuple(out)
-                self._edges = (revision, edges)
-        return list(edges)
+        return list(self.derived("edges", self._draw))
+
+    def _draw(self):
+        with _DRAWING:
+            self._synthetic_counter = 0
+            out: List[Edge] = []
+            for axiom in self.axioms:
+                out.extend(self._axiom_edges(axiom))
+            return tuple(out)
 
     def _fresh_node(self, kind):
         self._synthetic_counter += 1
@@ -284,42 +310,38 @@ class DomainMap:
             return node
         raise DomainMapError("cannot render %r" % (expr,))
 
-    # simple-edge accessors (concept-to-concept only)
+    # simple-edge accessors (concept-to-concept only), each a frozenset
+    # derived once per revision
 
     def isa_pairs(self):
-        """Direct (sub, sup) concept pairs from the necessary conditions."""
-        return {
-            (e.src, e.dst)
-            for e in self.edges()
-            if e.kind == ISA and not _is_synthetic(e.src) and not _is_synthetic(e.dst)
-        } | {
-            pair
-            for e in self.edges()
-            if e.kind == EQV and not _is_synthetic(e.dst)
-            for pair in ((e.src, e.dst), (e.dst, e.src))
-        }
+        """Direct (sub, sup) concept pairs from the necessary conditions
+        (an equivalence counts in both directions)."""
+        return self.derived("isa_pairs", lambda: frozenset(
+            [(e.src, e.dst) for e in self._concept_edges(ISA)]
+            + [pair for a, b in self.eqv_pairs() for pair in ((a, b), (b, a))]
+        ))
 
     def role_triples(self):
         """Direct (src, role, dst) triples from (ex) edges between concepts."""
-        return {
-            (e.src, e.role, e.dst)
-            for e in self.edges()
-            if e.kind == EX and not _is_synthetic(e.src) and not _is_synthetic(e.dst)
-        }
+        return self.derived("role_triples", lambda: frozenset(
+            (e.src, e.role, e.dst) for e in self._concept_edges(EX)
+        ))
 
     def all_triples(self):
-        return {
-            (e.src, e.role, e.dst)
-            for e in self.edges()
-            if e.kind == ALL and not _is_synthetic(e.src) and not _is_synthetic(e.dst)
-        }
+        return self.derived("all_triples", lambda: frozenset(
+            (e.src, e.role, e.dst) for e in self._concept_edges(ALL)
+        ))
 
     def eqv_pairs(self):
-        return {
-            (e.src, e.dst)
-            for e in self.edges()
-            if e.kind == EQV and not _is_synthetic(e.dst)
-        }
+        return self.derived("eqv_pairs", lambda: frozenset(
+            (e.src, e.dst) for e in self._concept_edges(EQV)
+        ))
+
+    def _concept_edges(self, kind):
+        return [
+            e for e in self.edges()
+            if e.kind == kind and not _is_synthetic(e.src) and not _is_synthetic(e.dst)
+        ]
 
     def copy(self, name=None):
         """An independent copy (a source's "local copy of the DM",
@@ -330,6 +352,13 @@ class DomainMap:
         clone.axioms = list(self.axioms)
         clone.rules_text = list(self.rules_text)
         return clone
+
+    def __getstate__(self):
+        # deepcopy and pickle skip the memo: its read-only graphs
+        # (MappingProxyType) cannot be copied, and a copy derives its own
+        state = dict(self.__dict__)
+        state["_derived"] = (-1, {})
+        return state
 
     # -- summary --------------------------------------------------------------
 

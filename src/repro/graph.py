@@ -2,6 +2,8 @@
 label}}``, in which every node is a key (also those without
 successors) and insertion order is iteration order."""
 
+from types import MappingProxyType
+
 
 def add_edge(adj, src, dst, label=None):
     """Add ``src -> dst`` (and both nodes) unless present; an existing
@@ -30,6 +32,14 @@ def reverse(adj):
         for succ, label in succs.items():
             turned.setdefault(succ, {})[node] = label
     return turned
+
+
+def read_only(adj):
+    """`adj` as a read-only mapping of read-only successor maps (both
+    ``MappingProxyType``), in the same order."""
+    return MappingProxyType(
+        {node: MappingProxyType(succs) for node, succs in adj.items()}
+    )
 
 
 def subgraph(adj, nodes):

@@ -12,6 +12,7 @@ from repro.analysis import Report, analyze, analyze_mediator, lint_path
 from repro.core.mediator import Mediator
 from repro.core.views import IntegratedView
 from repro.datalog.parser import parse_program
+from repro.domainmap import lub, part_tree
 from repro.domainmap.model import DomainMap
 from repro.errors import RegistrationError, ViewError
 from repro.sources import AnchorSpec, Column, RelStore, Wrapper
@@ -179,6 +180,24 @@ class TestStrictMode:
         mediator.register(wrapper, dm_refinement="newcomer < alpha")
         assert mediator.source_names() == ["SRC"]
         assert "newcomer" in mediator.dm.concepts
+
+    def test_strict_registers_after_graphs_are_memoized(self):
+        dm = DomainMap("d")
+        dm.add_role("has")
+        dm.isa("beta", "alpha")
+        dm.ex("alpha", "has", "gamma")
+        mediator = Mediator(dm=dm, name="m", strict=True)
+        # memoize read-only graphs at the current revision
+        assert "gamma" in part_tree(mediator.dm, "alpha", "has")
+        assert lub(mediator.dm, ["beta", "alpha"]) == "alpha"
+        store = RelStore("s")
+        store.create_table("t", [Column("id", "str")], key="id")
+        wrapper = Wrapper("SRC", store)
+        wrapper.export_class(
+            "thing", "t", "id", {"ident": "id"}, anchor=AnchorSpec(concept="beta")
+        )
+        mediator.register(wrapper)
+        assert mediator.source_names() == ["SRC"]
 
     def test_non_strict_accepts_everything(self):
         mediator = build_broken_deployment()

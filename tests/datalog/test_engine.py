@@ -436,6 +436,16 @@ class TestSafetyIntegration:
         with pytest.raises(EvaluationError, match=r"derived non-ground fact r\(a, Y\)"):
             evaluate(program, check_safety=False, strategy=strategy)
 
+    def test_unchecked_nonground_fact_fails(self):
+        with pytest.raises(EvaluationError, match=r"stated non-ground fact p\(X\)"):
+            evaluate(parse_program("q(a). p(X)."), check_safety=False)
+
+    def test_unchecked_nonground_extra_fact_fails(self):
+        base = evaluate(parse_program("q(a). r(X) :- q(X)."))
+        with pytest.raises(EvaluationError, match=r"stated non-ground fact p\(X\)"):
+            evaluate(parse_program("p(X)."), check_safety=False, base=base)
+        assert [str(atom) for atom in base.store.iter_atoms()] == ["q(a)", "r(a)"]
+
 
 class TestEvaluationResult:
     def test_facts_listing_deterministic(self):

@@ -9,7 +9,7 @@ from repro.datalog import (
     parse_rule,
     stratify,
 )
-from repro.datalog.safety import check_rule_safety
+from repro.datalog.safety import check_rule_safety, safety_violations
 from repro.datalog.stratify import build_dependency_graph
 from repro.errors import SafetyError, StratificationError
 
@@ -113,6 +113,20 @@ class TestSafety:
 
     def test_nonground_fact_unsafe(self):
         self.unsafe("p(X).")
+
+    def test_ground_fact_has_no_violation(self):
+        assert list(safety_violations(parse_rule("p(a, f(b), 3)."))) == []
+
+    @pytest.mark.parametrize(
+        "text, variables", [("p(X).", "X"), ("p(a, f(Y), X).", "X, Y")]
+    )
+    def test_nonground_fact_keeps_its_head_error(self, text, variables):
+        (violation,) = safety_violations(parse_rule(text))
+        assert violation.code == "MBM001"
+        assert str(violation) == (
+            "unsafe rule %s: head variables %s are not range-restricted"
+            % (text, variables)
+        )
 
     def test_negated_only_var(self):
         self.unsafe("p(X) :- q(X), not r(Z).")
