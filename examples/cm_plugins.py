@@ -24,7 +24,7 @@ def main():
         if result.anchors:
             print("  anchors:", result.anchors)
         # every translated CM loads into the same engine
-        engine.tell_rules(result.cm.all_rules(include_constraints=False))
+        engine.tell_rules(result.cm.all_rules())
 
     print("=" * 64)
     print("...and the same CMs register with a mediator as sources:\n")

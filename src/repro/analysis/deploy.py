@@ -162,7 +162,7 @@ def analyze_wrapper(wrapper):
     )
     report.extend(
         analyze_program(
-            cm.all_rules(include_constraints=False),
+            cm.all_rules(),
             origin=subject,
             known_predicates={"instance", "method_val"},
         )
@@ -251,7 +251,7 @@ def registration_diagnostics(mediator, registration):
 
     out.extend(
         safety_diagnostics(
-            registration.cm.all_rules(include_constraints=False), origin
+            registration.cm.all_rules(), origin
         )
     )
     return out

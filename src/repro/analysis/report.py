@@ -34,12 +34,6 @@ class Report:
         self.diagnostics.extend(diagnostics)
         return self
 
-    def merged_with(self, other):
-        merged = Report(subject=self.subject or other.subject)
-        merged.extend(self.diagnostics)
-        merged.extend(other.diagnostics)
-        return merged
-
     # -- slicing ----------------------------------------------------------
 
     def by_severity(self, severity):

@@ -29,7 +29,6 @@ medguard.
 from .answers import AnswerCache, CacheEntry, CacheStats
 from .fingerprint import (
     capability_signature,
-    fingerprint_digest,
     query_fingerprint,
 )
 from .invalidation import affected_concepts, refinement_seeds
@@ -42,7 +41,6 @@ __all__ = [
     "LRUStore",
     "affected_concepts",
     "capability_signature",
-    "fingerprint_digest",
     "query_fingerprint",
     "refinement_seeds",
 ]

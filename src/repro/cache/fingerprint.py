@@ -16,8 +16,6 @@ so such answers must not be conflated.
 
 from __future__ import annotations
 
-import hashlib
-
 
 def _canonical(value):
     """A hashable, deterministically comparable stand-in for a
@@ -70,8 +68,3 @@ def query_fingerprint(source, source_query, capability=None):
         else None,
         capability_signature(capability),
     )
-
-
-def fingerprint_digest(fingerprint):
-    """A short stable hex digest of a fingerprint, for stats/logs."""
-    return hashlib.sha256(repr(fingerprint).encode("utf-8")).hexdigest()[:16]

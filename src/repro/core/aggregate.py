@@ -76,9 +76,6 @@ class Distribution:
                 return row
         return None
 
-    def nonzero_rows(self):
-        return [row for row in self.rows if row.direct_values or row.cumulative]
-
     def total(self):
         """The cumulative value at the root."""
         root_row = self.row(self.root)

@@ -27,7 +27,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..datalog.terms import Const, Var
 from ..errors import MediatorError
-from ..flogic.ast import FLAggregate, FLNegation, FLPredicate, Molecule
+from ..flogic.ast import FLAggregate, FLPredicate, Molecule
 from ..flogic.parser import parse_fl_body, parse_fl_program
 from ..sources.wrapper import SourceQuery
 from .views import DistributionView, IntegratedView
@@ -37,8 +37,6 @@ def _collect_molecules(items):
     for item in items:
         if isinstance(item, Molecule):
             yield item
-        elif isinstance(item, FLNegation):
-            yield from _collect_molecules(item.items)
         elif isinstance(item, FLAggregate):
             yield from _collect_molecules(item.body)
 

@@ -52,7 +52,6 @@ from .planner import (
     CorrelationResult,
     execute as planner_execute,
     explain as planner_explain,
-    plan as planner_plan,
 )
 from .registration import build_registration, parse_registration
 from .views import DistributionView, IntegratedView
@@ -64,7 +63,7 @@ WIRE_LOG_LIMIT = 1024
 
 def _cm_rules(registration):
     """The rules a registered source adds to the schema-only program."""
-    return registration.cm.all_rules(include_constraints=False)
+    return registration.cm.all_rules()
 
 
 class RegisteredSource:
@@ -73,10 +72,6 @@ class RegisteredSource:
     def __init__(self, wrapper, registration):
         self.wrapper = wrapper
         self.registration = registration
-
-    @property
-    def name(self):
-        return self.registration.source
 
     def __repr__(self):
         return "RegisteredSource(%r)" % self.name
@@ -505,14 +500,6 @@ class Mediator:
 
     # -- static analysis ---------------------------------------------------
 
-    def lint(self):
-        """Run the medlint static analyzer over this deployment;
-        returns a :class:`~repro.analysis.report.Report` (nothing is
-        evaluated)."""
-        from ..analysis import analyze_mediator
-
-        return analyze_mediator(self)
-
     def _require_clean_registration(self, registration):
         from ..analysis.deploy import registration_diagnostics
 
@@ -622,10 +609,6 @@ class Mediator:
         from .lazy import ask_lazy
 
         return ask_lazy(self, fl_query)
-
-    def holds(self, fl_query):
-        """Does `fl_query` have at least one answer?"""
-        return bool(self.ask(fl_query))
 
     def explain(self, target):
         """EXPLAIN `target` — a query, or a fact's derivation.
@@ -737,11 +720,6 @@ class Mediator:
         return distribution
 
     # -- planned queries -----------------------------------------------------
-
-    def plan(self, query):
-        """Plan the :class:`CorrelationQuery` `query` without
-        executing it."""
-        return planner_plan(self, query)
 
     def correlate(self, query):
         """Plan and execute the correlation `query`; returns a

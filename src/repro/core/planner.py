@@ -92,12 +92,6 @@ class PlanStep:
 
     kind = "step"
 
-    def describe(self):
-        raise NotImplementedError
-
-    def run(self, context):
-        raise NotImplementedError
-
     def __repr__(self):
         return "<%s: %s>" % (self.kind, self.describe())
 
@@ -312,9 +306,9 @@ class PlanContext:
     the norm in federations of independently operated labs); without
     a guard the first failure raises.  Skips are *not* silent: each
     one is kept in `errors`, mirrored on the active trace as a
-    ``plan.source_skipped`` event, and summarized by
-    :attr:`skipped_sources` / :attr:`degraded` / :meth:`failures` so
-    callers can tell a complete answer from a partial one.
+    ``plan.source_skipped`` event, and summarized by :attr:`degraded`
+    and :meth:`degraded_answer` so callers can tell a complete answer
+    from a partial one.
     """
 
     def __init__(self, mediator):
@@ -351,11 +345,6 @@ class PlanContext:
         obs.count("planner.sources_skipped")
 
     @property
-    def skipped_sources(self):
-        """Names of the sources skipped during execution (in order)."""
-        return [source for source, _exc in self.errors]
-
-    @property
     def degraded(self):
         """True when at least one selected source failed to answer (or
         was served stale / shed by its breaker) — `answers` may be
@@ -366,17 +355,6 @@ class PlanContext:
             outcome.stale or outcome.status == "breaker-open"
             for outcome in self.outcomes
         )
-
-    def failures(self):
-        """JSON-ready skip records: source, error class, message."""
-        return [
-            {
-                "source": source,
-                "error": type(exc).__name__,
-                "message": str(exc),
-            }
-            for source, exc in self.errors
-        ]
 
     def degraded_answer(self):
         """The structured :class:`~repro.resilience.DegradedAnswer`
@@ -535,10 +513,6 @@ class CorrelationResult(tuple):
         return super().__new__(cls, (query_plan, context))
 
     @property
-    def plan(self):
-        return self[0]
-
-    @property
     def context(self):
         return self[1]
 
@@ -551,13 +525,6 @@ class CorrelationResult(tuple):
     def degraded(self):
         """True when the answer may be missing a source's contribution."""
         return self[1].degraded
-
-    @property
-    def skipped_sources(self):
-        return self[1].skipped_sources
-
-    def failures(self):
-        return self[1].failures()
 
     def degraded_answer(self):
         """The per-source :class:`~repro.resilience.DegradedAnswer`."""
@@ -633,8 +600,11 @@ class QueryExplain:
         return {
             "steps": steps,
             "degraded": self.context.degraded,
-            "skipped_sources": self.context.skipped_sources,
-            "failures": self.context.failures(),
+            "skipped_sources": [source for source, _exc in self.context.errors],
+            "failures": [
+                {"source": source, "error": type(exc).__name__, "message": str(exc)}
+                for source, exc in self.context.errors
+            ],
             "degraded_answer": self.degraded_answer().as_dict(),
             "metrics": self.metrics.as_dict(),
         }

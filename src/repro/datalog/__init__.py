@@ -9,15 +9,15 @@ execution, integrated views — compiles to this dialect.
 
 Quick use::
 
-    from repro.datalog import parse_program, query, parse_atom
+    from repro.datalog import evaluate, parse_atom, parse_program
 
     program = parse_program('''
         edge(a, b).  edge(b, c).
         tc(X, Y) :- edge(X, Y).
         tc(X, Y) :- edge(X, Z), tc(Z, Y).
     ''')
-    rows = query(program, parse_atom("tc(a, X)"))
-    # [{'X': 'b'}, {'X': 'c'}]
+    evaluate(program).store.contains(parse_atom("tc(a, c)"))
+    # True
 """
 
 from .ast import (
@@ -37,18 +37,16 @@ from .engine import (
     EvaluationResult,
     evaluate,
     match_atom,
-    query,
     well_founded_model,
 )
 from .magic import magic_query, magic_transform
 from .provenance import Derivation, explain
-from .parser import parse_atom, parse_program, parse_rule, parse_term
+from .parser import parse_atom, parse_program
 from .safety import check_program_safety, check_rule_safety
 from .store import FactStore
 from .stratify import (
     build_dependency_graph,
     is_aggregate_stratified,
-    is_stratifiable,
     stratify,
 )
 from .terms import (
@@ -57,11 +55,9 @@ from .terms import (
     Term,
     Var,
     coerce_term,
-    struct,
     substitute,
     term_sort_key,
     unify,
-    var,
     walk,
 )
 
@@ -91,21 +87,15 @@ __all__ = [
     "explain",
     "fact",
     "is_aggregate_stratified",
-    "is_stratifiable",
     "magic_query",
     "magic_transform",
     "match_atom",
     "parse_atom",
     "parse_program",
-    "parse_rule",
-    "parse_term",
-    "query",
     "stratify",
-    "struct",
     "substitute",
     "term_sort_key",
     "unify",
-    "var",
     "walk",
     "well_founded_model",
 ]

@@ -81,12 +81,6 @@ class BodyItem:
 
     __slots__ = ()
 
-    def variables(self):
-        raise NotImplementedError
-
-    def substitute(self, subst):
-        raise NotImplementedError
-
 
 class Literal(BodyItem):
     """A possibly negated relational atom in a rule body."""
@@ -103,9 +97,6 @@ class Literal(BodyItem):
 
     def substitute(self, subst):
         return Literal(self.atom.substitute(subst), self.positive)
-
-    def negate(self):
-        return Literal(self.atom, not self.positive)
 
     def __eq__(self, other):
         return (
@@ -235,14 +226,6 @@ class AggregateLiteral(BodyItem):
         for g in self.group_by:
             yield from g.variables()
 
-    def inner_variables(self):
-        """All variables used inside the aggregate subgoal."""
-        yield from self.value.variables()
-        for g in self.group_by:
-            yield from g.variables()
-        for item in self.body:
-            yield from item.variables()
-
     def substitute(self, subst):
         return AggregateLiteral(
             self.func,
@@ -296,14 +279,6 @@ class Rule:
     def is_fact(self):
         return not self.body
 
-    def variables(self):
-        yield from self.head.variables()
-        for item in self.body:
-            yield from item.variables()
-
-    def substitute(self, subst):
-        return Rule(self.head.substitute(subst), tuple(b.substitute(subst) for b in self.body))
-
     def __eq__(self, other):
         return (
             isinstance(other, Rule)
@@ -349,27 +324,12 @@ class Program:
         self.add(Rule(Atom(pred, args)))
         return self
 
-    @property
-    def rules(self):
-        return tuple(self._rules)
-
-    def facts(self):
-        return (r for r in self._rules if r.is_fact)
-
     def proper_rules(self):
         return (r for r in self._rules if not r.is_fact)
-
-    def predicates(self):
-        """All (pred, arity) signatures appearing in heads."""
-        return {rule.head.signature for rule in self._rules}
 
     def idb_predicates(self):
         """Signatures defined by at least one proper rule."""
         return {rule.head.signature for rule in self.proper_rules()}
-
-    def edb_predicates(self):
-        """Signatures defined by facts only."""
-        return self.predicates() - self.idb_predicates()
 
     def __iter__(self):
         return iter(self._rules)
@@ -382,15 +342,6 @@ class Program:
 
     def __str__(self):
         return "\n".join(str(rule) for rule in self._rules)
-
-    def copy(self):
-        return Program(self._rules)
-
-    def merged_with(self, other):
-        """A new program holding this program's rules then `other`'s."""
-        merged = self.copy()
-        merged.extend(other)
-        return merged
 
 
 def fact(pred, *args):

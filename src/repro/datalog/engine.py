@@ -65,15 +65,6 @@ class EvaluationResult:
         # the _Plan for maintaining this model, built on first use
         self._plan = None
 
-    def is_true(self, atom):
-        return self.store.contains(atom)
-
-    def is_undefined(self, atom):
-        return self.undefined.contains(atom)
-
-    def facts(self, pred=None):
-        return self.store.sorted_atoms(pred)
-
 
 #: default ceiling on derived facts: compound (Skolem) terms make
 #: non-terminating programs easy to write; hitting the ceiling raises a
@@ -514,17 +505,6 @@ def _retract(base, removed, tracer):
     return None, result
 
 
-def query(program, goal, check_safety=True):
-    """Evaluate `program` and return all bindings of `goal`'s variables.
-
-    `goal` is an :class:`Atom` (possibly with variables).  The result is
-    a deterministically ordered list of dicts mapping variable names to
-    Python values (Const payloads) or terms (for Struct results).
-    """
-    result = evaluate(program, check_safety=check_safety)
-    return match_atom(result.store, goal)
-
-
 def match_atom(store, goal):
     """All bindings of `goal` against a fact store (deterministic order)."""
     solutions = []
@@ -654,26 +634,28 @@ class _Evaluator:
         compiled proper `rules` (:class:`_CompiledRule`)."""
         collect = stratum_metrics is not None
         stratum_index = stratum_metrics.index if collect else 0
-        delta = FactStore()
+        stated = 0
         for head in facts:
             if self.store.add_row(head.signature, head.args):
-                delta.add_row(head.signature, head.args)
+                stated += 1
                 if collect and derived_at is not None:
                     derived_at.setdefault(head, (stratum_index, 0))
 
         # First full pass: every rule against the complete store.  Each
         # rule's heads are collected before any is stored, so the store
-        # never changes during a join.
+        # never changes during a join.  The pass joins the stated facts,
+        # so the first delta is the heads it adds; the stated facts
+        # still count as round 0.
+        delta = FactStore()
         for rule in rules:
             self._fire(rule, rule.join().run(self.stores), delta,
                        collect, derived_at, stratum_index, 0)
         if collect:
-            stratum_metrics.rounds.append(len(delta))
-            stratum_metrics.facts_derived += len(delta)
+            stratum_metrics.rounds.append(stated + len(delta))
+            stratum_metrics.facts_derived += stated + len(delta)
 
         # Only rules reading a relation of this stratum can fire again.
         local_sigs = {rule.sig for rule in rules}
-        local_sigs.update(head.signature for head in facts)
         recursive = [
             rule
             for rule in rules

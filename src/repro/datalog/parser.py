@@ -193,12 +193,12 @@ class RuleParser:
         return self.parse_goal()
 
     def parse_negation(self):
-        """The body item after ``not``."""
-        raise NotImplementedError
-
-    def parse_goal(self):
-        """A positive body item that is not ``is`` or an aggregate."""
-        raise NotImplementedError
+        """The body item after ``not``: F-logic bodies have none."""
+        self.error(
+            "'not' is not allowed in an F-logic body; "
+            "state negation in a Datalog rule",
+            self.tokens[self.index - 1],
+        )
 
     def parse_comparison(self, left):
         """``left OP term`` when a comparison operator follows, else
@@ -339,25 +339,9 @@ def parse_program(text):
     return _Parser(text).parse_program()
 
 
-def parse_rule(text):
-    """Parse exactly one clause."""
-    parser = _Parser(text)
-    rule = parser.parse_clause()
-    parser.expect_end("clause")
-    return rule
-
-
 def parse_atom(text):
     """Parse a single atom (used for goals/queries)."""
     parser = _Parser(text)
     atom = parser.parse_atom()
     parser.expect_end("atom")
     return atom
-
-
-def parse_term(text):
-    """Parse a single term."""
-    parser = _Parser(text)
-    term = parser.parse_term()
-    parser.expect_end("term")
-    return term

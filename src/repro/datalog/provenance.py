@@ -58,24 +58,6 @@ class Derivation:
         for child in self.children:
             yield from child._walk()
 
-    @property
-    def is_fact(self):
-        return self.rule is not None and self.rule.is_fact
-
-    def depth(self):
-        if not self.children:
-            return 1
-        return 1 + max(child.depth() for child in self.children)
-
-    def leaves(self):
-        """The EDB facts / builtin checks this proof bottoms out in."""
-        if not self.children:
-            return [self]
-        out = []
-        for child in self.children:
-            out.extend(child.leaves())
-        return out
-
     def format(self, indent=0):
         pad = "  " * indent
         label = str(self.atom)

@@ -45,9 +45,6 @@ class FactStore:
     def __len__(self):
         return sum(len(rows) for rows in self._facts.values())
 
-    def count(self, pred, arity):
-        return len(self._facts.get((pred, arity), ()))
-
     def signatures(self):
         return [sig for sig, rows in self._facts.items() if rows]
 
@@ -197,14 +194,6 @@ class FactStore:
             for args in rows:
                 self.add_row(sig, args)
         return self
-
-    def difference_count(self, other):
-        """Number of facts in self that are not in other."""
-        missing = 0
-        for sig, rows in self._facts.items():
-            other_rows = other._facts.get(sig, ())
-            missing += sum(1 for args in rows if args not in other_rows)
-        return missing
 
     def same_facts(self, other):
         mine = {sig: rows for sig, rows in self._facts.items() if rows}

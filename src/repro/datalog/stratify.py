@@ -78,10 +78,6 @@ class StratificationReport:
         self.strata = strata
 
     @property
-    def stratifiable(self):
-        return not self.negative_recursive and not self.aggregate_recursive
-
-    @property
     def aggregate_stratified(self):
         return not self.aggregate_recursive
 
@@ -181,8 +177,3 @@ def _merge_independent_strata(strata, info):
 def is_aggregate_stratified(program):
     """True when no aggregate edge is recursive (negation may still be)."""
     return analyze_stratification(program).aggregate_stratified
-
-
-def is_stratifiable(program):
-    """True when the program has no negation/aggregation through recursion."""
-    return analyze_stratification(program).stratifiable

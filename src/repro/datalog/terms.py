@@ -26,14 +26,6 @@ class Term:
 
     __slots__ = ()
 
-    def is_ground(self):
-        """Return True when the term contains no variables."""
-        raise NotImplementedError
-
-    def variables(self):
-        """Yield each :class:`Var` occurring in this term (with repeats)."""
-        raise NotImplementedError
-
 
 class Const(Term):
     """An atomic constant wrapping a hashable Python value."""
@@ -128,10 +120,6 @@ class Struct(Term):
         for arg in self.args:
             yield from arg.variables()
 
-    @property
-    def arity(self):
-        return len(self.args)
-
     def __eq__(self, other):
         return (
             isinstance(other, Struct)
@@ -171,16 +159,6 @@ def _quote_symbol(name):
     ):
         return name
     return "'%s'" % name.replace("\\", "\\\\").replace("'", "\\'")
-
-
-def var(name):
-    """Convenience constructor for :class:`Var`."""
-    return Var(name)
-
-
-def struct(functor, *args):
-    """Convenience constructor for :class:`Struct` with varargs."""
-    return Struct(functor, args)
 
 
 def coerce_term(value):
@@ -251,7 +229,7 @@ def unify(left, right, subst=None, occurs_check=True):
         new[right] = left
         return new
     if isinstance(left, Struct) and isinstance(right, Struct):
-        if left.functor != right.functor or left.arity != right.arity:
+        if left.functor != right.functor or len(left.args) != len(right.args):
             return None
         for l_arg, r_arg in zip(left.args, right.args):
             subst = unify(l_arg, r_arg, subst, occurs_check)

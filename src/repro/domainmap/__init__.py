@@ -33,14 +33,12 @@ from .dl import (
     Forall,
     Named,
     Sub,
-    axiom_to_fo,
     parse_axiom,
     parse_axioms,
     parse_concept,
 )
 from .execute import (
     PLACEHOLDER_FUNCTOR,
-    all_edge_constraint_rules,
     base_rules,
     compile_domain_map,
     dm_facts,
@@ -71,7 +69,7 @@ from .graphops import (
 )
 from .index import Anchor, SemanticIndex
 from .model import ALL, AND, EQV, EX, ISA, OR, DomainMap, Edge
-from .reasoning import Reasoner, check_fragment, subsumes
+from .reasoning import Reasoner, check_fragment
 from .registry import RegistrationResult, definite_projections, register_concepts
 from .render import edge_census, to_dot, to_text
 
@@ -99,9 +97,7 @@ __all__ = [
     "RegistrationResult",
     "SemanticIndex",
     "Sub",
-    "all_edge_constraint_rules",
     "ancestors",
-    "axiom_to_fo",
     "base_rules",
     "check_fragment",
     "closure_program",
@@ -130,7 +126,6 @@ __all__ = [
     "register_concepts",
     "role_containers",
     "role_graph",
-    "subsumes",
     "to_dot",
     "to_text",
     "transitive_closure",

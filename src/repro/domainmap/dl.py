@@ -14,8 +14,7 @@ edge (Definition 1)        DL form                     here
 ``C -=-> D``               ``C == D``                  Eqv(C, D)
 =========================  ==========================  ===============
 
-plus the first-order translation of Section 4 (:func:`axiom_to_fo`) and
-a small concrete syntax so domain maps can be written the way the paper
+plus a small concrete syntax so domain maps can be written the way the paper
 writes them::
 
     Spiny_Neuron  = Neuron & exists has.Spine
@@ -39,14 +38,6 @@ class ConceptExpr:
     """Abstract base of concept expressions."""
 
     __slots__ = ()
-
-    def named_concepts(self):
-        """All concept names mentioned in the expression."""
-        raise NotImplementedError
-
-    def roles(self):
-        """All role names mentioned in the expression."""
-        raise NotImplementedError
 
 
 class Named(ConceptExpr):
@@ -279,63 +270,9 @@ def _paren(expr):
 
 
 # ---------------------------------------------------------------------------
-# First-order translation (Section 4)
-# ---------------------------------------------------------------------------
-
-def _expr_to_fo(expr, variable, counter):
-    """Translate a concept expression into an FO formula string over
-    `variable`.  `counter` supplies fresh variable names."""
-    if isinstance(expr, Named):
-        return "%s(%s)" % (_quote(expr.name), variable)
-    if isinstance(expr, Conj):
-        return " & ".join(
-            "(%s)" % _expr_to_fo(part, variable, counter) for part in expr.parts
-        )
-    if isinstance(expr, Disj):
-        return " | ".join(
-            "(%s)" % _expr_to_fo(part, variable, counter) for part in expr.parts
-        )
-    if isinstance(expr, Exists):
-        fresh = "y%d" % next(counter)
-        inner = _expr_to_fo(expr.concept, fresh, counter)
-        return "exists %s (%s(%s, %s) & %s)" % (
-            fresh,
-            _quote(expr.role),
-            variable,
-            fresh,
-            inner,
-        )
-    if isinstance(expr, Forall):
-        fresh = "y%d" % next(counter)
-        inner = _expr_to_fo(expr.concept, fresh, counter)
-        return "forall %s (%s(%s, %s) -> %s)" % (
-            fresh,
-            _quote(expr.role),
-            variable,
-            fresh,
-            inner,
-        )
-    raise DomainMapError("cannot translate %r to FO" % (expr,))
-
-
-def axiom_to_fo(axiom):
-    """The FO reading of an axiom, e.g. FO(ex) of Section 4:
-    ``forall x (C(x) -> exists y (D(y) & r(x, y)))``."""
-    import itertools
-
-    counter = itertools.count(1)
-    lhs = _expr_to_fo(axiom.lhs, "x", counter)
-    rhs = _expr_to_fo(axiom.rhs, "x", counter)
-    if isinstance(axiom, Sub):
-        return "forall x (%s -> %s)" % (lhs, rhs)
-    if isinstance(axiom, Eqv):
-        return "forall x (%s <-> %s)" % (lhs, rhs)
-    raise DomainMapError("unknown axiom kind %r" % (axiom,))
-
-
-# ---------------------------------------------------------------------------
 # Concrete syntax
 # ---------------------------------------------------------------------------
+
 
 _DL_TOKEN_RE = re.compile(
     r"""

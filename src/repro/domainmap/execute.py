@@ -111,29 +111,6 @@ def edge_constraint_rules(source, role, target):
     return [witness_rule, denial]
 
 
-def all_edge_constraint_rules(source, role, target):
-    """The (all) edge as an integrity constraint: every r-successor of a
-    C instance must be in D."""
-    x, y = Var("X"), Var("Y")
-    denial = Rule(
-        Atom(
-            "instance",
-            (
-                Struct(
-                    "w_all", (Const(source), Const(role), Const(target), x, y)
-                ),
-                Const(IC_CLASS),
-            ),
-        ),
-        (
-            Literal(Atom("instance", (x, Const(source)))),
-            Literal(Atom("role_inst", (Const(role), x, y))),
-            Literal(Atom("instance", (y, Const(target)), ), positive=False),
-        ),
-    )
-    return [denial]
-
-
 def edge_assertion_rules(source, role, target):
     """The (ex) edge as an assertion creating placeholder objects::
 
@@ -198,8 +175,7 @@ def compile_domain_map(dm, assertions_for=None):
 
     The Section 4 tc/dc/has_a_star rules are always included.  The
     constraint reading of an edge is added by the caller, phase 2 of
-    an integrity check (:func:`edge_constraint_rules`,
-    :func:`all_edge_constraint_rules`).
+    an integrity check (:func:`edge_constraint_rules`).
     """
     rules: List[Rule] = []
     rules.extend(dm_facts(dm))

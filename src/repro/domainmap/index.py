@@ -72,10 +72,6 @@ class SemanticIndex:
 
     # -- lookup ---------------------------------------------------------------
 
-    @property
-    def anchors(self):
-        return sorted(self._anchors, key=lambda a: (a.source, a.class_name, a.concept))
-
     def concepts_of_source(self, source):
         """All concepts a source anchors data at."""
         return sorted({a.concept for a in self._anchors if a.source == source})

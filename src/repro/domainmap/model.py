@@ -24,12 +24,11 @@ is used by the reasoner and by registration.
 from __future__ import annotations
 
 import threading
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import DomainMapError, UnknownConceptError
 from .dl import (
     Axiom,
-    ConceptExpr,
     Conj,
     Disj,
     Eqv,
@@ -104,12 +103,14 @@ class DomainMap:
 
     def __init__(self, name="domain_map"):
         self.name = name
-        self.concepts: Set[str] = set()
-        self.roles: Set[str] = set()
-        self.axioms: List[Axiom] = []
-        self.rules_text: List[str] = []
-        #: bumped by every change (add_concept/add_role/add_axiom/
-        #: add_rule), so derived state can tell it is stale
+        # read-only to callers (see the properties below): each add_*
+        # method replaces a field and bumps the revision together
+        self._concepts: FrozenSet[str] = frozenset()
+        self._roles: FrozenSet[str] = frozenset()
+        self._axioms: Tuple[Axiom, ...] = ()
+        self._rules_text: Tuple[str, ...] = ()
+        #: bumped by every change (add_concept/add_axiom/add_rule), so
+        #: derived state can tell it is stale
         self.revision = 0
         # (revision, {key: value}) of what was derived from the map at
         # that revision, see derived()
@@ -118,19 +119,30 @@ class DomainMap:
 
     # -- declaration -----------------------------------------------------
 
+    @property
+    def concepts(self):
+        return self._concepts
+
+    @property
+    def roles(self):
+        return self._roles
+
+    @property
+    def axioms(self):
+        return self._axioms
+
+    @property
+    def rules_text(self):
+        return self._rules_text
+
     def add_concept(self, name):
-        self.concepts.add(name)
+        self._concepts = self._concepts | {name}
         self.revision += 1
         return self
 
     def add_concepts(self, names):
         for name in names:
             self.add_concept(name)
-        return self
-
-    def add_role(self, name):
-        self.roles.add(name)
-        self.revision += 1
         return self
 
     def has_concept(self, name):
@@ -153,9 +165,9 @@ class DomainMap:
         if isinstance(axiom, str):
             axiom = parse_axiom(axiom)
         for expr in (axiom.lhs, axiom.rhs):
-            self.concepts.update(expr.named_concepts())
-            self.roles.update(expr.roles())
-        self.axioms.append(axiom)
+            self._concepts = self._concepts.union(expr.named_concepts())
+            self._roles = self._roles.union(expr.roles())
+        self._axioms += (axiom,)
         self.revision += 1
         return axiom
 
@@ -178,21 +190,9 @@ class DomainMap:
         """Add ``src v exists role.dst`` (an (ex) edge)."""
         return self.add_axiom(Sub(Named(src), Exists(role, Named(dst))))
 
-    def all_values(self, src, role, dst):
-        """Add ``src v all role.dst`` (an (all) edge)."""
-        return self.add_axiom(Sub(Named(src), Forall(role, Named(dst))))
-
-    def eqv(self, lhs, rhs):
-        """Add ``lhs == rhs``; `rhs` may be a name, expression or text."""
-        if isinstance(rhs, str) and not isinstance(rhs, ConceptExpr):
-            # A bare name: treat as Named; richer expressions should use
-            # add_axiom("C = ..." ) or pass a ConceptExpr.
-            rhs = Named(rhs)
-        return self.add_axiom(Eqv(Named(lhs), rhs))
-
     def add_rule(self, datalog_text):
         """Attach logic rules (component (ii) of Definition 1)."""
-        self.rules_text.append(datalog_text)
+        self._rules_text += (datalog_text,)
         self.revision += 1
         return self
 
@@ -347,10 +347,10 @@ class DomainMap:
         """An independent copy (a source's "local copy of the DM",
         footnote 9 of the paper)."""
         clone = DomainMap(name or self.name)
-        clone.concepts = set(self.concepts)
-        clone.roles = set(self.roles)
-        clone.axioms = list(self.axioms)
-        clone.rules_text = list(self.rules_text)
+        clone._concepts = self._concepts
+        clone._roles = self._roles
+        clone._axioms = self._axioms
+        clone._rules_text = self._rules_text
         return clone
 
     def __getstate__(self):
@@ -361,15 +361,6 @@ class DomainMap:
         return state
 
     # -- summary --------------------------------------------------------------
-
-    def describe(self):
-        lines = [
-            "domain map %s: %d concepts, %d roles, %d axioms"
-            % (self.name, len(self.concepts), len(self.roles), len(self.axioms))
-        ]
-        for axiom in self.axioms:
-            lines.append("  %s" % axiom)
-        return "\n".join(lines)
 
     def __repr__(self):
         return "DomainMap(%r, concepts=%d, axioms=%d)" % (

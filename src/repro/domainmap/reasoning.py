@@ -210,25 +210,3 @@ class Reasoner:
 
     def equivalent(self, left, right):
         return self.subsumes(left, right) and self.subsumes(right, left)
-
-    def satisfiable(self, concept):
-        """Within the fragment every concept is satisfiable (there is no
-        negation or bottom); the value of this method is that calling it
-        on a map outside the fragment raises, per Proposition 1."""
-        return True
-
-    def classify(self):
-        """The full subsumption preorder over named concepts: a sorted
-        list of (general, specific) pairs with general != specific."""
-        names = sorted(self.dm.concepts)
-        pairs = []
-        for general in names:
-            for specific in names:
-                if general != specific and self.subsumes(general, specific):
-                    pairs.append((general, specific))
-        return pairs
-
-
-def subsumes(dm, general, specific):
-    """One-shot convenience wrapper around :class:`Reasoner`."""
-    return Reasoner(dm).subsumes(general, specific)

@@ -11,9 +11,10 @@ The fragment covers exactly what the paper uses as its concrete GCM:
   well-founded semantics")
 * plain predicates ``p(t1, ..., tn)`` (e.g. GCM `relationinst`)
 * rules ``head_1, ..., head_k :- body.`` with conjunctive heads (used by
-  the paper's assertion rules), negated subgoals including negated
-  *conjunctions* ``not (A, B)``, comparisons, arithmetic, and the
-  aggregate syntax of Example 3 ``N = count{VA [VB]; ...}``.
+  the paper's assertion rules), comparisons, arithmetic, and the
+  aggregate syntax of Example 3 ``N = count{VA [VB]; ...}``.  Negation
+  is stated in Datalog rules (well-founded semantics), not in F-logic
+  bodies.
 
 A *molecule* bundles a subject with an optional is-a/subclass tag and a
 frame of method specifications; translation flattens each molecule into
@@ -61,14 +62,6 @@ class MethodSpec:
         self.method = coerce_term(method)
         self.arrow = arrow
         self.values = tuple(coerce_term(v) for v in values)
-
-    @property
-    def is_signature(self):
-        return self.arrow in (ARROW_SIG_SCALAR, ARROW_SIG_MULTI)
-
-    @property
-    def is_default(self):
-        return self.arrow == ARROW_DEFAULT
 
     def __eq__(self, other):
         return (
@@ -223,30 +216,6 @@ class FLAggregate:
         )
 
 
-class FLNegation:
-    """``not item`` or ``not (item, item, ...)`` in an F-logic body."""
-
-    __slots__ = ("items",)
-
-    def __init__(self, items):
-        self.items = tuple(items)
-
-    def __eq__(self, other):
-        return isinstance(other, FLNegation) and self.items == other.items
-
-    def __hash__(self):
-        return hash(("FLNegation", self.items))
-
-    def __repr__(self):
-        return "FLNegation(%r)" % (self.items,)
-
-    def __str__(self):
-        inner = ", ".join(str(i) for i in self.items)
-        if len(self.items) == 1:
-            return "not %s" % inner
-        return "not (%s)" % inner
-
-
 class FLRule:
     """An F-logic rule with a conjunctive head.
 
@@ -259,10 +228,6 @@ class FLRule:
     def __init__(self, heads, body=()):
         self.heads = tuple(heads)
         self.body = tuple(body)
-
-    @property
-    def is_fact(self):
-        return not self.body
 
     def __eq__(self, other):
         return (
@@ -279,6 +244,6 @@ class FLRule:
 
     def __str__(self):
         head_text = ", ".join(str(h) for h in self.heads)
-        if self.is_fact:
+        if not self.body:
             return "%s." % head_text
         return "%s :- %s." % (head_text, ", ".join(str(b) for b in self.body))

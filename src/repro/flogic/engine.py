@@ -1,9 +1,10 @@
 """The F-logic engine facade.
 
 :class:`FLogicEngine` is the deductive engine of the reproduction —
-the stand-in for FLORA/FLORID in the paper's prototype.  It accepts
-knowledge in F-logic syntax (or raw Datalog), maintains the translated
-rule base together with the Table 1 axioms, and answers queries.
+the stand-in for FLORA/FLORID in the paper's prototype.  It is told
+Datalog rules (F-logic translated by :class:`Translator`, or raw
+Datalog), keeps them together with the Table 1 axioms, and answers
+F-logic queries.
 
 Value-inheritance axioms are only linked in when some ``*->`` default
 exists in the knowledge base: they are the one axiom group that can make
@@ -11,11 +12,12 @@ programs non-stratifiable (intentionally — the paper resolves such
 programs with the well-founded semantics), so keeping them out of
 default-free programs preserves cheap stratified evaluation.
 
-The knowledge base is evaluated once; after that, telling and
-retracting rules maintain the model instead of recomputing it, and
-queries and other additions that leave it unchanged
-(:meth:`FLogicEngine.evaluate_with`) continue from it (``evaluate(...,
-base=, removed=)``, see :func:`~repro.datalog.engine.evaluate`).
+The knowledge base is evaluated once; after that, telling rules and
+revising the engine (:meth:`FLogicEngine.revised`) maintain the model
+instead of recomputing it, and queries and other additions that leave
+it unchanged (:meth:`FLogicEngine.evaluate_with`) continue from it
+(``evaluate(..., base=, removed=)``, see
+:func:`~repro.datalog.engine.evaluate`).
 """
 
 from __future__ import annotations
@@ -26,11 +28,10 @@ from typing import Dict, Iterable, Optional, Sequence
 from .. import obs
 from ..datalog.ast import Atom, Program, Rule
 from ..datalog.engine import EvaluationResult, evaluate
-from ..datalog.parser import parse_program as parse_datalog
 from ..datalog.terms import Const, Term, Var, substitute, term_sort_key
 from .ast import FLRule
 from .axioms import core_axioms, signature_inheritance_axioms, value_inheritance_axioms
-from .parser import parse_fl_body, parse_fl_program
+from .parser import parse_fl_body
 from .translate import PRED_DEFAULT_VAL, Translator
 
 
@@ -53,66 +54,19 @@ class FLogicEngine:
 
     # -- loading knowledge ------------------------------------------------
 
-    def tell(self, fl_text):
-        """Parse and add F-logic source text."""
-        with obs.span("flogic.parse", chars=len(fl_text)) as span:
-            fl_rules = parse_fl_program(fl_text)
-            span.set(fl_rules=len(fl_rules))
-        self.tell_fl_rules(fl_rules)
-        return self
-
-    def tell_fl_rules(self, fl_rules):
-        """Add already-parsed F-logic rules."""
-        fl_rules = list(fl_rules)
-        with obs.span("flogic.translate", fl_rules=len(fl_rules)) as span:
-            rules = Translator().translate_rules(fl_rules)
-            span.set(datalog_rules=len(rules))
-        self._add_rules(rules)
-        return self
-
-    def tell_datalog(self, text_or_program):
-        """Add raw Datalog clauses (text or a Program/rule iterable)."""
-        if isinstance(text_or_program, str):
-            rules = list(parse_datalog(text_or_program))
-        else:
-            rules = list(text_or_program)
-        self._add_rules(rules)
-        return self
-
     def tell_rules(self, rules):
         """Add Datalog :class:`Rule` objects directly."""
-        self._add_rules(list(rules))
-        return self
-
-    def add_fact(self, pred, *args):
-        """Add one ground Datalog fact."""
-        self._add_rules([Rule(Atom(pred, args))])
-        return self
-
-    def retract_rules(self, rules):
-        """Take told Datalog :class:`Rule` objects out again, one
-        occurrence each (rules never told are ignored)."""
-        self._revise((), list(rules))
-        return self
-
-    def _add_rules(self, rules):
-        if rules:
-            self._revise(rules, ())
-
-    def _revise(self, added, removed):
+        rules = list(rules)
+        if not rules:
+            return self
         with self._evaluation_lock:
             if self._result is not None:
                 self._basis = (self._result, [], [], self._defaults)
                 self._result = None
             if self._basis is not None:
-                pending_added, pending_removed = self._basis[1:3]
-                for rule in removed:
-                    if rule in pending_added:
-                        pending_added.remove(rule)
-                    else:
-                        pending_removed.append(rule)
-                pending_added.extend(added)
-            self._count_rules(self._told, added, removed)
+                self._basis[1].extend(rules)
+            self._count_rules(self._told, rules, ())
+        return self
 
     def _count_rules(self, told, added, removed):
         """Make `told`, adjusted by the rules `added` and `removed`,
@@ -248,7 +202,7 @@ class FLogicEngine:
         """
         with obs.span("flogic.ask", query=query_text) as ask_span:
             fl_items = parse_fl_body(query_text)
-            body, aux_rules = Translator().translate_body(fl_items)
+            body = Translator().translate_body(fl_items)
             answer_vars = sorted(
                 {
                     v
@@ -261,7 +215,7 @@ class FLogicEngine:
             goal = Atom("_query", tuple(answer_vars))
             query_rule = Rule(goal, tuple(body))
             result = self.evaluate_with(
-                list(extra_rules) + list(aux_rules) + [query_rule]
+                list(extra_rules) + [query_rule]
             )
             ask_span.set(answers=len(list(result.store.rows(goal.signature))))
         bindings = []
@@ -293,8 +247,8 @@ class FLogicEngine:
         from ..datalog.provenance import explain as datalog_explain
 
         fl_items = parse_fl_body(query_text)
-        body, aux_rules = Translator().translate_body(fl_items)
-        if aux_rules or len(body) != 1 or not isinstance(body[0], Literal):
+        body = Translator().translate_body(fl_items)
+        if len(body) != 1 or not isinstance(body[0], Literal):
             raise ValueError(
                 "explain() takes a single positive ground fact, got %r"
                 % query_text
@@ -317,16 +271,6 @@ class FLogicEngine:
             },
             key=str,
         )
-
-    def instances_of(self, class_name):
-        """All direct-or-inherited instances of a class."""
-        rows = self.ask("X : '%s'" % class_name)
-        return [row["X"] for row in rows]
-
-    def subclasses_of(self, class_name):
-        """All subclasses (reflexive-transitive) of a class."""
-        rows = self.ask("X :: '%s'" % class_name)
-        return [row["X"] for row in rows]
 
 
 def _uses_defaults(rules):

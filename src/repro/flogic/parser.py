@@ -38,7 +38,6 @@ from ..errors import FLogicParseError
 from .ast import (
     FRAME_ARROWS,
     FLAggregate,
-    FLNegation,
     FLPredicate,
     FLRule,
     MethodSpec,
@@ -49,7 +48,7 @@ from .ast import (
 class _Parser(RuleParser):
     error_class = FLogicParseError
     aggregate_class = FLAggregate
-    # translate.py scopes negated conjunctions by this prefix
+    # ask() leaves variables with this prefix out of its answers
     fresh_prefix = "_fl"
 
     # -- grammar -------------------------------------------------------
@@ -77,14 +76,6 @@ class _Parser(RuleParser):
         if not isinstance(item, (Molecule, FLPredicate)):
             self.error("only molecules and predicates may appear in rule heads")
         return item
-
-    def parse_negation(self):
-        if self.peek().kind == "(":
-            self.next()
-            inner = self.parse_body(stop_kinds=(")",))
-            self.expect(")")
-            return FLNegation(inner)
-        return FLNegation((self.parse_body_item(),))
 
     def parse_goal(self):
         """A molecule, a predicate or a comparison."""
@@ -158,13 +149,6 @@ class _Parser(RuleParser):
 def parse_fl_program(text):
     """Parse F-logic source text into a list of :class:`FLRule`."""
     return _Parser(text).parse_program()
-
-
-def parse_fl_rule(text):
-    parser = _Parser(text)
-    rule = parser.parse_rule()
-    parser.expect_end("rule")
-    return rule
 
 
 def parse_fl_body(text):

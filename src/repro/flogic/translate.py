@@ -12,16 +12,10 @@ Reading and writing are asymmetric, mirroring F-logic systems: a data
 frame in a rule *head* asserts `method_inst`, while the same frame in a
 *body* reads the derived `method_val` relation, which is `method_inst`
 plus nonmonotonically inherited defaults (see :mod:`.axioms`).
-
-Negated conjunctions ``not (A, B)`` — used by the paper's assertion
-rules — have no direct Datalog form; the translator introduces an
-auxiliary predicate capturing the conjunction, named by a content hash
-so repeated translation of the same text stays idempotent.
 """
 
 from __future__ import annotations
 
-import hashlib
 from typing import List, Sequence, Tuple
 
 from ..errors import FLogicTranslationError
@@ -41,7 +35,6 @@ from .ast import (
     ARROW_SIG_MULTI,
     ARROW_SIG_SCALAR,
     FLAggregate,
-    FLNegation,
     FLPredicate,
     FLRule,
     Molecule,
@@ -92,31 +85,23 @@ def molecule_atoms(molecule, mode):
 
 
 class Translator:
-    """Stateful FL→Datalog translator (collects auxiliary rules)."""
-
-    def __init__(self):
-        self.aux_rules: List[Rule] = []
+    """FL→Datalog translator."""
 
     # -- public API -----------------------------------------------------
 
     def translate_rules(self, fl_rules):
         """Translate F-logic rules into a list of Datalog rules.
 
-        One Datalog rule is produced per atom of each conjunctive head;
-        auxiliary rules for negated conjunctions are appended at the end.
+        One Datalog rule is produced per atom of each conjunctive head.
         """
-        self.aux_rules = []
         out: List[Rule] = []
         for fl_rule in fl_rules:
             out.extend(self._translate_rule(fl_rule))
-        out.extend(self.aux_rules)
         return out
 
     def translate_body(self, fl_items):
-        """Translate a query conjunction; returns (body_items, aux_rules)."""
-        self.aux_rules = []
-        body = self._translate_body_items(fl_items, _sibling_variables(fl_items, ()))
-        return body, list(self.aux_rules)
+        """Translate a query conjunction into Datalog body items."""
+        return self._translate_body_items(fl_items)
 
     # -- internals --------------------------------------------------------
 
@@ -131,20 +116,16 @@ class Translator:
                 raise FLogicTranslationError(
                     "illegal head item %s" % (head,)
                 )
-        body = self._translate_body_items(
-            fl_rule.body, _sibling_variables(fl_rule.body, fl_rule.heads)
-        )
+        body = self._translate_body_items(fl_rule.body)
         return [Rule(atom, tuple(body)) for atom in head_atoms]
 
-    def _translate_body_items(self, fl_items, sibling_vars):
-        """Translate items; `sibling_vars[i]` is the variable set of every
-        item except item i (plus any heads), used to scope negation."""
+    def _translate_body_items(self, fl_items):
         body = []
-        for item, outer in zip(fl_items, sibling_vars):
-            body.extend(self._translate_body_item(item, outer))
+        for item in fl_items:
+            body.extend(self._translate_body_item(item))
         return body
 
-    def _translate_body_item(self, item, rule_vars):
+    def _translate_body_item(self, item):
         if isinstance(item, Molecule):
             return [
                 Literal(atom) for atom in molecule_atoms(item, mode="body")
@@ -154,87 +135,10 @@ class Translator:
         if isinstance(item, (Comparison, Assignment)):
             return [item]
         if isinstance(item, FLAggregate):
-            inner = self._translate_body_items(
-                item.body, _sibling_variables(item.body, ())
-            )
+            inner = self._translate_body_items(item.body)
             return [
                 AggregateLiteral(
                     item.func, item.result, item.value, item.group_by, tuple(inner)
                 )
             ]
-        if isinstance(item, FLNegation):
-            return [self._translate_negation(item, rule_vars)]
         raise FLogicTranslationError("unsupported body item %r" % (item,))
-
-    def _translate_negation(self, negation, rule_vars):
-        inner_siblings = [
-            siblings | rule_vars
-            for siblings in _sibling_variables(negation.items, ())
-        ]
-        inner = self._translate_body_items(negation.items, inner_siblings)
-        if len(inner) == 1 and isinstance(inner[0], Literal) and inner[0].positive:
-            return inner[0].negate()
-        # Auxiliary predicate over the variables shared with the rest of
-        # the rule; named by content hash for idempotent re-translation.
-        inner_vars = set()
-        for lit in inner:
-            inner_vars |= set(lit.variables())
-        outer_vars = {
-            v for v in inner_vars
-            if v in rule_vars and not v.name.startswith("_fl")
-        }
-        shared = sorted(outer_vars, key=lambda v: v.name)
-        digest = hashlib.sha1(
-            ("|".join(str(i) for i in inner) + "#" + ",".join(v.name for v in shared))
-            .encode("utf-8")
-        ).hexdigest()[:12]
-        aux_pred = "_not_%s" % digest
-        aux_head = Atom(aux_pred, tuple(shared))
-        self.aux_rules.append(Rule(aux_head, tuple(inner)))
-        return Literal(aux_head, positive=False)
-
-
-def _sibling_variables(items, heads):
-    """For each body item, the variables of every *other* item and of the
-    heads.  A negated conjunction's auxiliary predicate must expose
-    exactly the variables it shares with this sibling set."""
-    item_vars = [_item_variables(item) for item in items]
-    head_vars = set()
-    for head in heads:
-        head_vars |= _item_variables(head)
-    siblings = []
-    for index in range(len(items)):
-        outer = set(head_vars)
-        for other, variables in enumerate(item_vars):
-            if other != index:
-                outer |= variables
-        siblings.append(outer)
-    return siblings
-
-
-def _item_variables(item):
-    variables = set()
-    if isinstance(item, Molecule):
-        variables |= set(item.subject.variables())
-        if item.tag is not None:
-            variables |= set(item.tag.variables())
-        for spec in item.specs:
-            variables |= set(spec.method.variables())
-            for value in spec.values:
-                variables |= set(value.variables())
-    elif isinstance(item, FLPredicate):
-        for arg in item.args:
-            variables |= set(arg.variables())
-    elif isinstance(item, (Comparison, Assignment)):
-        variables |= set(item.variables())
-    elif isinstance(item, FLAggregate):
-        variables |= set(item.result.variables())
-        for g in item.group_by:
-            variables |= set(g.variables())
-        variables |= set(item.value.variables())
-        for sub in item.body:
-            variables |= _item_variables(sub)
-    elif isinstance(item, FLNegation):
-        for sub in item.items:
-            variables |= _item_variables(sub)
-    return variables

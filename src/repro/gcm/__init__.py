@@ -31,19 +31,15 @@ from .constraints import (
     Witness,
     check,
     check_model,
-    constraint_from_text,
     witnesses_from_store,
 )
 from .library import (
     cardinality_constraint,
-    functional_dependency,
     higher_order_bridge,
     key_constraint,
     partial_order_constraint,
     partial_order_constraint_ho,
-    referential_constraint,
     scalar_method_constraint,
-    value_range_constraint,
 )
 from .model import (
     PRED_RELATION_SIG,
@@ -66,14 +62,10 @@ __all__ = [
     "cardinality_constraint",
     "check",
     "check_model",
-    "constraint_from_text",
-    "functional_dependency",
     "higher_order_bridge",
     "key_constraint",
     "partial_order_constraint",
     "partial_order_constraint_ho",
-    "referential_constraint",
     "scalar_method_constraint",
-    "value_range_constraint",
     "witnesses_from_store",
 ]

@@ -20,7 +20,6 @@ from typing import Dict, Iterable, List, Optional, Sequence
 from ..errors import ConstraintViolation
 from ..datalog.ast import Atom, Program, Rule
 from ..datalog.engine import evaluate
-from ..datalog.parser import parse_program
 from ..datalog.terms import Const, Struct, term_sort_key
 from ..flogic.engine import FLogicEngine
 
@@ -46,11 +45,6 @@ class Constraint:
 
     def __repr__(self):
         return "Constraint(%r)" % self.name
-
-
-def constraint_from_text(name, datalog_text, description=""):
-    """Build a constraint from Datalog source text."""
-    return Constraint(name, parse_program(datalog_text), description)
 
 
 class Witness:
@@ -154,14 +148,12 @@ def check(rules, constraints=(), raise_on_violation=False):
     Args:
         rules: an iterable of Datalog rules (e.g. ``cm.all_rules()``) or
             a :class:`Program`.
-        constraints: extra :class:`Constraint` objects to include.
+        constraints: the :class:`Constraint` objects to check.
         raise_on_violation: raise :class:`ConstraintViolation` when any
             witness is derived.
     """
     if hasattr(rules, "all_rules"):  # a ConceptualModel
-        cm = rules
-        constraints = list(constraints) + list(cm.constraints)
-        rules = cm.all_rules(include_constraints=False)
+        rules = rules.all_rules()
     engine = FLogicEngine().tell_rules(rules)
     return check_model(
         engine.evaluate().store, constraints, raise_on_violation=raise_on_violation

@@ -10,8 +10,6 @@ Covers the constraints the paper calls out:
   ``w6=1``/``w>2``).
 * :func:`scalar_method_constraint` — functionality of ``=>`` methods.
 * :func:`key_constraint` — key attributes over a class.
-* :func:`referential_constraint` — role fillers typed by their declared
-  class (inclusion dependency).
 
 Section 4's reading of a domain-map edge as an integrity constraint
 lives with the domain-map compiler
@@ -315,106 +313,3 @@ def key_constraint(class_name, key_methods):
         [rule],
         "key attributes must be unique per instance",
     )
-
-
-def value_range_constraint(class_name, method, allowed=None, minimum=None, maximum=None):
-    """A value constraint (Section 3's "cardinality constraints, value
-    constraints, functional dependencies"): method values must lie in an
-    enumerated set and/or a numeric interval."""
-    if allowed is None and minimum is None and maximum is None:
-        raise SchemaError("value constraint needs allowed/minimum/maximum")
-    c, m = Const(class_name), Const(method)
-    x, v = Var("X"), Var("V")
-    base = (
-        Literal(Atom("instance", (x, c))),
-        Literal(Atom("method_val", (x, m, v))),
-    )
-    rules: List[Rule] = []
-    if allowed is not None:
-        allowed = sorted(allowed, key=repr)
-        member_pred = _aux_name("allowed", class_name, method)
-        for value in allowed:
-            rules.append(Rule(Atom(member_pred, (Const(value),))))
-        rules.append(
-            Rule(
-                _ic_head(Struct("w_value", (c, m, x, v))),
-                base + (Literal(Atom(member_pred, (v,)), positive=False),),
-            )
-        )
-    if minimum is not None:
-        rules.append(
-            Rule(
-                _ic_head(Struct("w_value_low", (c, m, x, v))),
-                base + (Comparison("<", v, Const(minimum)),),
-            )
-        )
-    if maximum is not None:
-        rules.append(
-            Rule(
-                _ic_head(Struct("w_value_high", (c, m, x, v))),
-                base + (Comparison(">", v, Const(maximum)),),
-            )
-        )
-    return Constraint(
-        "value_range(%s.%s)" % (class_name, method),
-        rules,
-        "method values restricted to an enumeration / interval",
-    )
-
-
-def functional_dependency(class_name, determinants, dependent):
-    """A functional dependency over a class: objects agreeing on all
-    determinant methods must agree on the dependent method."""
-    if not determinants:
-        raise SchemaError("functional dependency needs determinants")
-    c = Const(class_name)
-    x, y = Var("X"), Var("Y")
-    v1, v2 = Var("V1"), Var("V2")
-    body = [
-        Literal(Atom("instance", (x, c))),
-        Literal(Atom("instance", (y, c))),
-    ]
-    for index, method in enumerate(determinants):
-        shared = Var("D%d" % index)
-        body.append(Literal(Atom("method_val", (x, Const(method), shared))))
-        body.append(Literal(Atom("method_val", (y, Const(method), shared))))
-    body.append(Literal(Atom("method_val", (x, Const(dependent), v1))))
-    body.append(Literal(Atom("method_val", (y, Const(dependent), v2))))
-    body.append(Comparison("!=", v1, v2))
-    rule = Rule(
-        _ic_head(Struct("w_fd", (c, Const(dependent), x, y))),
-        tuple(body),
-    )
-    return Constraint(
-        "fd(%s: %s -> %s)" % (class_name, ", ".join(determinants), dependent),
-        [rule],
-        "determinant methods functionally determine the dependent method",
-    )
-
-
-def referential_constraint(relation_pred, arity, position, class_name):
-    """Fillers of a relation position must be instances of their class."""
-    if not 0 <= position < arity:
-        raise SchemaError("position out of range")
-    args = tuple(Var("V%d" % i) for i in range(arity))
-    rule = Rule(
-        _ic_head(
-            Struct(
-                "w_ref",
-                (Const(relation_pred), Const(position), args[position]),
-            )
-        ),
-        (
-            Literal(Atom(relation_pred, args)),
-            Literal(
-                Atom("instance", (args[position], Const(class_name))),
-                positive=False,
-            ),
-        ),
-    )
-    return Constraint(
-        "referential(%s pos %d : %s)" % (relation_pred, position, class_name),
-        [rule],
-        "relation position must be typed by its declared class",
-    )
-

@@ -34,7 +34,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from ..errors import SchemaError
 from ..datalog.ast import Atom, Literal, Program, Rule
 from ..datalog.terms import Const, Struct, Var, coerce_term
-from ..flogic.engine import FLogicEngine
 from ..flogic.parser import parse_fl_program
 
 #: relation signature bookkeeping predicate: relation_sig(R, index, role, class)
@@ -107,12 +106,6 @@ class RelationDef:
     def role_names(self):
         return tuple(role for role, _cls in self.roles)
 
-    def role_index(self, role):
-        for index, (name, _cls) in enumerate(self.roles):
-            if name == role:
-                return index
-        raise SchemaError("relation %r has no role %r" % (self.name, role))
-
     def tuple_functor(self):
         """Functor of the reified tuple objects for this relation."""
         return "t_%s" % self.name
@@ -133,7 +126,6 @@ class ConceptualModel:
         self.name = name
         self.classes: Dict[str, ClassDef] = {}
         self.relations: Dict[str, RelationDef] = {}
-        self.constraints: List = []
         self._instance_facts: List[Rule] = []
         self._value_facts: List[Rule] = []
         self._relation_facts: List[Rule] = []
@@ -186,11 +178,6 @@ class ConceptualModel:
         relation = RelationDef(name, roles)
         self.relations[name] = relation
         return relation
-
-    def add_constraint(self, constraint):
-        """Attach an integrity constraint (see :mod:`repro.gcm.constraints`)."""
-        self.constraints.append(constraint)
-        return constraint
 
     # -- semantic rules ----------------------------------------------------
 
@@ -296,29 +283,8 @@ class ConceptualModel:
         """User-supplied semantic rules (already translated to Datalog)."""
         return list(self._rules)
 
-    def constraint_rules(self):
-        rules: List[Rule] = []
-        for constraint in self.constraints:
-            rules.extend(constraint.rules())
-        return rules
-
-    def all_rules(self, include_constraints=True):
-        rules = self.schema_rules() + self.data_rules() + self.semantic_rules()
-        if include_constraints:
-            rules += self.constraint_rules()
-        return rules
-
-    def to_engine(self, include_constraints=False):
-        """Build a fresh F-logic engine loaded with this CM.
-
-        Constraint denials are excluded by default: integrity checking
-        is a two-phase operation (see :func:`repro.gcm.check`) and
-        loading denials into the live engine can create aggregate-
-        through-recursion cycles with the relation bridge rules.
-        """
-        engine = FLogicEngine()
-        engine.tell_rules(self.all_rules(include_constraints=include_constraints))
-        return engine
+    def all_rules(self):
+        return self.schema_rules() + self.data_rules() + self.semantic_rules()
 
     # -- introspection ------------------------------------------------------
 

@@ -19,7 +19,7 @@ Typical use::
     open("trace.json", "w").write(obs.to_json(tracer))
 
 Instrumentation points call the module-level helpers —
-:func:`span`, :func:`event`, :func:`count`, :func:`gauge` — which
+:func:`span`, :func:`event`, :func:`count` — which
 dispatch to the active tracer.  Span taxonomy, metric names, and the
 JSON schema are documented in ``docs/observability.md``.
 """
@@ -39,11 +39,6 @@ _active = NOOP
 def active():
     """The currently installed tracer (the shared no-op by default)."""
     return _active
-
-
-def enabled():
-    """Is a real tracer installed?"""
-    return _active.enabled
 
 
 def install(tracer=None):
@@ -100,13 +95,6 @@ def count(name, value=1, **labels):
         tracer.count(name, value, **labels)
 
 
-def gauge(name, value, **labels):
-    """Set a gauge on the active tracer's metrics."""
-    tracer = _active
-    if tracer is not NOOP:
-        tracer.gauge(name, value, **labels)
-
-
 __all__ = [
     "EvaluationMetrics",
     "Metrics",
@@ -119,9 +107,7 @@ __all__ = [
     "active",
     "capture",
     "count",
-    "enabled",
     "event",
-    "gauge",
     "install",
     "render_metrics",
     "render_tree",

@@ -55,9 +55,6 @@ class Metrics:
     def counter_value(self, name, **labels):
         return self._counters.get(self._key(name, labels), 0)
 
-    def gauge_value(self, name, default=None, **labels):
-        return self._gauges.get(self._key(name, labels), default)
-
     def counter_total(self, name):
         """Sum of a counter across all label sets."""
         return sum(v for k, v in self._counters.items() if k[0] == name)
@@ -127,14 +124,6 @@ class StratumMetrics:
         self.facts_derived = 0
         self.rounds: List[int] = []  # delta size per semi-naive round
 
-    def as_dict(self):
-        return {
-            "index": self.index,
-            "relations": list(self.relations),
-            "facts_derived": self.facts_derived,
-            "rounds": list(self.rounds),
-        }
-
     def __repr__(self):
         return "StratumMetrics(index=%d, facts=%d, rounds=%r)" % (
             self.index,
@@ -167,20 +156,6 @@ class EvaluationMetrics:
     @property
     def facts_derived(self):
         return sum(s.facts_derived for s in self.strata)
-
-    @property
-    def rounds_total(self):
-        return sum(len(s.rounds) for s in self.strata)
-
-    def as_dict(self):
-        return {
-            "rule_firings": self.rule_firings,
-            "facts_derived": self.facts_derived,
-            "strata": [s.as_dict() for s in self.strata],
-            "wf_alternations": self.wf_alternations,
-            "store_size": self.store_size,
-            "undefined_count": self.undefined_count,
-        }
 
     def __repr__(self):
         return (

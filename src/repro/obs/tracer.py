@@ -15,7 +15,6 @@ are rendered by :mod:`repro.obs.render`.
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
 from time import perf_counter
 from typing import Dict, List, Optional, Tuple
 
@@ -76,10 +75,6 @@ class Span:
     @property
     def enabled(self):
         return True
-
-    @property
-    def finished(self):
-        return self._end is not None
 
     def duration(self):
         """Wall-clock seconds (None while the span is still open)."""
@@ -142,9 +137,6 @@ class _NoopSpan:
     def set(self, **attrs):
         return self
 
-    def event(self, name, **attrs):
-        return self
-
 
 NOOP_SPAN = _NoopSpan()
 
@@ -192,31 +184,6 @@ class Tracer:
     def current(self):
         """The innermost open span (or the shared no-op span)."""
         return self._stack[-1] if self._stack else NOOP_SPAN
-
-    @contextmanager
-    def adopt(self, parent):
-        """Adopt `parent` — a span captured on another thread — as this
-        thread's current span for the block.
-
-        medguard's wall-clock timeout runs each source-call attempt on
-        a watcher thread: it captures the calling thread's
-        :attr:`current` and runs the attempt under ``adopt``, so spans
-        the attempt opens nest under the plan step that made the call
-        instead of starting a foreign root.
-        Adopting ``None`` or the no-op span is a no-op.
-        """
-        if parent is None or parent is NOOP_SPAN:
-            yield
-            return
-        stack = self._stack
-        stack.append(parent)
-        try:
-            yield
-        finally:
-            if stack and stack[-1] is parent:
-                stack.pop()
-            elif parent in stack:  # tolerate out-of-order exits
-                stack.remove(parent)
 
     def event(self, name, **attrs):
         """Record an event on the current span (dropped at top level)."""
@@ -266,24 +233,8 @@ class _NoopTracer:
     def span(self, name, **attrs):
         return NOOP_SPAN
 
-    @contextmanager
-    def adopt(self, parent):
-        yield
-
-    def event(self, name, **attrs):
-        pass
-
     def count(self, name, value=1, **labels):
         pass
-
-    def gauge(self, name, value, **labels):
-        pass
-
-    def iter_spans(self):
-        return iter(())
-
-    def find_spans(self, name):
-        return []
 
     def __repr__(self):
         return "NoopTracer()"

@@ -118,13 +118,6 @@ class BreakerRegistry:
                 self._breakers[key] = breaker
             return breaker
 
-    def states(self, now=None):
-        """Deterministic ``(source, class) -> state`` snapshot."""
-        return {
-            key: self._breakers[key].state(now)
-            for key in sorted(self._breakers)
-        }
-
     def state_for_source(self, source, now=None):
         """The worst state among a source's breakers (open > half-open
         > closed); `closed` when the source has none."""

@@ -19,9 +19,7 @@ fault kinds:
 * ``truncate`` — silently drop trailing result rows (a misbehaving
   source returning partial data);
 * killing (:meth:`FaultSchedule.kill`) — from a given call on, every
-  call fails (a source dying mid-plan);
-* flapping (:meth:`FaultSchedule.flap`) — fail within a call-index
-  window, recover after.
+  call fails (a source dying mid-plan).
 
 Time during chaos runs is virtual: the shared :class:`VirtualClock`
 only moves when someone sleeps on it or a latency fault advances it,
@@ -110,14 +108,6 @@ class Fault:
             return "malformed(%s)" % (self.variant or MALFORMED_VARIANTS[0])
         return self.kind
 
-    def as_dict(self):
-        return {
-            "kind": self.kind,
-            "latency": self.latency,
-            "drop": self.drop,
-            "variant": self.variant,
-        }
-
     def __repr__(self):
         return "Fault(%s)" % self.describe()
 
@@ -130,7 +120,6 @@ class FaultSchedule:
     def __init__(self):
         self._slots: Dict[Tuple[str, int], List[Fault]] = {}
         self._kill_from: Dict[str, int] = {}
-        self._flaps: Dict[str, List[Tuple[int, int]]] = {}
 
     # -- authoring ---------------------------------------------------------
 
@@ -143,12 +132,6 @@ class FaultSchedule:
         """Permanently fail `source` for every call index > `after`
         (``after=0`` kills it outright)."""
         self._kill_from[source] = after + 1
-        return self
-
-    def flap(self, source, start, end):
-        """Fail `source` for call indices in [start, end], then
-        recover (flapping availability)."""
-        self._flaps.setdefault(source, []).append((start, end))
         return self
 
     @classmethod
@@ -204,9 +187,6 @@ class FaultSchedule:
         kill_from = self._kill_from.get(source)
         if kill_from is not None and call >= kill_from:
             faults.append(Fault(KIND_ERROR))
-        for start, end in self._flaps.get(source, ()):
-            if start <= call <= end:
-                faults.append(Fault(KIND_ERROR))
         return faults
 
     def describe(self):
@@ -221,11 +201,6 @@ class FaultSchedule:
             lines.append(
                 "%s: killed from call %d" % (source, self._kill_from[source])
             )
-        for source in sorted(self._flaps):
-            for start, end in self._flaps[source]:
-                lines.append(
-                    "%s: flapping over calls %d-%d" % (source, start, end)
-                )
         return lines
 
     def __repr__(self):

@@ -11,9 +11,8 @@ under one :class:`~repro.resilience.policy.ResiliencePolicy`:
 * with ``serve_stale``, the last known good rows of an identical call
   are served — marked as stale — when the source stays down;
 * a per-call timeout and a whole-plan deadline budget bound how long a
-  plan waits for misbehaving sources.  Under the real clock each
-  attempt runs on a watcher thread, so a hung wrapper is abandoned at
-  the timeout instead of waited out.
+  plan waits for misbehaving sources: an attempt measured longer than
+  the timeout (by the policy clock) counts as a failed attempt.
 
 The guard holds only state that belongs to the sources: breakers, the
 last-known-good store and the jitter streams.  Per-plan state stays
@@ -87,18 +86,6 @@ class CallOutcome:
         #: "<ErrorClass>: <message>" of the last failure (None on ok)
         self.error = error
 
-    def as_dict(self):
-        return {
-            "source": self.source,
-            "class": self.class_name,
-            "status": self.status,
-            "attempts": self.attempts,
-            "retries": self.retries,
-            "stale": self.stale,
-            "breaker_state": self.breaker_state,
-            "error": self.error,
-        }
-
     def __repr__(self):
         return "CallOutcome(%s.%s %s attempts=%d)" % (
             self.source,
@@ -110,38 +97,6 @@ class CallOutcome:
 
 def _error_text(exc):
     return "%s: %s" % (type(exc).__name__, exc)
-
-
-def _call_with_timeout(fn, timeout):
-    """Run ``fn()`` on a daemon thread and wait at most `timeout` wall
-    seconds for it.
-
-    On expiry a :class:`~repro.errors.SourceTimeoutError` is raised and
-    the hung thread is abandoned: its eventual result is discarded.
-    The thread adopts the caller's current medtrace span, so spans the
-    attempt opens nest under the plan step that made the call.
-    """
-    tracer = obs.active()
-    parent = tracer.current
-    box = {}
-
-    def run():
-        try:
-            with tracer.adopt(parent):
-                box["value"] = fn()
-        except BaseException as exc:  # delivered to the caller
-            box["error"] = exc
-
-    thread = threading.Thread(target=run, name="medguard-call", daemon=True)
-    thread.start()
-    thread.join(timeout)
-    if thread.is_alive():
-        raise SourceTimeoutError(
-            "call abandoned after %.3fs wall-clock timeout" % timeout
-        )
-    if "error" in box:
-        raise box["error"]
-    return box["value"]
 
 
 class SourceGuard:
@@ -200,12 +155,9 @@ class SourceGuard:
                 to — on success, stale serving and failure alike (None
                 = the outcome is dropped).
 
-        With a ``call_timeout`` on a wall-clock policy, each attempt
-        runs on a watcher thread that is abandoned at the timeout, so a
-        hung wrapper cannot hold the plan.  Under an injected virtual
-        clock no thread is started: an attempt's elapsed time is
-        measured after it returns, which keeps chaos runs
-        reproducible.
+        With a ``call_timeout``, an attempt's elapsed time is measured
+        on the policy clock after it returns; a longer attempt counts
+        as a :class:`~repro.errors.SourceTimeoutError` failure.
 
         Returns `fn`'s result — possibly a cached stale one.  Raises
         the last failure (normalized by the caller's boundary) when
@@ -216,10 +168,6 @@ class SourceGuard:
         policy = self.policy
         if outcomes is None:
             outcomes = []
-        # wall-clock enforcement only under the real clock: a virtual
-        # clock (chaos harness) keeps the deterministic measured-
-        # elapsed check below
-        enforce = policy.call_timeout is not None and policy.wall_clock
         breaker = self.breakers.get(source, class_name)
         now = policy.clock()
         if not breaker.allow(now):
@@ -254,14 +202,9 @@ class SourceGuard:
             attempts += 1
             started = policy.clock()
             try:
-                if enforce:
-                    result = _call_with_timeout(fn, policy.call_timeout)
-                else:
-                    result = fn()
+                result = fn()
             except (SourceError, XMLTransportError) as exc:
                 last_exc = exc
-                if isinstance(exc, SourceTimeoutError):
-                    obs.count("resilience.timeout", source=source)
             else:
                 elapsed = policy.clock() - started
                 if (

@@ -111,19 +111,6 @@ class ResiliencePolicy:
         self.clock = clock if clock is not None else time.monotonic
         self.sleep = sleep if sleep is not None else time.sleep
 
-    @property
-    def wall_clock(self):
-        """Is this policy timed by the real monotonic clock?
-
-        True only for the default ``time.monotonic`` clock.  The
-        guard enforces ``call_timeout`` as a true wall-clock bound
-        (abandoning the hung attempt) only then: under an injected
-        virtual clock — the chaos harness — time is simulation state,
-        so the guard keeps its deterministic measured-elapsed check
-        instead.
-        """
-        return self.clock is time.monotonic
-
     def backoff_delay(self, retry_number, rng=None):
         """The backoff before retry `retry_number` (1-based), jittered
         from `rng` when the policy asks for jitter."""
@@ -136,21 +123,6 @@ class ResiliencePolicy:
             # given the rng's seed and draw position
             delay *= 1.0 + self.jitter * (2.0 * rng.random() - 1.0)
         return delay
-
-    def as_dict(self):
-        return {
-            "max_retries": self.max_retries,
-            "backoff_base": self.backoff_base,
-            "backoff_multiplier": self.backoff_multiplier,
-            "backoff_cap": self.backoff_cap,
-            "jitter": self.jitter,
-            "seed": self.seed,
-            "call_timeout": self.call_timeout,
-            "plan_deadline": self.plan_deadline,
-            "breaker_threshold": self.breaker_threshold,
-            "breaker_cooldown": self.breaker_cooldown,
-            "serve_stale": self.serve_stale,
-        }
 
     def __repr__(self):
         return (

@@ -121,10 +121,6 @@ class DegradedAnswer:
             for report in self.sources
         )
 
-    @property
-    def complete(self):
-        return not self.degraded
-
     def report_for(self, source):
         for report in self.sources:
             if report.source == source:

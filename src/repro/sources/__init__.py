@@ -9,7 +9,7 @@ advertises query capabilities (binding patterns, query templates).
 
 from .capabilities import BindingPattern, ClassCapability, QueryTemplate
 from .cm_source import CMWrapper, wrapper_from_cm
-from .relstore import Column, DTYPES, RelStore, Table, table_from_csv
+from .relstore import Column, DTYPES, RelStore, Table
 from .wrapper import (
     AnchorSpec,
     ExportedClass,
@@ -32,6 +32,5 @@ __all__ = [
     "SourceQuery",
     "Table",
     "Wrapper",
-    "table_from_csv",
     "wrapper_from_cm",
 ]

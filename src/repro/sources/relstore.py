@@ -9,7 +9,7 @@ models.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from ..errors import RelStoreError
 
@@ -127,15 +127,6 @@ class Table:
             self.insert(row)
         return self
 
-    def get(self, key_value):
-        """Fetch one row dict by primary key (None if absent)."""
-        if self.key is None:
-            raise RelStoreError("table %r has no primary key" % self.name)
-        row_id = self._key_index.get(key_value)
-        if row_id is None:
-            return None
-        return self._row_dict(self._rows[row_id])
-
     def _index_for(self, column_name):
         index = self._indexes.get(column_name)
         if index is None:
@@ -196,77 +187,8 @@ class Table:
     def _row_dict(self, values):
         return {column.name: value for column, value in zip(self.columns, values)}
 
-    def rows(self):
-        """All rows as dicts (insertion order)."""
-        return [self._row_dict(values) for values in self._rows]
-
     def __repr__(self):
         return "Table(%r, %d rows)" % (self.name, len(self._rows))
-
-
-def _convert_csv_value(text, dtype):
-    if text == "":
-        return None
-    if dtype == "int":
-        return int(text)
-    if dtype == "float":
-        return float(text)
-    if dtype == "bool":
-        lowered = text.strip().lower()
-        if lowered in ("true", "1", "yes"):
-            return True
-        if lowered in ("false", "0", "no"):
-            return False
-        raise RelStoreError("cannot read %r as bool" % text)
-    return text
-
-
-def table_from_csv(name, path_or_file, dtypes=None, key=None):
-    """Build a :class:`Table` from a CSV file (header row required).
-
-    Args:
-        name: table name.
-        path_or_file: a path or an open text file.
-        dtypes: column -> dtype tag ("str"/"int"/"float"/"bool");
-            unlisted columns are untyped strings.  Empty cells become
-            NULLs.
-        key: optional primary-key column.
-    """
-    import csv
-
-    dtypes = dict(dtypes or {})
-    own_handle = isinstance(path_or_file, (str, bytes))
-    handle = open(path_or_file, newline="") if own_handle else path_or_file
-    try:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise RelStoreError("CSV for table %r has no header row" % name)
-        unknown = set(dtypes) - set(header)
-        if unknown:
-            raise RelStoreError(
-                "dtypes name columns missing from the CSV header: %s"
-                % sorted(unknown)
-            )
-        columns = [Column(column, dtypes.get(column)) for column in header]
-        table = Table(name, columns, key=key)
-        for line_number, cells in enumerate(reader, start=2):
-            if len(cells) != len(header):
-                raise RelStoreError(
-                    "CSV line %d of table %r has %d cells, expected %d"
-                    % (line_number, name, len(cells), len(header))
-                )
-            table.insert(
-                tuple(
-                    _convert_csv_value(cell, dtypes.get(column))
-                    for column, cell in zip(header, cells)
-                )
-            )
-        return table
-    finally:
-        if own_handle:
-            handle.close()
 
 
 class RelStore:
@@ -283,25 +205,11 @@ class RelStore:
         self._tables[name] = table
         return table
 
-    def load_csv(self, name, path_or_file, dtypes=None, key=None):
-        """Create a table from a CSV file (see :func:`table_from_csv`)."""
-        if name in self._tables:
-            raise RelStoreError("table %r already exists" % name)
-        table = table_from_csv(name, path_or_file, dtypes=dtypes, key=key)
-        self._tables[name] = table
-        return table
-
     def table(self, name):
         table = self._tables.get(name)
         if table is None:
             raise RelStoreError("no table %r in store %r" % (name, self.name))
         return table
-
-    def table_names(self):
-        return sorted(self._tables)
-
-    def insert(self, table_name, row):
-        return self.table(table_name).insert(row)
 
     def select(self, table_name, where=None, columns=None, predicate=None):
         return self.table(table_name).select(where, columns, predicate)
@@ -310,4 +218,4 @@ class RelStore:
         return len(self._tables)
 
     def __repr__(self):
-        return "RelStore(%r, tables=%r)" % (self.name, self.table_names())
+        return "RelStore(%r, tables=%r)" % (self.name, sorted(self._tables))

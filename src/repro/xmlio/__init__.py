@@ -16,7 +16,7 @@ from .doc import (
     serialize,
     value_element,
 )
-from .gcm_xml import cm_from_element, cm_from_xml, cm_to_element, cm_to_xml
+from .gcm_xml import cm_from_element, cm_to_element
 from .messages import (
     handle_request,
     query_from_xml,
@@ -34,9 +34,7 @@ __all__ = [
     "PluginResult",
     "PluginTranslator",
     "cm_from_element",
-    "cm_from_xml",
     "cm_to_element",
-    "cm_to_xml",
     "decode_value",
     "element_value",
     "encode_value",

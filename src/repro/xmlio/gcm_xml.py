@@ -46,8 +46,6 @@ from .doc import (
     decode_value,
     element_value,
     encode_value,
-    parse_xml,
-    serialize,
     value_element,
 )
 
@@ -114,11 +112,6 @@ def cm_to_element(cm):
     return root
 
 
-def cm_to_xml(cm):
-    """Encode a conceptual model to XML text."""
-    return serialize(cm_to_element(cm))
-
-
 def cm_from_element(root):
     """Decode an Element tree into a :class:`ConceptualModel`."""
     if root.tag != "cm":
@@ -181,11 +174,6 @@ def cm_from_element(root):
                     "unknown data element <%s>" % element.tag
                 )
     return cm
-
-
-def cm_from_xml(text):
-    """Decode XML text into a conceptual model."""
-    return cm_from_element(parse_xml(text))
 
 
 def _require(element, attribute):

@@ -18,7 +18,6 @@ def build_broken_deployment():
     """
     dm = DomainMap("broken")
     dm.add_concepts(["alpha", "beta", "gamma", "lonely"])
-    dm.add_role("has")
     dm.isa("alpha", "beta")
     dm.isa("beta", "alpha")
 

@@ -34,7 +34,6 @@ def small_store():
 def small_mediator(**wrapper_kwargs):
     dm = DomainMap("d")
     dm.add_concepts(["alpha", "beta"])
-    dm.add_role("has")
     dm.isa("alpha", "beta")
     wrapper = Wrapper("SRC", small_store())
     wrapper.export_class(
@@ -152,6 +151,7 @@ class TestViewCodes:
 
     def test_clean_distribution_view(self):
         mediator = small_mediator()
+        mediator.dm.ex("beta", "has", "alpha")
         mediator.add_view(
             DistributionView("dist", "thing", "ident", "v", "has")
         )

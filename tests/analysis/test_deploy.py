@@ -78,10 +78,6 @@ class TestSelfCheck:
         report = analyze_mediator(kind_mediator)
         assert report.diagnostics == []
 
-    def test_mediator_lint_method(self, kind_mediator):
-        report = kind_mediator.lint()
-        assert not report.has_errors
-
     @pytest.mark.parametrize(
         "example",
         [
@@ -183,7 +179,6 @@ class TestStrictMode:
 
     def test_strict_registers_after_graphs_are_memoized(self):
         dm = DomainMap("d")
-        dm.add_role("has")
         dm.isa("beta", "alpha")
         dm.ex("alpha", "has", "gamma")
         mediator = Mediator(dm=dm, name="m", strict=True)

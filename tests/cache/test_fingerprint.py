@@ -4,7 +4,6 @@ from repro import Mediator
 from repro.cache import (
     AnswerCache,
     capability_signature,
-    fingerprint_digest,
     query_fingerprint,
 )
 from repro.core.planner import PlanContext
@@ -105,10 +104,3 @@ class TestOneKeyPerCall:
         )
         assert cache.lookup(key) is not None
         assert [k for _source, _class, k in mediator.resilience._cache] == [key]
-
-
-class TestDigest:
-    def test_stable_and_short(self):
-        fp = query_fingerprint("S", SourceQuery("c", {"a": 1}))
-        assert fingerprint_digest(fp) == fingerprint_digest(fp)
-        assert len(fingerprint_digest(fp)) == 16

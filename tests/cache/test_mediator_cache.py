@@ -140,6 +140,25 @@ class TestSelectiveInvalidation:
         mediator.deregister("CELLS")
         assert self.cached_sources(mediator) == ["GLIA"]
 
+    @pytest.mark.parametrize("anchored", [True, False])
+    def test_reregistered_source_answers_its_new_rows(
+        self, two_world_mediator, anchored
+    ):
+        # an unanchored source's entries carry no concepts, so only the
+        # deregistered source's name can drop them
+        mediator = two_world_mediator
+        if anchored:
+            name, query, other = "CELLS", SourceQuery("m"), build_cells_clone("CELLS")
+        else:
+            name, query, other = "EXTRA", SourceQuery("x"), build_third_wrapper(value=8)
+            mediator.register(build_third_wrapper(), eager=False)
+        before = mediator.source_query(name, query)
+        mediator.deregister(name)
+        mediator.register(other, eager=False)
+        after = mediator.source_query(name, query)
+        assert after != before
+        assert after == other.query(query)
+
     def test_same_class_exporter_spares_entries(self, two_world_mediator):
         # an entry is one source's rows for one class; a *new* source
         # exporting the same class cannot change those rows
@@ -149,13 +168,13 @@ class TestSelectiveInvalidation:
         assert self.cached_sources(mediator) == ["CELLS", "GLIA"]
 
 
-def build_third_wrapper(name="EXTRA", class_name="x"):
+def build_third_wrapper(name="EXTRA", class_name="x", value=7):
     from repro.sources import Column, RelStore, Wrapper
 
     store = RelStore(name)
     store.create_table(
         "t", [Column("id", "int"), Column("v", "int")], key="id"
-    ).insert_many([{"id": 1, "v": 7}])
+    ).insert_many([{"id": 1, "v": value}])
     wrapper = Wrapper(name, store)
     wrapper.export_class(class_name, "t", "id", methods={"v": "v"})
     return wrapper

@@ -183,9 +183,3 @@ class TestAggregateOverDM:
         table = dist.as_table()
         assert table[0][0] == "Cerebellum"
         assert "Purkinje_Dendrite" in str(dist)
-
-    def test_nonzero_rows(self, region_dm, amounts):
-        dist = aggregate_over_dm(region_dm, amounts, "Cerebellum", "amount")
-        assert all(
-            row.direct_values or row.cumulative for row in dist.nonzero_rows()
-        )

@@ -22,7 +22,8 @@ from repro.core import Mediator
 from repro.core.views import IntegratedView
 from repro.datalog.engine import evaluate
 from repro.flogic import FLogicEngine
-from repro.gcm import constraint_from_text
+from repro.datalog import parse_program
+from repro.gcm import Constraint
 from repro.neuro import analysis, build_scenario, section5_query
 from tests.cache.conftest import build_cells_wrapper, build_dm, build_glia_wrapper
 
@@ -37,7 +38,7 @@ GENERIC_QUERIES = ("X : C", "X :: C", "X[M -> V]")
 SECTION5_QUERIES = GENERIC_QUERIES + (
     "X : 'Compartment'",
     "X : protein_amount[ion_bound -> calcium; amount -> A], A > 1",
-    "X : neurotransmission, not X[organism -> rat]",
+    "X : neurotransmission[organism -> rat]",
 )
 
 
@@ -122,7 +123,6 @@ class TestDomainMapRevision:
         dm = build_scenario().mediator.dm
         for mutate in (
             lambda: dm.add_concept("Fresh_Concept"),
-            lambda: dm.add_role("fresh_role"),
             lambda: dm.add_axiom("Fresh_Concept < Compartment"),
             lambda: dm.add_rule(self.RULE),
         ):
@@ -182,8 +182,9 @@ class TestOtherEvaluatorsShareTheModel:
             )
         )
         assert mediator.ask("w1[size -> V]") == [{"V": 5}]
-        too_big = constraint_from_text(
-            "too_big", "instance(too_big(X), ic) :- method_val(X, size, 5)."
+        too_big = Constraint(
+            "too_big",
+            parse_program("instance(too_big(X), ic) :- method_val(X, size, 5)."),
         )
         report = mediator.check_integrity([too_big])
         assert [str(w.term) for w in report.witnesses] == ["too_big(w1)"]

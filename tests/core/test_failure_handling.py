@@ -84,20 +84,13 @@ class TestFailureHandling:
         mediator = guarded(build_scenario(eager=False).mediator)
         _plan, context = mediator.correlate(section5_query())
         assert context.errors == []
-        assert context.skipped_sources == []
         assert not context.degraded
-        assert context.failures() == []
 
     def test_skipped_sources_exposed_on_context(self, scenario_with_flaky):
         mediator = guarded(scenario_with_flaky.mediator)
         _plan, context = mediator.correlate(section5_query())
-        assert context.skipped_sources == ["FLAKY"]
+        assert [source for source, _exc in context.errors] == ["FLAKY"]
         assert context.degraded
-        (failure,) = context.failures()
-        assert failure["source"] == "FLAKY"
-        source, exc = context.errors[0]
-        assert failure["error"] == type(exc).__name__
-        assert failure["message"] == str(exc)
 
     def test_unexpected_wrapper_exceptions_normalize_to_source_error(self):
         # a buggy wrapper raising KeyError must surface as SourceError
@@ -130,12 +123,9 @@ class TestFailureHandling:
         )
         # tuple compatibility is preserved ...
         plan, context = result
-        assert plan is result.plan
         assert context is result.context
         # ... and degradation is visible on the result itself
         assert result.degraded
-        assert result.skipped_sources == ["FLAKY"]
-        assert result.failures()[0]["source"] == "FLAKY"
         report = result.degraded_answer().report_for("FLAKY")
         assert report is not None
         assert report.status == "skipped"
@@ -146,9 +136,8 @@ class TestFailureHandling:
             section5_query()
         )
         assert not result.degraded
-        assert result.skipped_sources == []
         assert not result.degraded_answer()
-        assert result.degraded_answer().complete
+        assert not result.degraded_answer().degraded
 
     def test_skip_is_traced_as_span_event(self, scenario_with_flaky):
         from repro import obs
@@ -201,7 +190,7 @@ class TestMediatorResilience:
         report = result.degraded_answer().report_for("NCMIR")
         assert report.status == "skipped"
         assert report.attempts >= 2  # the retry happened
-        assert "NCMIR" in result.skipped_sources
+        assert "NCMIR" in [source for source, _exc in result.context.errors]
 
     def test_transient_failure_is_invisible_in_the_answer(self):
         # one injected outage, absorbed by a retry: same answers as a

@@ -22,11 +22,9 @@ class TestQueryAnalysis:
         items = parse_fl_body("X : neuron[age -> A], Y : 'Spine'")
         assert referenced_class_names(items) == {"neuron", "Spine"}
 
-    def test_references_inside_negation_and_aggregate(self):
-        items = parse_fl_body(
-            "X : a, not Y : b, N = count{V; V : c[m -> W]}"
-        )
-        assert referenced_class_names(items) == {"a", "b", "c"}
+    def test_references_inside_an_aggregate(self):
+        items = parse_fl_body("X : a, N = count{V; V : c[m -> W]}")
+        assert referenced_class_names(items) == {"a", "c"}
 
     def test_variable_tags_ignored(self):
         items = parse_fl_body("X : C")

@@ -14,6 +14,7 @@ import pytest
 
 from repro import obs
 from repro.cache import query_fingerprint
+from repro.core import planner
 from repro.errors import UnknownConceptError
 from repro.neuro import build_scenario, ncmir, section5_query, senselab
 
@@ -75,7 +76,7 @@ def lazy_mediator():
 def test_plan_contacts_no_source():
     mediator = build_scenario(eager=False).mediator
     calls = count_wrapper_calls(mediator)
-    plan = mediator.plan(section5_query())
+    plan = planner.plan(mediator, section5_query())
     assert calls == []
     assert len(plan.steps) == 5
     result = mediator.correlate(section5_query())
@@ -106,6 +107,6 @@ def test_unknown_anchor_concept_raises_when_the_plan_runs():
             "receiving_compartment": "Purkinje_Dendrite",
         }
     ]
-    mediator.plan(section5_query())  # planning contacts no source
+    planner.plan(mediator, section5_query())  # planning contacts no source
     with pytest.raises(UnknownConceptError):
         mediator.correlate(section5_query())

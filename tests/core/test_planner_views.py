@@ -7,6 +7,7 @@ from repro.core import (
     DistributionView,
     IntegratedView,
     Mediator,
+    planner,
 )
 from repro.core.planner import (
     ComputeLubStep,
@@ -98,7 +99,7 @@ class TestPlanSteps:
         assert context.root == "Purkinje_Cell"
 
     def test_steps_name_concepts_only_once_run(self, mediator):
-        plan = mediator.plan(section5_query())
+        plan = planner.plan(mediator, section5_query())
         assert "Purkinje" not in plan.describe()
         plan.execute(PlanContext(mediator))
         text = plan.describe()
@@ -106,13 +107,13 @@ class TestPlanSteps:
         assert "lub of ['Purkinje_Cell', 'Purkinje_Dendrite']" in text
 
     def test_steps_have_descriptions(self, mediator):
-        plan = mediator.plan(section5_query())
+        plan = planner.plan(mediator, section5_query())
         for step in plan.steps:
             assert step.describe()
             assert step.kind in repr(step)
 
     def test_plan_kinds_property(self, mediator):
-        plan = QueryPlan(mediator.plan(section5_query()).steps)
+        plan = QueryPlan(planner.plan(mediator, section5_query()).steps)
         assert len(plan.kinds) == 5
 
 
@@ -128,7 +129,7 @@ class TestPlanningErrors:
             value_attr="amount",
         )
         with pytest.raises(PlanningError):
-            mediator.plan(query)
+            planner.plan(mediator, query)
 
     def test_ambiguous_seed_source(self, mediator):
         # no source exports this class -> cannot infer
@@ -143,13 +144,13 @@ class TestPlanningErrors:
             seed_source=None,
         )
         with pytest.raises(PlanningError):
-            mediator.plan(query)
+            planner.plan(mediator, query)
 
     def test_wrong_seed_source(self, mediator):
         query = section5_query()
         query.seed_source = "NCMIR"  # does not export neurotransmission
         with pytest.raises(PlanningError):
-            mediator.plan(query)
+            planner.plan(mediator, query)
 
 
 class TestDistributionViewFacts:

@@ -14,9 +14,9 @@ from repro.datalog import (
     magic_transform,
     parse_atom,
     parse_program,
-    query,
 )
 from repro.errors import EvaluationError
+from tests.conftest import query
 
 TC_RULES = "tc(X, Y) :- edge(X, Y). tc(X, Y) :- edge(X, Z), tc(Z, Y)."
 
@@ -40,7 +40,7 @@ class TestMagicTransform:
 
     def test_seed_fact_emitted(self):
         rewritten, _goal = magic_transform(chain(3), parse_atom("tc(a0, X)"))
-        facts = {str(rule) for rule in rewritten.facts()}
+        facts = {str(rule) for rule in rewritten if rule.is_fact}
         assert "'_magic_tc__bf'(a0)." in facts or "_magic_tc__bf(a0)." in facts
 
     def test_free_goal_passthrough(self):

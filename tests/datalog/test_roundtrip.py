@@ -90,18 +90,18 @@ class TestTextRoundtrip:
     def test_facts_roundtrip(self, facts):
         program = Program(facts)
         reparsed = parse_program(str(program))
-        assert set(reparsed.rules) == set(program.rules)
+        assert set(reparsed) == set(program)
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(safe_rules(), min_size=1, max_size=6))
     def test_rules_roundtrip(self, rules):
         program = Program(rules)
         reparsed = parse_program(str(program))
-        assert set(reparsed.rules) == set(program.rules)
+        assert set(reparsed) == set(program)
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(ground_facts, min_size=1, max_size=6))
     def test_double_roundtrip_fixpoint(self, facts):
         once = str(Program(facts))
         twice = str(parse_program(once))
-        assert parse_program(twice).rules == parse_program(once).rules
+        assert list(parse_program(twice)) == list(parse_program(once))

@@ -20,12 +20,6 @@ class TestFactStoreUtilities:
         assert len(left) == 3
         assert left.contains(Atom("q", (Const(3),)))
 
-    def test_difference_count(self):
-        left = store_of(("p", 1), ("p", 2), ("q", 3))
-        right = store_of(("p", 2))
-        assert left.difference_count(right) == 2
-        assert right.difference_count(left) == 0
-
     def test_same_facts_ignores_empty_relations(self):
         left = store_of(("p", 1))
         right = store_of(("p", 1))
@@ -35,8 +29,8 @@ class TestFactStoreUtilities:
 
     def test_count_and_signatures(self):
         store = store_of(("p", 1), ("p", 2), ("q", 1, 2))
-        assert store.count("p", 1) == 2
-        assert store.count("q", 2) == 1
+        assert len(store.rows(("p", 1))) == 2
+        assert len(store.rows(("q", 2))) == 1
         assert set(store.signatures()) == {("p", 1), ("q", 2)}
 
     def test_non_ground_fact_rejected(self):
@@ -60,17 +54,10 @@ class TestEvaluationResultAccessors:
             "move(a, b). move(b, a). win(X) :- move(X, Y), not win(Y)."
         )
         result = evaluate(program)
-        assert not result.is_true(parse_atom("win(a)"))
-        assert result.is_undefined(parse_atom("win(a)"))
-        assert result.is_true(parse_atom("move(a, b)"))
-        assert not result.is_undefined(parse_atom("move(a, b)"))
-
-    def test_program_merged_with(self):
-        left = parse_program("p(a).")
-        right = parse_program("q(b).")
-        merged = left.merged_with(right)
-        assert len(merged) == 2
-        assert len(left) == 1  # original untouched
+        assert not result.store.contains(parse_atom("win(a)"))
+        assert result.undefined.contains(parse_atom("win(a)"))
+        assert result.store.contains(parse_atom("move(a, b)"))
+        assert not result.undefined.contains(parse_atom("move(a, b)"))
 
     def test_program_contains(self):
         program = parse_program("p(a).")

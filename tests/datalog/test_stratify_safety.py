@@ -4,14 +4,13 @@ import pytest
 
 from repro.datalog import (
     is_aggregate_stratified,
-    is_stratifiable,
     parse_program,
-    parse_rule,
     stratify,
 )
 from repro.datalog.safety import check_rule_safety, safety_violations
-from repro.datalog.stratify import build_dependency_graph
+from repro.datalog.stratify import analyze_stratification, build_dependency_graph
 from repro.errors import SafetyError, StratificationError
+from tests.conftest import parse_rule
 
 
 class TestDependencyGraph:
@@ -63,7 +62,7 @@ class TestStratify:
         program = parse_program("p(X) :- b(X), not q(X). q(X) :- b(X), not p(X). b(a).")
         with pytest.raises(StratificationError):
             stratify(program)
-        assert not is_stratifiable(program)
+        assert analyze_stratification(program).strata is None
 
     def test_self_negation_rejected(self):
         program = parse_program("b(a). p(X) :- b(X), not p(X).")
@@ -90,7 +89,7 @@ class TestStratify:
         program = parse_program(
             "move(a, b). win(X) :- move(X, Y), not win(Y)."
         )
-        assert not is_stratifiable(program)
+        assert analyze_stratification(program).strata is None
         assert is_aggregate_stratified(program)
 
 

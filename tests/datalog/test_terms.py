@@ -8,7 +8,6 @@ from repro.datalog.terms import (
     Var,
     coerce_term,
     occurs_in,
-    struct,
     substitute,
     term_sort_key,
     unify,
@@ -40,24 +39,24 @@ class TestTermBasics:
         assert not Var("X").is_anonymous
 
     def test_struct_equality_structural(self):
-        assert struct("f", Const(1)) == struct("f", Const(1))
-        assert struct("f", Const(1)) != struct("g", Const(1))
-        assert struct("f", Const(1)) != struct("f", Const(2))
-        assert struct("f", Const(1)) != struct("f", Const(1), Const(2))
+        assert Struct("f", (Const(1),)) == Struct("f", (Const(1),))
+        assert Struct("f", (Const(1),)) != Struct("g", (Const(1),))
+        assert Struct("f", (Const(1),)) != Struct("f", (Const(2),))
+        assert Struct("f", (Const(1),)) != Struct("f", (Const(1), Const(2)))
 
     def test_struct_groundness(self):
-        assert struct("f", Const(1)).is_ground()
-        assert not struct("f", Var("X")).is_ground()
+        assert Struct("f", (Const(1),)).is_ground()
+        assert not Struct("f", (Var("X"),)).is_ground()
 
     def test_struct_nested_variables(self):
-        term = struct("f", struct("g", Var("X")), Var("Y"))
+        term = Struct("f", (Struct("g", (Var("X"),)), Var("Y")))
         assert set(term.variables()) == {Var("X"), Var("Y")}
 
     def test_terms_are_hashable(self):
-        seen = {Const("a"), Var("X"), struct("f", Const(1))}
+        seen = {Const("a"), Var("X"), Struct("f", (Const(1),))}
         assert Const("a") in seen
         assert Var("X") in seen
-        assert struct("f", Const(1)) in seen
+        assert Struct("f", (Const(1),)) in seen
 
     def test_const_str_quotes_non_atoms(self):
         assert str(Const("abc")) == "abc"
@@ -80,13 +79,13 @@ class TestSubstitution:
 
     def test_substitute_into_struct(self):
         subst = {Var("X"): Const("a")}
-        term = struct("f", Var("X"), struct("g", Var("X")))
-        assert substitute(term, subst) == struct("f", Const("a"), struct("g", Const("a")))
+        term = Struct("f", (Var("X"), Struct("g", (Var("X"),))))
+        assert substitute(term, subst) == Struct("f", (Const("a"), Struct("g", (Const("a"),))))
 
     def test_substitute_leaves_unbound(self):
-        term = struct("f", Var("X"), Var("Y"))
+        term = Struct("f", (Var("X"), Var("Y")))
         out = substitute(term, {Var("X"): Const(1)})
-        assert out == struct("f", Const(1), Var("Y"))
+        assert out == Struct("f", (Const(1), Var("Y")))
 
 
 class TestUnification:
@@ -106,15 +105,15 @@ class TestUnification:
         assert subst in ({Var("X"): Var("Y")}, {Var("Y"): Var("X")})
 
     def test_unify_structs(self):
-        subst = unify(struct("f", Var("X"), Const(2)), struct("f", Const(1), Var("Y")))
+        subst = unify(Struct("f", (Var("X"), Const(2))), Struct("f", (Const(1), Var("Y"))))
         assert substitute(Var("X"), subst) == Const(1)
         assert substitute(Var("Y"), subst) == Const(2)
 
     def test_unify_struct_functor_mismatch(self):
-        assert unify(struct("f", Var("X")), struct("g", Const(1))) is None
+        assert unify(Struct("f", (Var("X"),)), Struct("g", (Const(1),))) is None
 
     def test_unify_struct_arity_mismatch(self):
-        assert unify(struct("f", Var("X")), struct("f", Const(1), Const(2))) is None
+        assert unify(Struct("f", (Var("X"),)), Struct("f", (Const(1), Const(2)))) is None
 
     def test_unify_respects_existing_bindings(self):
         subst = {Var("X"): Const(1)}
@@ -122,10 +121,10 @@ class TestUnification:
         assert unify(Var("X"), Const(1), subst) == subst
 
     def test_occurs_check_blocks_cyclic_binding(self):
-        assert unify(Var("X"), struct("f", Var("X"))) is None
+        assert unify(Var("X"), Struct("f", (Var("X"),))) is None
 
     def test_occurs_check_can_be_disabled(self):
-        assert unify(Var("X"), struct("f", Var("X")), occurs_check=False) is not None
+        assert unify(Var("X"), Struct("f", (Var("X"),)), occurs_check=False) is not None
 
     def test_input_subst_not_mutated(self):
         original = {Var("Z"): Const(0)}
@@ -134,12 +133,12 @@ class TestUnification:
         assert result[Var("X")] == Const(1)
 
     def test_occurs_in_transitively(self):
-        subst = {Var("Y"): struct("f", Var("X"))}
+        subst = {Var("Y"): Struct("f", (Var("X"),))}
         assert occurs_in(Var("X"), Var("Y"), subst)
 
 
 class TestOrderingAndFactories:
     def test_term_sort_key_total_over_mixed_types(self):
-        terms = [Const(2), Const("a"), Const(1.5), struct("f", Const(1)), Const((1, 2))]
+        terms = [Const(2), Const("a"), Const(1.5), Struct("f", (Const(1),)), Const((1, 2))]
         ordered = sorted(terms, key=term_sort_key)
         assert len(ordered) == len(terms)

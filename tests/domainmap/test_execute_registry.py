@@ -113,28 +113,6 @@ class TestEdgeExecution:
         assert len(witnesses) == 1
         assert witnesses[0].context == ("Dendrite", "has", "Branch", "d2")
 
-    def test_universal_constraint_mode(self, small_dm):
-        small_dm.all_values("Dendrite", "has", "Branch")
-        base = run(
-            compile_domain_map(small_dm),
-            [
-                ("instance", "d1", "Dendrite"),
-                ("role_fact", "has", "d1", "x9"),
-            ],
-        )
-        from repro.domainmap import all_edge_constraint_rules
-        from repro.datalog.ast import Rule
-
-        phase2 = Program()
-        for atom in base.store.iter_atoms():
-            phase2.add(Rule(atom))
-        phase2.extend(all_edge_constraint_rules("Dendrite", "has", "Branch"))
-        result = evaluate(phase2)
-        witnesses = witnesses_from_store(result.store)
-        assert len(witnesses) == 1
-        assert witnesses[0].kind == "w_all"
-        assert witnesses[0].context[-1] == "x9"
-
     def test_anchored_objects_propagate_up_isa(self, small_dm):
         rules = compile_domain_map(small_dm)
         from repro.flogic import core_axioms

@@ -61,10 +61,9 @@ class TestHasAStarThroughEqv:
         # the containment edge lives on Cerebellum; Kleinhirn only
         # reaches it through the eqv bridge
         dm = DomainMap("bilingual")
-        dm.add_role("has")
         dm.add_axioms("Cerebellum < exists has.Purkinje_Cell")
         dm.add_concept("Kleinhirn")
-        dm.eqv("Kleinhirn", "Cerebellum")
+        dm.add_axioms("Kleinhirn = Cerebellum")
         return dm
 
     def test_eqv_aliases_share_role_links(self):
@@ -88,11 +87,11 @@ class TestHasAStarThroughEqv:
 class TestRoleOnlyRefinement:
     def test_refinement_adding_only_role_links(self):
         dm = DomainMap("d")
-        dm.add_role("has")
         dm.add_axioms(
             """
             Basket_Cell < Neuron
             Cerebellar_Cortex < Tissue
+            Scaffold < exists has.Strut
             """
         )
         result = register_concepts(
@@ -115,8 +114,7 @@ class TestRoleOnlyRefinement:
 
     def test_role_only_refinement_extends_has_a_star(self):
         dm = DomainMap("d")
-        dm.add_role("has")
-        dm.add_axioms("Basket_Cell < Neuron")
+        dm.add_axioms("Basket_Cell < Neuron\nScaffold < exists has.Strut")
         dm.add_concept("Dendrite")  # refinements must attach to the map
         before = has_a_star(dm)
         register_concepts(dm, "Neuron < exists has.Dendrite")

@@ -70,7 +70,7 @@ class TestDomainMapModel:
 
     def test_eqv_to_named_gives_mutual_isa(self):
         dm = DomainMap("t")
-        dm.eqv("controls", "regulates_c")
+        dm.add_axioms("controls = regulates_c")
         assert ("controls", "regulates_c") in dm.isa_pairs()
         assert ("regulates_c", "controls") in dm.isa_pairs()
 
@@ -78,7 +78,7 @@ class TestDomainMapModel:
         dm = DomainMap("t")
         dm.isa("A", "B")
         dm.ex("A", "r", "C")
-        dm.all_values("A", "r", "D")
+        dm.add_axioms("A < all r.D")
         assert ("A", "B") in dm.isa_pairs()
         assert ("A", "r", "C") in dm.role_triples()
         assert ("A", "r", "D") in dm.all_triples()
@@ -121,10 +121,34 @@ class TestDomainMapModel:
         with pytest.raises(UnknownConceptError):
             fig1.require_concept("Cortex")
 
-    def test_describe_lists_axioms(self, fig1):
-        text = fig1.describe()
-        assert "14 axioms" in text
-        assert "Spiny_Neuron" in text
+
+class TestReadOnlyFields:
+    """The add_* methods are the only writers, so no change to a map
+    can bypass its revision (and leave a memoized derivation stale)."""
+
+    def test_direct_mutation_raises(self):
+        dm = DomainMap("t")
+        dm.isa("a", "b")
+        with pytest.raises(AttributeError):
+            dm.axioms.append(parse_axiom("b < c"))
+        with pytest.raises(AttributeError):
+            dm.concepts.add("c")
+        with pytest.raises(AttributeError):
+            dm.roles.add("has")
+        with pytest.raises(AttributeError):
+            dm.rules_text.append("isa(b, c).")
+        with pytest.raises(AttributeError):
+            dm.axioms = ()
+        assert dm.revision == 1
+        assert isa_closure(dm, reflexive=False) == frozenset({("a", "b")})
+
+    def test_writes_go_through_the_revision(self):
+        dm = DomainMap("t")
+        dm.isa("a", "b")
+        assert isa_closure(dm, reflexive=False) == frozenset({("a", "b")})
+        dm.add_axiom(parse_axiom("b < c"))
+        assert dm.revision == 2
+        assert ("a", "c") in isa_closure(dm, reflexive=False)
 
 
 class TestClosures:

@@ -40,7 +40,6 @@ def acyclic_dms(draw):
     lower to higher index, so no cycles arise."""
     dm = DomainMap("random")
     dm.add_concepts(CONCEPTS)
-    dm.add_role("has")
     n_edges = draw(st.integers(0, 14))
     for _ in range(n_edges):
         a = draw(st.integers(0, 6))
@@ -258,11 +257,10 @@ class TestRevisionMemo:
     def test_memo_equals_recompute(self, data):
         dm = DomainMap("memo")
         dm.add_concepts(CONCEPTS[:4])
-        dm.add_role("has")
         concepts = list(CONCEPTS[:4])
         for _ in range(data.draw(st.integers(1, 25))):
             step = data.draw(st.sampled_from(
-                ["read"] * 4 + ["axiom", "concept", "role", "rule", "copy"]
+                ["read"] * 4 + ["axiom", "concept", "rule", "copy"]
             ))
             if step == "read":
                 name = data.draw(st.sampled_from(sorted(MEMOIZED)))
@@ -277,8 +275,6 @@ class TestRevisionMemo:
             elif step == "concept":
                 concepts.append("N%d" % len(concepts))
                 dm.add_concept(concepts[-1])
-            elif step == "role":
-                dm.add_role("r%d" % len(dm.roles))
             elif step == "rule":
                 dm.add_rule("isa(%s, %s)." % (concepts[0], concepts[-1]))
             else:

@@ -8,7 +8,6 @@ from repro.domainmap import (
     Reasoner,
     check_fragment,
     parse_concept,
-    subsumes,
 )
 from repro.domainmap.dl import Conj, Eqv, Exists, Named, Sub
 
@@ -72,36 +71,36 @@ class TestFragmentBoundary:
 
 class TestSubsumption:
     def test_told_subsumption(self, anatomy):
-        assert subsumes(anatomy, "Cell", "Neuron")
+        assert Reasoner(anatomy).subsumes("Cell", "Neuron")
 
     def test_transitive_subsumption(self, anatomy):
-        assert subsumes(anatomy, "Cell", "Purkinje_Cell")
+        assert Reasoner(anatomy).subsumes("Cell", "Purkinje_Cell")
 
     def test_through_definition(self, anatomy):
-        assert subsumes(anatomy, "Neuron", "Spiny_Neuron")
-        assert subsumes(anatomy, "Neuron", "Purkinje_Cell")
+        assert Reasoner(anatomy).subsumes("Neuron", "Spiny_Neuron")
+        assert Reasoner(anatomy).subsumes("Neuron", "Purkinje_Cell")
 
     def test_not_subsumed(self, anatomy):
-        assert not subsumes(anatomy, "Purkinje_Cell", "Neuron")
-        assert not subsumes(anatomy, "Spine", "Neuron")
+        assert not Reasoner(anatomy).subsumes("Purkinje_Cell", "Neuron")
+        assert not Reasoner(anatomy).subsumes("Spine", "Neuron")
 
     def test_reflexive(self, anatomy):
-        assert subsumes(anatomy, "Neuron", "Neuron")
+        assert Reasoner(anatomy).subsumes("Neuron", "Neuron")
 
     def test_definition_sufficiency(self, anatomy):
         # Anything that is a Neuron with a Spine IS a Spiny_Neuron.
         expr = parse_concept("Neuron & exists has.Spine")
-        assert subsumes(anatomy, "Spiny_Neuron", expr)
+        assert Reasoner(anatomy).subsumes("Spiny_Neuron", expr)
 
     def test_definition_sufficiency_with_more_specific_filler(self, anatomy):
         expr = parse_concept("Neuron & exists has.Big_Spine")
-        assert subsumes(anatomy, "Spiny_Neuron", expr)
+        assert Reasoner(anatomy).subsumes("Spiny_Neuron", expr)
 
     def test_primitive_not_inferred_from_structure(self, anatomy):
         # Purkinje_Cell is primitive: having its necessary conditions
         # does not make something a Purkinje_Cell.
         expr = parse_concept("Spiny_Neuron")
-        assert not subsumes(anatomy, "Purkinje_Cell", expr)
+        assert not Reasoner(anatomy).subsumes("Purkinje_Cell", expr)
 
     def test_existential_monotonicity(self, anatomy):
         reasoner = Reasoner(anatomy)
@@ -123,18 +122,9 @@ class TestSubsumption:
         )
         assert not reasoner.equivalent("Spiny_Neuron", "Neuron")
 
-    def test_satisfiable_in_fragment(self, anatomy):
-        assert Reasoner(anatomy).satisfiable("Purkinje_Cell")
-
-    def test_classify(self, anatomy):
-        pairs = Reasoner(anatomy).classify()
-        assert ("Cell", "Purkinje_Cell") in pairs
-        assert ("Neuron", "Spiny_Neuron") in pairs
-        assert ("Purkinje_Cell", "Neuron") not in pairs
-
     def test_multiple_definitions_conjoin(self):
         dm = DomainMap("t")
         dm.add_axiom("A < B")
         dm.add_axiom("A < C")
-        assert subsumes(dm, "B", "A")
-        assert subsumes(dm, "C", "A")
+        assert Reasoner(dm).subsumes("B", "A")
+        assert Reasoner(dm).subsumes("C", "A")

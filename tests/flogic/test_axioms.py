@@ -8,6 +8,7 @@ from repro.flogic import (
     signature_inheritance_axioms,
     value_inheritance_axioms,
 )
+from tests.conftest import fl_rules
 
 
 class TestAxiomGroups:
@@ -29,7 +30,7 @@ class TestAxiomGroups:
 class TestAxiomSemantics:
     def test_subclass_reflexive_only_on_classes(self):
         engine = FLogicEngine()
-        engine.tell("a :: b.")
+        engine.tell_rules(fl_rules("a :: b."))
         # a and b are classes, so both are reflexive subclasses
         assert engine.holds("a :: a")
         assert engine.holds("b :: b")
@@ -38,21 +39,21 @@ class TestAxiomSemantics:
 
     def test_metaclass_membership(self):
         engine = FLogicEngine()
-        engine.tell("x : c.")
+        engine.tell_rules(fl_rules("x : c."))
         assert engine.holds("c : class")
         assert not engine.holds("x : class")
 
     def test_value_inheritance_only_loaded_when_needed(self):
         # without defaults the program must stay stratified
         engine = FLogicEngine()
-        engine.tell("x : c. x[m -> 1].")
+        engine.tell_rules(fl_rules("x : c. x[m -> 1]."))
         assert not engine.evaluate().used_well_founded
 
     def test_signature_inheritance_toggle(self):
         # signature inheritance is always on: a subclass inherits its
         # superclass's method signatures
         engine = FLogicEngine()
-        engine.tell("sub :: sup. sup[m => t].")
+        engine.tell_rules(fl_rules("sub :: sup. sup[m => t]."))
         assert engine.ask("sub[m => T]") == [{"T": "t"}]
 
     def test_multiple_incomparable_defaults_both_inherited(self):
@@ -60,13 +61,13 @@ class TestAxiomSemantics:
         # incomparable defining classes, both defaults are visible
         # (documented choice; F-logic systems vary here)
         engine = FLogicEngine()
-        engine.tell(
+        engine.tell_rules(fl_rules(
             """
             a[m *-> 1].
             b[m *-> 2].
             x : a.
             x : b.
             """
-        )
+        ))
         rows = engine.ask("x[m -> V]")
         assert {row["V"] for row in rows} == {1, 2}

@@ -8,13 +8,12 @@ from repro.errors import FLogicParseError
 from repro.flogic import (
     FLAggregate,
     FLogicEngine,
-    FLNegation,
     FLPredicate,
     Molecule,
     parse_fl_body,
     parse_fl_program,
-    parse_fl_rule,
 )
+from tests.conftest import fl_rules, parse_fl_rule
 
 
 class TestMolecules:
@@ -51,7 +50,6 @@ class TestMolecules:
     def test_signature_frame(self):
         mol = parse_fl_rule("neuron[has => compartment].").heads[0]
         assert mol.specs[0].arrow == "=>"
-        assert mol.specs[0].is_signature
 
     def test_multivalued_signature(self):
         mol = parse_fl_rule("neuron[has =>> compartment].").heads[0]
@@ -60,7 +58,6 @@ class TestMolecules:
     def test_default_frame(self):
         mol = parse_fl_rule("vehicle[wheels *-> 4].").heads[0]
         assert mol.specs[0].arrow == "*->"
-        assert mol.specs[0].is_default
 
     def test_multiple_specs_semicolon_separated(self):
         mol = parse_fl_rule("p1[age -> 12; location -> hippocampus].").heads[0]
@@ -108,17 +105,18 @@ class TestBodies:
         body = parse_fl_body("Y is X + 1")
         assert isinstance(body[0], Assignment)
 
+    # F-logic bodies state no negation: it belongs in Datalog rules
     def test_negated_single(self):
-        body = parse_fl_body("not r(X, Y)")
-        neg = body[0]
-        assert isinstance(neg, FLNegation)
-        assert len(neg.items) == 1
+        with pytest.raises(FLogicParseError, match="Datalog rule"):
+            parse_fl_body("not r(X, Y)")
+        with pytest.raises(FLogicParseError, match="Datalog rule"):
+            parse_fl_rule("p(X) :- q(X), not r(X, Y).")
 
     def test_negated_conjunction(self):
-        body = parse_fl_body("not (Z : d, r(X, Z))")
-        neg = body[0]
-        assert isinstance(neg, FLNegation)
-        assert len(neg.items) == 2
+        with pytest.raises(FLogicParseError, match="Datalog rule"):
+            parse_fl_body("not (Z : d, r(X, Z))")
+        with pytest.raises(FLogicParseError, match="Datalog rule"):
+            parse_fl_rule("p(X) :- q(X), not (Z : d, r(X, Z)).")
 
     def test_aggregate(self):
         body = parse_fl_body("N = count{VA [VB]; r(VA, VB)}")
@@ -142,11 +140,10 @@ class TestBodies:
 class TestRules:
     def test_fact(self):
         rule = parse_fl_rule("p1 : c.")
-        assert rule.is_fact
+        assert rule.body == ()
 
     def test_rule_with_body(self):
         rule = parse_fl_rule("X : b :- X : a.")
-        assert not rule.is_fact
         assert len(rule.body) == 1
 
     def test_conjunctive_head(self):
@@ -182,11 +179,11 @@ class TestRules:
     def test_bare_underscore_is_a_fresh_fl_variable(self):
         pred = parse_fl_body("r(X, _)")[0]
         assert pred.args[1].name.startswith("_fl")
-        engine = FLogicEngine().tell("r(a, b). r(a, c).")
+        engine = FLogicEngine().tell_rules(fl_rules("r(a, b). r(a, c)."))
         assert engine.ask("r(X, _)") == [{"X": "a"}]
 
     def test_str_roundtrip(self):
-        text = "D : pd[name -> Y; amount ->> {1, 2}] :- X : c, not r(X), N = count{V; q(V)}."
+        text = "D : pd[name -> Y; amount ->> {1, 2}] :- X : c, r(X), N = count{V; q(V)}."
         rule = parse_fl_rule(text)
         reparsed = parse_fl_rule(str(rule))
         # Fresh anonymous variables differ, so compare shape only.

@@ -3,10 +3,11 @@
 import pytest
 
 from repro.datalog.ast import AggregateLiteral, Atom, Comparison, Literal
-from repro.datalog.terms import Const, Var
+from repro.datalog.terms import Const
 from repro.errors import FLogicTranslationError
-from repro.flogic import Molecule, Translator, molecule_atoms, parse_fl_program, parse_fl_rule
+from repro.flogic import Molecule, Translator, molecule_atoms, parse_fl_program
 from repro.flogic.ast import MethodSpec
+from tests.conftest import parse_fl_rule
 
 
 def translate(text):
@@ -87,29 +88,6 @@ class TestRuleTranslation:
         body = rules[0].body
         assert all(isinstance(item, Literal) and item.positive for item in body)
         assert {item.atom.pred for item in body} == {"instance", "method_val"}
-
-    def test_single_negation_direct(self):
-        rules = translate("p(X) :- q(X), not r(X).")
-        negs = [i for i in rules[0].body if isinstance(i, Literal) and not i.positive]
-        assert len(negs) == 1
-        assert negs[0].atom.pred == "r"
-
-    def test_negated_conjunction_gets_aux(self):
-        rules = translate("p(X) :- q(X), not (r(X, Z), s(Z)).")
-        aux_rules = [r for r in rules if r.head.pred.startswith("_not_")]
-        assert len(aux_rules) == 1
-        # aux head carries only X (shared with the outside), not Z
-        assert aux_rules[0].head.args == (Var("X"),)
-
-    def test_negated_multiatom_molecule_gets_aux(self):
-        rules = translate("p(X) :- q(X), not Z : d[f -> X].")
-        aux_rules = [r for r in rules if r.head.pred.startswith("_not_")]
-        assert len(aux_rules) == 1
-
-    def test_aux_naming_idempotent(self):
-        first = translate("p(X) :- q(X), not (r(X, Z), s(Z)).")
-        second = translate("p(X) :- q(X), not (r(X, Z), s(Z)).")
-        assert {str(r) for r in first} == {str(r) for r in second}
 
     def test_aggregate_translates(self):
         rules = translate("p(N) :- N = count{V; q(V)}.")

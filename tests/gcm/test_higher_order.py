@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.flogic import FLogicEngine
 from repro.gcm import (
     ConceptualModel,
     check,
@@ -30,7 +31,7 @@ class TestHigherOrderBridge:
     def test_rel2_facts_materialized(self):
         cm = build_cm()
         cm.add_datalog(higher_order_bridge(["r", "s"]))
-        engine = cm.to_engine()
+        engine = FLogicEngine().tell_rules(cm.all_rules())
         assert engine.holds("rel2(r, x, y)")
         assert engine.holds("rel2(s, y, x)")
         assert not engine.holds("rel2(r, y, x)")
@@ -39,7 +40,7 @@ class TestHigherOrderBridge:
         cm = build_cm()
         cm.add_datalog(higher_order_bridge(["r", "s"]))
         cm.add_datalog("symmetric_pair(R, X, Y) :- rel2(R, X, Y), rel2(R, Y, X), X != Y.")
-        engine = cm.to_engine()
+        engine = FLogicEngine().tell_rules(cm.all_rules())
         rows = engine.ask("symmetric_pair(R, X, Y)")
         assert {row["R"] for row in rows} == {"s"}
 

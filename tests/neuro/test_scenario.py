@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import CorrelationQuery
+from repro.core import CorrelationQuery, planner
 from repro.domainmap import Reasoner, edge_census, has_a_star, isa_closure, lub
 from repro.errors import PlanningError
 from repro.neuro import (
@@ -194,7 +194,7 @@ class TestExample4:
 
 class TestSection5Query:
     def test_plan_shape(self, mediator):
-        plan = mediator.plan(section5_query())
+        plan = planner.plan(mediator, section5_query())
         assert plan.kinds == [
             "push-selection",
             "select-sources",
@@ -245,16 +245,16 @@ class TestSection5Query:
             seed_source="SENSELAB",
         )
         with pytest.raises(PlanningError):
-            mediator.plan(bad)
+            planner.plan(mediator, bad)
 
     def test_seed_source_inferred(self, mediator):
         query = section5_query()
         query.seed_source = None
-        plan = mediator.plan(query)
+        plan = planner.plan(mediator, query)
         assert plan.steps[0].source == "SENSELAB"
 
     def test_plan_describe_readable(self, mediator):
-        text = mediator.plan(section5_query()).describe()
+        text = planner.plan(mediator, section5_query()).describe()
         assert "push" in text
         assert "lub" in text
 

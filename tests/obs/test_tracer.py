@@ -16,19 +16,18 @@ def _no_leftover_tracer():
 class TestNoopDefault:
     def test_default_is_disabled(self):
         assert obs.active() is obs.NOOP
-        assert not obs.enabled()
+        assert not obs.active().enabled
 
     def test_noop_span_is_inert_and_shared(self):
         span = obs.span("anything", attr=1)
         assert span is obs.NOOP_SPAN
         with span as entered:
-            entered.set(more=2).event("nothing", x=3)
+            entered.set(more=2)
         assert not span.enabled
 
     def test_noop_helpers_do_nothing(self):
         obs.event("e", a=1)
         obs.count("c", 5)
-        obs.gauge("g", 7)
         assert obs.active() is obs.NOOP
 
 
@@ -36,7 +35,7 @@ class TestInstallUninstall:
     def test_install_and_uninstall(self):
         tracer = obs.install()
         assert obs.active() is tracer
-        assert obs.enabled()
+        assert obs.active().enabled
         returned = obs.uninstall()
         assert returned is tracer
         assert obs.active() is obs.NOOP
@@ -79,7 +78,7 @@ class TestSpans:
                 with obs.span("boom"):
                     raise ValueError("no")
         span = tracer.roots[0]
-        assert span.finished
+        assert span.duration() is not None
         assert span.attrs["error"] == "ValueError"
         assert tracer.current is obs.NOOP_SPAN
 
@@ -104,7 +103,9 @@ class TestMetrics:
         assert metrics.counter_value("hits") == 3
         assert metrics.counter_value("hits", source="A") == 1
         assert metrics.counter_total("hits") == 4
-        assert metrics.gauge_value("size") == 20
+        assert metrics.as_dict()["gauges"] == [
+            {"name": "size", "labels": {}, "value": 20}
+        ]
 
     def test_merge(self):
         a, b = obs.Metrics(), obs.Metrics()
@@ -113,7 +114,7 @@ class TestMetrics:
         b.gauge("g", 5)
         a.merge(b)
         assert a.counter_value("n") == 3
-        assert a.gauge_value("g") == 5
+        assert a.as_dict()["gauges"] == [{"name": "g", "labels": {}, "value": 5}]
 
     def test_as_dict_is_sorted_and_json_ready(self):
         metrics = obs.Metrics()
@@ -132,7 +133,7 @@ class TestRenderers:
                 with obs.span("inner", label="two words"):
                     obs.event("skip", source="S")
             obs.count("things", 3)
-            obs.gauge("level", 0.5)
+            tracer.gauge("level", 0.5)
         return tracer
 
     def test_tree_masks_timings_deterministically(self):
@@ -177,7 +178,5 @@ class TestEvaluationMetrics:
         s1.rounds.append(1)
         s1.facts_derived = 1
         assert metrics.facts_derived == 8
-        assert metrics.rounds_total == 3
-        exported = metrics.as_dict()
-        assert exported["strata"][0]["relations"] == ["p/1"]
-        json.dumps(exported)
+        assert [s.rounds for s in metrics.strata] == [[5, 2], [1]]
+        assert metrics.strata[0].relations == ["p/1"]

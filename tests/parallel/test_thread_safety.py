@@ -187,7 +187,7 @@ class TestEvaluateOnceHammer:
         "X : 'Compartment'",
         "T = sum{A [C]; X : protein_amount[ion_bound -> calcium; "
         "amount -> A], anchor(X, C)}",
-        "X : protein_amount, not (X[ion_bound -> calcium], X[organism -> rat])",
+        "X : protein_amount[ion_bound -> calcium; organism -> rat]",
     )
 
     @staticmethod

@@ -65,9 +65,3 @@ class TestBreakerRegistry:
         registry.get("S", "neuron")  # closed
         assert registry.state_for_source("S", 0.0) == OPEN
         assert registry.state_for_source("OTHER", 0.0) == CLOSED
-
-    def test_states_snapshot_is_sorted(self):
-        registry = BreakerRegistry(threshold=1, cooldown=10.0)
-        registry.get("B", "y")
-        registry.get("A", "x")
-        assert list(registry.states(0.0)) == [("A", "x"), ("B", "y")]

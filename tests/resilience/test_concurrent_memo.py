@@ -111,7 +111,6 @@ class TestReadsDuringMutation:
     def test_no_read_returns_an_older_revision(self):
         dm = DomainMap("mutated")
         dm.add_concept(self.ROOT)
-        dm.add_role("has")
         finished = []  # concepts whose mutation has returned, in order
         stop = threading.Event()
         failures = []

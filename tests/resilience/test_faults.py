@@ -48,13 +48,6 @@ class TestFaultSchedule:
         assert [f.kind for f in schedule.faults_for("S", 2)] == ["error"]
         assert [f.kind for f in schedule.faults_for("S", 99)] == ["error"]
 
-    def test_flap_fails_a_window(self):
-        schedule = FaultSchedule().flap("S", 2, 3)
-        assert schedule.faults_for("S", 1) == []
-        assert schedule.faults_for("S", 2) != []
-        assert schedule.faults_for("S", 3) != []
-        assert schedule.faults_for("S", 4) == []
-
     def test_from_seed_is_deterministic(self):
         kwargs = dict(sources=["A", "B"], calls=40, rate=0.3)
         a = FaultSchedule.from_seed(7, **kwargs)

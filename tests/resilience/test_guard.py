@@ -250,65 +250,28 @@ class TestTimeouts:
 
 
 class TestWallClockTimeout:
-    """A wall-clock policy abandons a hung attempt at ``call_timeout``."""
+    """Under the real clock, ``call_timeout`` is checked on each
+    attempt's measured elapsed time; no thread is started."""
 
     @staticmethod
     def wall_guard(call_timeout=0.05, **kwargs):
-        policy = ResiliencePolicy(call_timeout=call_timeout, **kwargs)
-        assert policy.wall_clock
-        return SourceGuard(policy)
+        return SourceGuard(ResiliencePolicy(call_timeout=call_timeout, **kwargs))
 
-    def test_hung_wrapper_is_abandoned_at_the_deadline(self):
-        guard = self.wall_guard(max_retries=0)
-        hung = threading.Event()
-
-        def hang():
-            hung.wait(5.0)
-            return "rows"
-
-        outcomes = []
-        start = time.perf_counter()
-        with obs.capture("guard") as tracer:
-            with pytest.raises(SourceTimeoutError):
-                guard.call("S", "c", hang, outcomes=outcomes)
-        elapsed = time.perf_counter() - start
-        hung.set()  # release the abandoned thread
-        assert elapsed < 2.0, "the hung wrapper was waited out"
-        assert outcomes[-1].status == STATUS_FAILED
-        assert tracer.metrics.counter_total("resilience.timeout") == 1
-
-    def test_hung_call_abandoned_at_the_deadline(self):
-        """The watcher itself, below the retry loop: one hung call is
-        abandoned at its deadline and reported as a timeout."""
-        hung = threading.Event()
-
-        def hang():
-            hung.wait(5.0)
-
-        start = time.perf_counter()
-        with pytest.raises(SourceTimeoutError, match="0.050s wall-clock"):
-            guard_module._call_with_timeout(hang, 0.05)
-        elapsed = time.perf_counter() - start
-        hung.set()  # release the abandoned thread
-        assert elapsed < 2.0, "timeout did not bound the wait"
-
-    def test_timeout_then_retry_recovers(self):
+    def test_timeout_then_retry_recovers(self, monkeypatch):
+        monkeypatch.setattr(threading, "Thread", NoThread)
         guard = self.wall_guard(max_retries=1, backoff_base=0.0)
-        hung = threading.Event()
         state = {"first": True}
 
-        def sometimes_hung():
+        def sometimes_slow():
             if state.pop("first", False):
-                hung.wait(5.0)
+                time.sleep(0.1)
             return "rows"
 
         outcomes = []
-        start = time.perf_counter()
-        assert guard.call("S", "c", sometimes_hung, outcomes=outcomes) == "rows"
-        elapsed = time.perf_counter() - start
-        hung.set()
-        assert elapsed < 2.0, "the hung attempt was waited out"
+        with obs.capture("guard") as tracer:
+            assert guard.call("S", "c", sometimes_slow, outcomes=outcomes) == "rows"
         assert outcomes[-1].status == STATUS_RETRIED
+        assert tracer.metrics.counter_total("resilience.timeout") == 1
 
     def test_result_within_timeout(self):
         guard = self.wall_guard(call_timeout=5.0)
@@ -339,11 +302,10 @@ class TestWallClockTimeout:
         assert guard.call("S", "c", lambda: "rows") == "rows"
 
     def test_virtual_clock_starts_no_thread(self, monkeypatch):
-        """Chaos runs use a virtual clock: no watcher thread may start,
-        so measured-elapsed timeouts stay reproducible."""
+        """Chaos runs use a virtual clock: measured-elapsed timeouts
+        stay reproducible."""
         monkeypatch.setattr(threading, "Thread", NoThread)
         guard, clock = make_guard(max_retries=0, call_timeout=1.0)
-        assert not guard.policy.wall_clock
 
         def slow():
             clock.advance(5.0)
@@ -391,14 +353,6 @@ class TestOutcomeLog:
         guard.call("C", "c", lambda: 3)  # no list: the outcome is dropped
         assert [o.source for o in mine] == ["B"]
         assert [o.source for o in theirs] == ["A"]
-
-    def test_outcome_as_dict_is_json_ready(self):
-        import json
-
-        guard, _clock = make_guard()
-        outcomes = []
-        guard.call("A", "c", lambda: 1, outcomes=outcomes)
-        json.dumps(outcomes[0].as_dict())
 
     def test_failed_attempts_are_counted_on_the_guard(self):
         guard, _clock = make_guard(max_retries=2, serve_stale=True)

@@ -32,10 +32,6 @@ class TestPolicyValidation:
         policy = ResiliencePolicy(breaker_threshold=None)
         assert policy.breaker_threshold is None
 
-    def test_as_dict_is_json_ready(self):
-        import json
-
-        json.dumps(ResiliencePolicy().as_dict())
 
 
 class TestBackoff:

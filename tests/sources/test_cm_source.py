@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import Mediator
 from repro.domainmap import DomainMap
+from repro.flogic import FLogicEngine
 from repro.gcm import ConceptualModel
 from repro.sources import SourceQuery, wrapper_from_cm
 from repro.xmlio import er, rdf, uml_xmi
@@ -26,7 +27,7 @@ class TestPluginSourcesRegister:
 
     def test_original_object_identities_kept(self, mediator):
         # CM-backed wrappers keep the document's object names
-        assert mediator.holds("p1 : purkinje_cell")
+        assert mediator.ask("p1 : purkinje_cell")
         assert mediator.ask("p1[location -> L]") == [{"L": "cerebellum"}]
 
     def test_inherited_methods_queryable(self, mediator):
@@ -47,10 +48,10 @@ class TestPluginSourcesRegister:
         }
 
     def test_anchored_objects_in_dm(self, mediator):
-        assert mediator.holds("p1 : 'Purkinje_Cell'")
+        assert mediator.ask("p1 : 'Purkinje_Cell'")
 
     def test_subclass_structure_survives(self, mediator):
-        assert mediator.holds("e1 : record")  # ER IsA
+        assert mediator.ask("e1 : record")  # ER IsA
 
     def test_all_attributes_selectable(self, mediator):
         capability = mediator.capabilities("rdf_neuro")["purkinje_cell"]
@@ -97,6 +98,6 @@ class TestTypeInference:
         cm.set_value("o1", "v", 10)
         cm.add_datalog("instance(X, big) :- method_val(X, v, V), V > 5.")
         wrapper = wrapper_from_cm(cm)
-        engine = wrapper.schema_cm().to_engine()
+        engine = FLogicEngine().tell_rules(wrapper.schema_cm().all_rules())
         engine.tell_rules(wrapper.export_all_facts())
-        assert engine.instances_of("big") == ["o1"]
+        assert [row["X"] for row in engine.ask("X : 'big'")] == ["o1"]

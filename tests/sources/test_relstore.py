@@ -33,15 +33,15 @@ class TestTable:
         table = store.table("spines")
         table.insert((4, "cortex", 0.5))
         assert len(table) == 4
-        assert table.get(4)["region"] == "cortex"
+        assert table.select({"id": 4})[0]["region"] == "cortex"
 
     def test_duplicate_key_rejected(self, store):
         with pytest.raises(RelStoreError):
-            store.insert("spines", {"id": 1, "region": "x", "len_um": 0.0})
+            store.table("spines").insert({"id": 1, "region": "x", "len_um": 0.0})
 
     def test_type_checked(self, store):
         with pytest.raises(RelStoreError):
-            store.insert("spines", {"id": 9, "region": 5, "len_um": 0.0})
+            store.table("spines").insert({"id": 9, "region": 5, "len_um": 0.0})
 
     def test_int_column_rejects_bool(self):
         table = Table("t", [Column("n", "int")])
@@ -51,11 +51,11 @@ class TestTable:
     def test_float_column_accepts_int(self):
         table = Table("t", [Column("x", "float")])
         table.insert({"x": 2})
-        assert table.rows()[0]["x"] == 2.0
+        assert table.select()[0]["x"] == 2.0
 
     def test_unknown_column_rejected(self, store):
         with pytest.raises(RelStoreError):
-            store.insert("spines", {"id": 9, "nope": 1})
+            store.table("spines").insert({"id": 9, "nope": 1})
 
     def test_arity_mismatch_rejected(self, store):
         with pytest.raises(RelStoreError):
@@ -73,19 +73,10 @@ class TestTable:
         with pytest.raises(RelStoreError):
             Column("a", "decimal")
 
-    def test_get_by_key(self, store):
-        assert store.table("spines").get(3)["region"] == "cerebellum"
-        assert store.table("spines").get(99) is None
-
-    def test_get_without_key_rejected(self):
-        table = Table("t", ["a"])
-        with pytest.raises(RelStoreError):
-            table.get(1)
-
     def test_nullable_values(self):
         table = Table("t", [Column("a", "int"), Column("b", "str")])
         table.insert({"a": 1})
-        assert table.rows()[0]["b"] is None
+        assert table.select()[0]["b"] is None
 
 
 class TestSelect:
@@ -141,9 +132,6 @@ class TestSelect:
 
 
 class TestStore:
-    def test_table_names(self, store):
-        assert store.table_names() == ["spines"]
-
     def test_duplicate_table_rejected(self, store):
         with pytest.raises(RelStoreError):
             store.create_table("spines", ["a"])

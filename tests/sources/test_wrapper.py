@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import CapabilityError, SchemaError, SourceError
+from repro.flogic import FLogicEngine
 from repro.sources import (
     AnchorSpec,
     BindingPattern,
@@ -185,8 +186,8 @@ class TestLifting:
             [Column("did", "int"), Column("neuron", "int")],
             key="did",
         )
-        store.insert("neurons", {"nid": 1})
-        store.insert("dendrites", {"did": 7, "neuron": 1})
+        store.table("neurons").insert({"nid": 1})
+        store.table("dendrites").insert({"did": 7, "neuron": 1})
         wrapper = Wrapper("S", store)
         wrapper.export_class("neuron", "neurons", "nid", methods={"nid": "nid"})
         wrapper.export_class(
@@ -264,5 +265,5 @@ class TestSchemaExport:
         )
         cm = wrapper.schema_cm()
         assert "sup" in cm.classes
-        engine = cm.to_engine()
+        engine = FLogicEngine().tell_rules(cm.all_rules())
         assert engine.holds("sub :: sup")

@@ -3,10 +3,9 @@
 import pytest
 
 from repro.errors import XMLTransportError
+from repro.flogic import FLogicEngine
 from repro.gcm import ConceptualModel
 from repro.xmlio import (
-    cm_from_xml,
-    cm_to_xml,
     decode_value,
     element_value,
     encode_value,
@@ -14,6 +13,7 @@ from repro.xmlio import (
     serialize,
     value_element,
 )
+from tests.conftest import cm_from_xml, cm_to_xml
 
 
 def sample_cm():
@@ -93,15 +93,15 @@ class TestCMRoundtrip:
 
     def test_data_preserved_with_types(self):
         cm = cm_from_xml(cm_to_xml(sample_cm()))
-        engine = cm.to_engine()
+        engine = FLogicEngine().tell_rules(cm.all_rules())
         assert engine.ask("s1[len_um -> L]") == [{"L": 1.5}]
         assert engine.ask("s1[count -> C]") == [{"C": 4}]
         assert engine.holds("has(d1, s1)")
 
     def test_rules_preserved(self):
         cm = cm_from_xml(cm_to_xml(sample_cm()))
-        engine = cm.to_engine()
-        assert engine.instances_of("long") == ["s1"]
+        engine = FLogicEngine().tell_rules(cm.all_rules())
+        assert [row["X"] for row in engine.ask("X : 'long'")] == ["s1"]
 
     def test_fixpoint_xml(self):
         once = cm_to_xml(sample_cm())

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import PluginError
+from repro.flogic import FLogicEngine
 from repro.xmlio import BUILTIN_PLUGINS, PluginTranslator, er, rdf, uml_xmi
 
 
@@ -83,7 +84,7 @@ class TestPluginEngine:
                </translator>"""
         )
         result = translator.apply('<doc><o id="x" v="7"/></doc>')
-        engine = result.cm.to_engine()
+        engine = FLogicEngine().tell_rules(result.cm.all_rules())
         assert engine.ask("x[m -> V]") == [{"V": 7}]
 
     def test_classes_auto_declared_from_usage(self):
@@ -115,7 +116,7 @@ class TestBuiltinPlugins:
 
     def test_rdf_sample(self):
         result = rdf.translate(rdf.SAMPLE_DOCUMENT)
-        engine = result.cm.to_engine()
+        engine = FLogicEngine().tell_rules(result.cm.all_rules())
         assert engine.holds("p1 : neuron")  # via subclass
         assert engine.ask("p1[location -> L]") == [{"L": "cerebellum"}]
         assert engine.ask("p1[soma_diameter -> D]") == [{"D": 24.5}]
@@ -128,7 +129,7 @@ class TestBuiltinPlugins:
 
     def test_uml_sample(self):
         result = uml_xmi.translate(uml_xmi.SAMPLE_DOCUMENT)
-        engine = result.cm.to_engine()
+        engine = FLogicEngine().tell_rules(result.cm.all_rules())
         assert engine.holds("p1 : 'Neuron'")
         assert engine.holds("has(p1, d1)")
         assert engine.ask("p1[location -> L]") == [{"L": "cerebellum"}]
@@ -142,7 +143,7 @@ class TestBuiltinPlugins:
 
     def test_er_sample(self):
         result = er.translate(er.SAMPLE_DOCUMENT)
-        engine = result.cm.to_engine()
+        engine = FLogicEngine().tell_rules(result.cm.all_rules())
         assert engine.holds("e1 : experiment")
         assert engine.holds("e1 : record")  # via IsA
         assert engine.ask("measures(E, N)") == [{"E": "e1", "N": "n1"}]
@@ -155,5 +156,5 @@ class TestBuiltinPlugins:
     def test_all_plugins_produce_loadable_engines(self):
         for module in BUILTIN_PLUGINS.values():
             result = module.translate(module.SAMPLE_DOCUMENT)
-            engine = result.cm.to_engine()
+            engine = FLogicEngine().tell_rules(result.cm.all_rules())
             assert engine.classes()  # evaluates without error

@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.flogic import FLogicEngine
 from repro.gcm import ConceptualModel
-from repro.xmlio import cm_from_xml, cm_to_xml, decode_value, encode_value
+from repro.xmlio import decode_value, encode_value
+from tests.conftest import cm_from_xml, cm_to_xml
 
 # names the codec must survive: spaces, quotes, unicode, XML specials
 names = st.text(
@@ -84,6 +86,7 @@ class TestCMRoundtripProperties:
     @settings(max_examples=30, deadline=None)
     @given(conceptual_models())
     def test_data_semantics_preserved(self, cm):
-        original = cm.to_engine().evaluate().store
-        decoded = cm_from_xml(cm_to_xml(cm)).to_engine().evaluate().store
+        original = FLogicEngine().tell_rules(cm.all_rules()).evaluate().store
+        decoded = FLogicEngine().tell_rules(cm_from_xml(cm_to_xml(cm)).all_rules())
+        decoded = decoded.evaluate().store
         assert original.same_facts(decoded)
