@@ -43,7 +43,7 @@ def test_guarded_correlation_cost(benchmark):
     for label, policy in (
         ("none", None),
         ("default", ResiliencePolicy()),
-        ("stale+deadline", ResiliencePolicy(serve_stale=True, plan_deadline=30.0)),
+        ("deadline", ResiliencePolicy(plan_deadline=30.0)),
     ):
         scenario = build_scenario(eager=False)
         if policy is not None:

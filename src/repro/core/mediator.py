@@ -300,18 +300,16 @@ class Mediator:
         ``__cause__``), so callers — the plan's retrieve step, the
         resilience layer — see one failure vocabulary.  When a
         :class:`~repro.resilience.ResiliencePolicy` is configured, the
-        call runs under the guard: retries, circuit breaking, timeouts
-        and stale serving all apply per attempt.
+        call runs under the guard: retries, circuit breaking and
+        timeouts apply per attempt, and the call either returns fresh
+        rows or raises.
 
         When an :class:`~repro.cache.AnswerCache` is configured, it is
-        consulted *above* the guard: a hit skips the wire, the retries
-        and the breaker bookkeeping entirely (a cached fresh answer
-        beats an open breaker).  Misses run the normal path; only
-        fresh results are cached — a medguard stale-serving fallback
-        (last-known-good) is never written into medcache.
-
-        One :func:`~repro.cache.query_fingerprint` keys the answer
-        cache and the guard's last-known-good store.
+        consulted *above* the guard, keyed by
+        :func:`~repro.cache.query_fingerprint`: a hit skips the wire,
+        the retries and the breaker bookkeeping entirely (a cached
+        answer beats an open breaker), and a miss stores the rows the
+        call returned.
 
         Args:
             source_name: the registered source to ask.
@@ -324,13 +322,13 @@ class Mediator:
         """
         wrapper = self.wrapper(source_name)
         class_name = source_query.class_name
-        key = query_fingerprint(
-            source_name,
-            source_query,
-            self.capabilities(source_name).get(class_name),
-        )
         cache = self.cache
         if cache is not None:
+            key = query_fingerprint(
+                source_name,
+                source_query,
+                self.capabilities(source_name).get(class_name),
+            )
             entry = cache.lookup(key)
             if entry is not None:
                 obs.event("cache.hit", source=source_name, class_name=class_name)
@@ -340,22 +338,15 @@ class Mediator:
         guard = self.resilience
         if guard is None:
             rows = self._source_query(wrapper, source_query)
-            fresh = True
         else:
-            # the guard appends exactly one outcome per call, and a
-            # plan runs its source calls on one thread, so the last
-            # outcome in the list is this call's
-            outcomes = plan.outcomes if plan is not None else []
             rows = guard.call(
                 source_name,
                 class_name,
                 lambda: self._source_query(wrapper, source_query),
-                cache_key=key,
                 deadline=plan.deadline if plan is not None else None,
-                outcomes=outcomes,
+                outcomes=plan.outcomes if plan is not None else None,
             )
-            fresh = not outcomes[-1].stale
-        if cache is not None and fresh:
+        if cache is not None:
             cache.store_answer(
                 key,
                 source_name,

@@ -346,22 +346,17 @@ class PlanContext:
 
     @property
     def degraded(self):
-        """True when at least one selected source failed to answer (or
-        was served stale / shed by its breaker) — `answers` may be
-        missing or substituting that source's contribution."""
-        if self.errors:
-            return True
-        return any(
-            outcome.stale or outcome.status == "breaker-open"
-            for outcome in self.outcomes
-        )
+        """True when at least one selected source failed to answer or
+        was shed by its breaker (either way the retrieve step recorded
+        a skip) — `answers` may be missing that source's
+        contribution."""
+        return bool(self.errors)
 
     def degraded_answer(self):
         """The structured :class:`~repro.resilience.DegradedAnswer`
         report of this plan execution: per source, what happened
-        (skipped / retried / served-stale / breaker-open), attempt
-        counts, and breaker state.  Works with or without a
-        resilience policy."""
+        (skipped / retried / breaker-open), attempt counts, and
+        breaker state.  Works with or without a resilience policy."""
         from ..resilience.report import build_degraded_answer
 
         return build_degraded_answer(

@@ -23,8 +23,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import RegistrationError, XMLTransportError
 from ..datalog.ast import Atom, Rule
-from ..datalog.parser import parse_program
-from ..datalog.terms import Const
+from ..datalog.terms import Const, Struct
 from ..sources.capabilities import BindingPattern, ClassCapability, QueryTemplate
 from ..xmlio.doc import element_value, parse_xml, serialize, value_element
 from ..xmlio.gcm_xml import cm_from_element, cm_to_element
@@ -102,22 +101,31 @@ def build_registration(wrapper, include_data=False, dm_refinement=None):
     if include_data:
         data_el = ET.SubElement(root, "facts")
         for fact in wrapper.export_all_facts():
-            atom = fact.head
-            if all(
-                isinstance(arg, Const)
-                and isinstance(arg.value, (str, int, float, bool))
-                for arg in atom.args
-            ):
-                # typed argument encoding: booleans/numbers survive the
-                # wire exactly (Datalog text would reparse `True` as a
-                # variable)
-                fact_el = ET.SubElement(data_el, "fact", {"pred": atom.pred})
-                for arg in atom.args:
-                    fact_el.append(value_element("arg", arg.value))
-            else:  # structured terms: fall back to parseable text
-                fact_el = ET.SubElement(data_el, "fact")
-                fact_el.text = str(fact)
+            fact_el = ET.SubElement(data_el, "fact", {"pred": fact.head.pred})
+            for arg in fact.head.args:
+                fact_el.append(_arg_element(arg))
     return serialize(root)
+
+
+def _arg_element(term):
+    """One ground fact argument as a typed ``<arg>``: a constant keeps
+    its Python type (Datalog text would reparse ``True`` as a variable),
+    and a Skolem term nests its arguments under ``functor=``."""
+    if isinstance(term, Struct):
+        element = ET.Element("arg", {"functor": term.functor})
+        for arg in term.args:
+            element.append(_arg_element(arg))
+        return element
+    return value_element("arg", term.value)
+
+
+def _arg_term(element):
+    """Inverse of :func:`_arg_element`."""
+    functor = element.get("functor")
+    if functor is None:
+        return Const(element_value(element))
+    args = tuple(_arg_term(arg) for arg in element.findall("arg"))
+    return Struct(functor, args)
 
 
 def parse_registration(text):
@@ -195,13 +203,9 @@ def parse_registration(text):
     if data_el is not None:
         for fact_el in data_el.findall("fact"):
             pred = fact_el.get("pred")
-            if pred:
-                args = tuple(
-                    Const(element_value(arg_el))
-                    for arg_el in fact_el.findall("arg")
-                )
-                facts.append(Rule(Atom(pred, args)))
-            else:
-                facts.extend(parse_program(fact_el.text or ""))
+            if not pred:
+                raise XMLTransportError("<fact> requires a pred attribute")
+            args = tuple(_arg_term(arg_el) for arg_el in fact_el.findall("arg"))
+            facts.append(Rule(Atom(pred, args)))
 
     return ParsedRegistration(source, cm, capabilities, anchors, refinement, facts)

@@ -41,12 +41,12 @@ class IntegratedView:
         """
         from .. import obs
         from ..flogic.parser import parse_fl_program
-        from ..flogic.translate import Translator
+        from ..flogic.translate import translate_rules
 
         with obs.span("flogic.parse", chars=len(self.fl_rules)):
             fl_rules = parse_fl_program(self.fl_rules)
         with obs.span("flogic.translate", fl_rules=len(fl_rules)):
-            return list(Translator().translate_rules(fl_rules))
+            return translate_rules(fl_rules)
 
     def __repr__(self):
         return "IntegratedView(%r)" % self.name

@@ -71,6 +71,10 @@ class EvaluationResult:
 #: diagnosable error instead of looping forever.
 DEFAULT_MAX_FACTS = 2_000_000
 
+#: ceiling on the well-founded model's T/U alternations: they converge
+#: for safe, terminating programs, so hitting it is an engine bug
+WF_MAX_ROUNDS = 10_000
+
 
 def evaluate(program, check_safety=True, strategy="seminaive", max_facts=None,
              base=None, removed=()):
@@ -544,7 +548,7 @@ def _externalize(subst, goal):
     return binding
 
 
-def well_founded_model(program, check_safety=True, max_rounds=10_000, metrics=None):
+def well_founded_model(program, check_safety=True, metrics=None):
     """Compute the well-founded model by alternating fixpoint.
 
     Returns ``(true_store, undefined_store)``.  The iteration maintains
@@ -553,7 +557,8 @@ def well_founded_model(program, check_safety=True, max_rounds=10_000, metrics=No
     ``U_{i+1} = Gamma(T_{i+1})`` where Gamma(J) evaluates the program
     with ``not q`` read as ``q not in J``.  T grows, U shrinks, and both
     converge because the ground instantiation is finite for safe,
-    terminating programs.
+    terminating programs; more than :data:`WF_MAX_ROUNDS` alternations
+    raise :class:`~repro.errors.EvaluationError`.
 
     `metrics` is an optional :class:`~repro.obs.EvaluationMetrics`
     whose ``wf_alternations`` records how many T/U alternations ran.
@@ -566,7 +571,7 @@ def well_founded_model(program, check_safety=True, max_rounds=10_000, metrics=No
         true_estimate = FactStore()  # T: certainly-true facts
         possible = _gamma(rules, FactStore())  # U_0 = Gamma(empty): everything possible
         alternations = 0
-        for _round in range(max_rounds):
+        for _round in range(WF_MAX_ROUNDS):
             with tracer.span("datalog.wf_round", round=_round):
                 new_true = _gamma(rules, possible)
                 new_possible = _gamma(rules, new_true)

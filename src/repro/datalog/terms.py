@@ -202,13 +202,12 @@ def occurs_in(variable, term, subst):
     return False
 
 
-def unify(left, right, subst=None, occurs_check=True):
+def unify(left, right, subst=None):
     """Unify two terms, returning an extended substitution or None.
 
     The input substitution is never mutated; a (possibly shared) dict is
-    returned on success.  With `occurs_check` disabled, cyclic bindings
-    are possible; the engine always leaves it on because Skolem terms
-    make cycles reachable in principle.
+    returned on success.  The occurs check is always on: Skolem terms
+    make cyclic bindings reachable in principle.
     """
     if subst is None:
         subst = {}
@@ -217,13 +216,13 @@ def unify(left, right, subst=None, occurs_check=True):
     if left == right:
         return subst
     if isinstance(left, Var):
-        if occurs_check and occurs_in(left, right, subst):
+        if occurs_in(left, right, subst):
             return None
         new = dict(subst)
         new[left] = right
         return new
     if isinstance(right, Var):
-        if occurs_check and occurs_in(right, left, subst):
+        if occurs_in(right, left, subst):
             return None
         new = dict(subst)
         new[right] = left
@@ -232,7 +231,7 @@ def unify(left, right, subst=None, occurs_check=True):
         if left.functor != right.functor or len(left.args) != len(right.args):
             return None
         for l_arg, r_arg in zip(left.args, right.args):
-            subst = unify(l_arg, r_arg, subst, occurs_check)
+            subst = unify(l_arg, r_arg, subst)
             if subst is None:
                 return None
         return subst

@@ -2,7 +2,7 @@
 
 :class:`FLogicEngine` is the deductive engine of the reproduction —
 the stand-in for FLORA/FLORID in the paper's prototype.  It is told
-Datalog rules (F-logic translated by :class:`Translator`, or raw
+Datalog rules (F-logic translated by :func:`translate_rules`, or raw
 Datalog), keeps them together with the Table 1 axioms, and answers
 F-logic queries.
 
@@ -32,7 +32,7 @@ from ..datalog.terms import Const, Term, Var, substitute, term_sort_key
 from .ast import FLRule
 from .axioms import core_axioms, signature_inheritance_axioms, value_inheritance_axioms
 from .parser import parse_fl_body
-from .translate import PRED_DEFAULT_VAL, Translator
+from .translate import PRED_DEFAULT_VAL, translate_body
 
 
 class FLogicEngine:
@@ -202,7 +202,7 @@ class FLogicEngine:
         """
         with obs.span("flogic.ask", query=query_text) as ask_span:
             fl_items = parse_fl_body(query_text)
-            body = Translator().translate_body(fl_items)
+            body = translate_body(fl_items)
             answer_vars = sorted(
                 {
                     v
@@ -247,7 +247,7 @@ class FLogicEngine:
         from ..datalog.provenance import explain as datalog_explain
 
         fl_items = parse_fl_body(query_text)
-        body = Translator().translate_body(fl_items)
+        body = translate_body(fl_items)
         if len(body) != 1 or not isinstance(body[0], Literal):
             raise ValueError(
                 "explain() takes a single positive ground fact, got %r"

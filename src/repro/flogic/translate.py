@@ -16,7 +16,7 @@ plus nonmonotonically inherited defaults (see :mod:`.axioms`).
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List
 
 from ..errors import FLogicTranslationError
 from ..datalog.ast import (
@@ -27,7 +27,6 @@ from ..datalog.ast import (
     Literal,
     Rule,
 )
-from ..datalog.terms import Term, Var
 from .ast import (
     ARROW_DEFAULT,
     ARROW_MULTI,
@@ -36,7 +35,6 @@ from .ast import (
     ARROW_SIG_SCALAR,
     FLAggregate,
     FLPredicate,
-    FLRule,
     Molecule,
 )
 
@@ -84,61 +82,50 @@ def molecule_atoms(molecule, mode):
     return atoms
 
 
-class Translator:
-    """FL→Datalog translator."""
+def translate_rules(fl_rules):
+    """Translate F-logic rules into a list of Datalog rules.
 
-    # -- public API -----------------------------------------------------
+    One Datalog rule is produced per atom of each conjunctive head.
+    """
+    out: List[Rule] = []
+    for fl_rule in fl_rules:
+        out.extend(_translate_rule(fl_rule))
+    return out
 
-    def translate_rules(self, fl_rules):
-        """Translate F-logic rules into a list of Datalog rules.
 
-        One Datalog rule is produced per atom of each conjunctive head.
-        """
-        out: List[Rule] = []
-        for fl_rule in fl_rules:
-            out.extend(self._translate_rule(fl_rule))
-        return out
+def translate_body(fl_items):
+    """Translate a query conjunction into Datalog body items."""
+    body = []
+    for item in fl_items:
+        body.extend(_translate_body_item(item))
+    return body
 
-    def translate_body(self, fl_items):
-        """Translate a query conjunction into Datalog body items."""
-        return self._translate_body_items(fl_items)
 
-    # -- internals --------------------------------------------------------
+def _translate_rule(fl_rule):
+    head_atoms: List[Atom] = []
+    for head in fl_rule.heads:
+        if isinstance(head, Molecule):
+            head_atoms.extend(molecule_atoms(head, mode="head"))
+        elif isinstance(head, FLPredicate):
+            head_atoms.append(Atom(head.name, head.args))
+        else:
+            raise FLogicTranslationError("illegal head item %s" % (head,))
+    body = translate_body(fl_rule.body)
+    return [Rule(atom, tuple(body)) for atom in head_atoms]
 
-    def _translate_rule(self, fl_rule):
-        head_atoms: List[Atom] = []
-        for head in fl_rule.heads:
-            if isinstance(head, Molecule):
-                head_atoms.extend(molecule_atoms(head, mode="head"))
-            elif isinstance(head, FLPredicate):
-                head_atoms.append(Atom(head.name, head.args))
-            else:
-                raise FLogicTranslationError(
-                    "illegal head item %s" % (head,)
-                )
-        body = self._translate_body_items(fl_rule.body)
-        return [Rule(atom, tuple(body)) for atom in head_atoms]
 
-    def _translate_body_items(self, fl_items):
-        body = []
-        for item in fl_items:
-            body.extend(self._translate_body_item(item))
-        return body
-
-    def _translate_body_item(self, item):
-        if isinstance(item, Molecule):
-            return [
-                Literal(atom) for atom in molecule_atoms(item, mode="body")
-            ]
-        if isinstance(item, FLPredicate):
-            return [Literal(Atom(item.name, item.args))]
-        if isinstance(item, (Comparison, Assignment)):
-            return [item]
-        if isinstance(item, FLAggregate):
-            inner = self._translate_body_items(item.body)
-            return [
-                AggregateLiteral(
-                    item.func, item.result, item.value, item.group_by, tuple(inner)
-                )
-            ]
-        raise FLogicTranslationError("unsupported body item %r" % (item,))
+def _translate_body_item(item):
+    if isinstance(item, Molecule):
+        return [Literal(atom) for atom in molecule_atoms(item, mode="body")]
+    if isinstance(item, FLPredicate):
+        return [Literal(Atom(item.name, item.args))]
+    if isinstance(item, (Comparison, Assignment)):
+        return [item]
+    if isinstance(item, FLAggregate):
+        inner = translate_body(item.body)
+        return [
+            AggregateLiteral(
+                item.func, item.result, item.value, item.group_by, tuple(inner)
+            )
+        ]
+    raise FLogicTranslationError("unsupported body item %r" % (item,))

@@ -21,8 +21,7 @@ with spaces — ubiquitous in the Neuroscience domain maps — are safe.
 
 from __future__ import annotations
 
-import hashlib
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List
 
 from ..errors import SchemaError
 from ..datalog.ast import AggregateLiteral, Atom, Comparison, Literal, Rule
@@ -32,11 +31,6 @@ from .constraints import IC_CLASS, Constraint
 
 def _ic_head(witness):
     return Atom("instance", (witness, Const(IC_CLASS)))
-
-
-def _aux_name(prefix, *parts):
-    digest = hashlib.sha1("|".join(str(p) for p in parts).encode("utf-8")).hexdigest()
-    return "_%s_%s" % (prefix, digest[:10])
 
 
 def partial_order_constraint(relation_pred, class_name):
@@ -163,9 +157,7 @@ def cardinality_constraint(
     arity,
     counted_position,
     exact=None,
-    min_count=None,
     max_count=None,
-    group_class=None,
 ):
     """Example 3: bound the count of one role per combination of the rest.
 
@@ -174,16 +166,9 @@ def cardinality_constraint(
 
         cardinality_constraint("has", 2, counted_position=0, exact=1)
         cardinality_constraint("has", 2, counted_position=1, max_count=2)
-
-    `min_count` additionally requires a `group_class`: minimums must be
-    checked for every instance of the class playing the grouping role
-    (an absent group would otherwise silently satisfy the bound).  The
-    min form is only available for binary relations.
     """
-    if sum(p is not None for p in (exact, min_count, max_count)) != 1:
-        raise SchemaError(
-            "specify exactly one of exact / min_count / max_count"
-        )
+    if (exact is None) == (max_count is None):
+        raise SchemaError("specify exactly one of exact / max_count")
     if not 0 <= counted_position < arity:
         raise SchemaError("counted_position out of range")
     r = Const(relation_pred)
@@ -204,7 +189,7 @@ def cardinality_constraint(
             counted_position,
             exact,
         )
-    elif max_count is not None:
+    else:
         witness = Struct("w_card_gt", (r, Const(counted_position)) + group + (n,))
         rules.append(
             Rule(
@@ -215,46 +200,6 @@ def cardinality_constraint(
         description = "count of position %d per rest must be <= %d" % (
             counted_position,
             max_count,
-        )
-    else:
-        if group_class is None:
-            raise SchemaError("min_count requires group_class")
-        if arity != 2:
-            raise SchemaError("min_count is only supported for binary relations")
-        group_var = group[0]
-        witness_low = Struct(
-            "w_card_lt", (r, Const(counted_position), group_var, n)
-        )
-        rules.append(
-            Rule(
-                _ic_head(witness_low),
-                (
-                    Literal(Atom("instance", (group_var, Const(group_class)))),
-                    count_literal,
-                    Comparison("<", n, Const(min_count)),
-                ),
-            )
-        )
-        # Groups with zero tuples never form an aggregate group: report
-        # them through an auxiliary "participates" predicate.
-        aux = _aux_name("cardmin", relation_pred, counted_position)
-        witness_zero = Struct(
-            "w_card_lt", (r, Const(counted_position), group_var, Const(0))
-        )
-        rules.append(Rule(Atom(aux, (group_var,)), (Literal(Atom(relation_pred, args)),)))
-        rules.append(
-            Rule(
-                _ic_head(witness_zero),
-                (
-                    Literal(Atom("instance", (group_var, Const(group_class)))),
-                    Literal(Atom(aux, (group_var,)), positive=False),
-                ),
-            )
-        )
-        description = "count of position %d per %s must be >= %d" % (
-            counted_position,
-            group_class,
-            min_count,
         )
     return Constraint(
         "cardinality(%s pos %d)" % (relation_pred, counted_position),

@@ -183,10 +183,9 @@ class ConceptualModel:
 
     def add_rule(self, fl_text):
         """Add semantic rules in F-logic syntax."""
-        from ..flogic.translate import Translator
+        from ..flogic.translate import translate_rules
 
-        translator = Translator()
-        self._rules.extend(translator.translate_rules(parse_fl_program(fl_text)))
+        self._rules.extend(translate_rules(parse_fl_program(fl_text)))
         return self
 
     def add_datalog(self, text_or_rules):

@@ -5,12 +5,11 @@ the mediator survive them deterministically and observably:
 
 * :class:`ResiliencePolicy` — retries with deterministic exponential
   backoff (seeded jitter), per-call timeout, whole-plan deadline
-  budget, circuit-breaker and staleness knobs;
+  budget and circuit-breaker knobs;
 * :class:`SourceGuard` — executes every
   :meth:`~repro.core.mediator.Mediator.source_query` under the policy,
   keeping a closed/open/half-open :class:`CircuitBreaker` per
-  ``(source, class)`` and an optional last-known-good cache that
-  serves stale answers marked as such;
+  ``(source, class)``;
 * :class:`DegradedAnswer` — the structured degradation report carried
   by correlation results and ``EXPLAIN`` output (the degraded-answer
   contract);
@@ -37,7 +36,6 @@ from .guard import (
     STATUS_FAILED,
     STATUS_OK,
     STATUS_RETRIED,
-    STATUS_STALE,
     SourceGuard,
 )
 from .policy import ResiliencePolicy
@@ -57,7 +55,6 @@ __all__ = [
     "STATUS_FAILED",
     "STATUS_OK",
     "STATUS_RETRIED",
-    "STATUS_STALE",
     "SourceGuard",
     "SourceReport",
     "VirtualClock",

@@ -7,9 +7,11 @@ state machine is the classic one:
 * **closed** — calls flow; `threshold` *consecutive* failures open it;
 * **open** — calls are rejected without contacting the source until
   `cooldown` seconds (by the policy's clock) have passed;
-* **half-open** — after the cooldown one probe call is let through:
-  success closes the breaker, failure re-opens it (and restarts the
-  cooldown).
+* **half-open** — after the cooldown one probe call is let through
+  and the cooldown restarts, so the calls that follow wait for the
+  probe: success closes the breaker, failure re-opens it.  A probe
+  that never reports back does not wedge the breaker; the next probe
+  goes through one cooldown later.
 
 All time comes from the caller (``now`` arguments), so the breaker is
 fully deterministic under the fault harness's virtual clock.
@@ -60,17 +62,16 @@ class CircuitBreaker:
             return self._state
 
     def allow(self, now):
-        """May a call proceed now?  Transitions open -> half-open when
-        the cooldown has elapsed."""
+        """May a call proceed now?  Past the cooldown, an open or
+        half-open breaker admits one probe, turns half-open and
+        restarts the cooldown."""
         with self._lock:
             if self._state == CLOSED:
                 return True
-            if self._state == OPEN:
-                if now - self.opened_at >= self.cooldown:
-                    self._state = HALF_OPEN
-                    return True
+            if now - self.opened_at < self.cooldown:
                 return False
-            # half-open: the probe call is in flight; its outcome decides
+            self._state = HALF_OPEN
+            self.opened_at = now
             return True
 
     def record_success(self):

@@ -193,8 +193,10 @@ def run_chaos_scenario(seed, max_retries=2):
 
     The report is byte-identical across runs of the same `seed`: the
     fault schedule is positional, jitter streams are per
-    ``(source, class)``, and the policy runs on a virtual clock, so the
-    guard's timeout is the deterministic measured-elapsed check.
+    ``(source, class)``, and the policy runs on a virtual clock, so
+    backoff sleeps and breaker cooldowns advance virtual time only.
+    The policy sets no call timeout: the injected latency costs
+    virtual time without failing an attempt.
     """
     from ..neuro import build_scenario, section5_query
 

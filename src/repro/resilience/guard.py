@@ -1,4 +1,4 @@
-"""The medguard source guard: retries, breakers, staleness, deadlines.
+"""The medguard source guard: retries, breakers, deadlines.
 
 A :class:`SourceGuard` executes source calls on behalf of the mediator
 under one :class:`~repro.resilience.policy.ResiliencePolicy`:
@@ -8,27 +8,25 @@ under one :class:`~repro.resilience.policy.ResiliencePolicy`:
 * a per-``(source, class)`` circuit breaker sheds calls to sources
   that keep failing, and lets a half-open probe through after the
   cooldown;
-* with ``serve_stale``, the last known good rows of an identical call
-  are served — marked as stale — when the source stays down;
 * a per-call timeout and a whole-plan deadline budget bound how long a
   plan waits for misbehaving sources: an attempt measured longer than
   the timeout (by the policy clock) counts as a failed attempt.
 
-The guard holds only state that belongs to the sources: breakers, the
-last-known-good store and the jitter streams.  Per-plan state stays
-with the plan: the caller passes the plan's deadline into
-:meth:`SourceGuard.call` and gets each call's :class:`CallOutcome`
-back in a list it owns, so concurrent plans sharing one guard never
-see each other's calls.  Retry, breaker, and staleness activity also
-flows to medtrace (``resilience.*`` counters and events) when a tracer
-is installed.
+The guard holds only state that belongs to the sources: breakers and
+the jitter streams.  It stores no answers: a guarded call either
+returns fresh rows or raises, and medcache is the one answer store.
+Per-plan state stays with the plan: the caller passes the plan's
+deadline into :meth:`SourceGuard.call` and gets each call's
+:class:`CallOutcome` back in a list it owns, so concurrent plans
+sharing one guard never see each other's calls.  Retry and breaker
+activity also flows to medtrace (``resilience.*`` counters and events)
+when a tracer is installed.
 """
 
 from __future__ import annotations
 
 import random
 import threading
-from collections import OrderedDict
 from typing import Dict, Tuple
 
 from .. import obs
@@ -41,14 +39,9 @@ from ..errors import (
 from .breaker import BreakerRegistry
 from .policy import ResiliencePolicy
 
-#: how many last-known-good answers a guard keeps: the store is an LRU
-#: over call fingerprints (a stale-serve refreshes an entry's recency)
-STALE_STORE_LIMIT = 1024
-
 #: outcome statuses, from healthiest to most degraded
 STATUS_OK = "ok"
 STATUS_RETRIED = "retried"
-STATUS_STALE = "served-stale"
 STATUS_FAILED = "failed"
 STATUS_BREAKER_OPEN = "breaker-open"
 
@@ -62,7 +55,6 @@ class CallOutcome:
         "status",
         "attempts",
         "retries",
-        "stale",
         "breaker_state",
         "error",
     )
@@ -81,7 +73,6 @@ class CallOutcome:
         self.status = status
         self.attempts = attempts
         self.retries = max(0, attempts - 1)
-        self.stale = status == STATUS_STALE
         self.breaker_state = breaker_state
         #: "<ErrorClass>: <message>" of the last failure (None on ok)
         self.error = error
@@ -114,10 +105,9 @@ class SourceGuard:
         #: backoff sequence of every pair deterministic regardless of
         #: scheduling
         self._rngs: Dict[Tuple[str, str], random.Random] = {}
-        self._cache = OrderedDict()
         self._lock = threading.Lock()
-        #: failed attempts over all calls (retried, stale-served or
-        #: raised): the chaos harness's faults-absorbed accounting
+        #: failed attempts over all calls (retried or raised): the
+        #: chaos harness's faults-absorbed accounting
         self.failed_attempts = 0
 
     def _jitter_rng(self, source, class_name):
@@ -136,32 +126,25 @@ class SourceGuard:
 
     # -- the guarded call --------------------------------------------------
 
-    def call(
-        self, source, class_name, fn, cache_key=None, deadline=None,
-        outcomes=None,
-    ):
+    def call(self, source, class_name, fn, deadline=None, outcomes=None):
         """Run ``fn()`` (one source call) under the policy.
 
         Args:
             source: source name (breaker / outcome / metric key).
             class_name: exported class being called.
             fn: zero-argument callable performing the source call.
-            cache_key: hashable identity of the call for the
-                ``serve_stale`` last-known-good cache (None disables
-                staleness for this call).
             deadline: the calling plan's deadline on the policy clock
                 (None = unbounded); retries and backoff stop there.
             outcomes: list the call's :class:`CallOutcome` is appended
-                to — on success, stale serving and failure alike (None
-                = the outcome is dropped).
+                to — on success and failure alike (None = the outcome
+                is dropped).
 
         With a ``call_timeout``, an attempt's elapsed time is measured
         on the policy clock after it returns; a longer attempt counts
         as a :class:`~repro.errors.SourceTimeoutError` failure.
 
-        Returns `fn`'s result — possibly a cached stale one.  Raises
-        the last failure (normalized by the caller's boundary) when
-        retries are exhausted and no stale answer may be served, or a
+        Returns `fn`'s result.  Raises the last failure (normalized by
+        the caller's boundary) when retries are exhausted, or a
         :class:`~repro.errors.BreakerOpenError` when the breaker
         rejects the call outright.
         """
@@ -175,18 +158,13 @@ class SourceGuard:
             obs.event(
                 "resilience.breaker_open", source=source, class_name=class_name
             )
-            stale = self._stale_lookup(
-                source, class_name, cache_key, outcomes, "open"
-            )
-            if stale is not None:
-                return stale
             outcomes.append(
                 CallOutcome(
                     source,
                     class_name,
                     STATUS_BREAKER_OPEN,
                     0,
-                    "open",
+                    breaker.state(now),
                     error="breaker open",
                 )
             )
@@ -218,8 +196,6 @@ class SourceGuard:
                     obs.count("resilience.timeout", source=source)
                 else:
                     breaker.record_success()
-                    if policy.serve_stale and cache_key is not None:
-                        self._store_stale((source, class_name, cache_key), result)
                     outcomes.append(
                         CallOutcome(
                             source,
@@ -263,17 +239,6 @@ class SourceGuard:
             if delay > 0:
                 policy.sleep(delay)
 
-        stale = self._stale_lookup(
-            source,
-            class_name,
-            cache_key,
-            outcomes,
-            breaker.state(policy.clock()),
-            attempts=attempts,
-            error=_error_text(last_exc),
-        )
-        if stale is not None:
-            return stale
         outcomes.append(
             CallOutcome(
                 source,
@@ -285,41 +250,6 @@ class SourceGuard:
             )
         )
         raise last_exc
-
-    def _store_stale(self, key, rows):
-        with self._lock:
-            self._cache[key] = rows
-            self._cache.move_to_end(key)
-            while len(self._cache) > STALE_STORE_LIMIT:
-                self._cache.popitem(last=False)
-
-    def _stale_lookup(
-        self, source, class_name, cache_key, outcomes, breaker_state,
-        attempts=0, error=None,
-    ):
-        if not self.policy.serve_stale or cache_key is None:
-            return None
-        key = (source, class_name, cache_key)
-        with self._lock:
-            cached = self._cache.get(key)
-            if cached is None:
-                return None
-            self._cache.move_to_end(key)
-        obs.count("resilience.stale_served", source=source)
-        obs.event(
-            "resilience.stale_served", source=source, class_name=class_name
-        )
-        outcomes.append(
-            CallOutcome(
-                source,
-                class_name,
-                STATUS_STALE,
-                attempts,
-                breaker_state,
-                error=error,
-            )
-        )
-        return cached
 
     def __repr__(self):
         return "SourceGuard(%r, failed_attempts=%d)" % (

@@ -9,9 +9,7 @@ A :class:`ResiliencePolicy` bundles every knob of the resilience layer:
   counts as failed) and a whole-plan *deadline budget* shared by every
   call a query plan makes;
 * **circuit breaking** — consecutive-failure threshold and cooldown
-  of the closed/open/half-open breaker kept per ``(source, class)``;
-* **staleness** — whether a last-known-good answer may be served
-  (marked as such) when a source stays down.
+  of the closed/open/half-open breaker kept per ``(source, class)``.
 
 A guarded retrieval failure always degrades the answer (recorded, the
 plan continues) instead of aborting the plan.
@@ -26,6 +24,11 @@ from __future__ import annotations
 import time
 from typing import Callable, Optional
 
+#: factor applied to the backoff per further retry
+BACKOFF_MULTIPLIER = 2.0
+#: upper bound on a single backoff sleep, in seconds
+BACKOFF_CAP = 2.0
+
 
 class ResiliencePolicy:
     """Configuration of the medguard resilience layer.
@@ -33,9 +36,9 @@ class ResiliencePolicy:
     Args:
         max_retries: re-attempts after the first failed call (so a
             call makes at most ``1 + max_retries`` attempts).
-        backoff_base: seconds slept before the first retry.
-        backoff_multiplier: factor applied per further retry.
-        backoff_cap: upper bound on a single backoff sleep.
+        backoff_base: seconds slept before the first retry; each
+            further retry multiplies it by :data:`BACKOFF_MULTIPLIER`,
+            up to :data:`BACKOFF_CAP`.
         jitter: fraction of the delay randomized (0.0 = none); drawn
             from a generator seeded with `seed`, so jitter is
             deterministic per guard instance.
@@ -51,9 +54,6 @@ class ResiliencePolicy:
             disables breaking).
         breaker_cooldown: seconds an open breaker waits before letting
             one half-open probe through.
-        serve_stale: serve the last known good rows of an identical
-            call (marked ``served-stale``) when retries are exhausted
-            or the breaker is open.
         clock: monotonic time source (injectable for determinism).
         sleep: sleeper for backoff delays (injectable; the chaos
             harness advances a virtual clock instead of blocking).
@@ -62,15 +62,12 @@ class ResiliencePolicy:
     __slots__ = (
         "max_retries",
         "backoff_base",
-        "backoff_multiplier",
-        "backoff_cap",
         "jitter",
         "seed",
         "call_timeout",
         "plan_deadline",
         "breaker_threshold",
         "breaker_cooldown",
-        "serve_stale",
         "clock",
         "sleep",
     )
@@ -79,15 +76,12 @@ class ResiliencePolicy:
         self,
         max_retries=2,
         backoff_base=0.05,
-        backoff_multiplier=2.0,
-        backoff_cap=2.0,
         jitter=0.0,
         seed=0,
         call_timeout=None,
         plan_deadline=None,
         breaker_threshold=5,
         breaker_cooldown=30.0,
-        serve_stale=False,
         clock: Optional[Callable[[], float]] = None,
         sleep: Optional[Callable[[float], None]] = None,
     ):
@@ -99,25 +93,22 @@ class ResiliencePolicy:
             raise ValueError("breaker_threshold must be >= 1 (or None)")
         self.max_retries = max_retries
         self.backoff_base = backoff_base
-        self.backoff_multiplier = backoff_multiplier
-        self.backoff_cap = backoff_cap
         self.jitter = jitter
         self.seed = seed
         self.call_timeout = call_timeout
         self.plan_deadline = plan_deadline
         self.breaker_threshold = breaker_threshold
         self.breaker_cooldown = breaker_cooldown
-        self.serve_stale = serve_stale
         self.clock = clock if clock is not None else time.monotonic
         self.sleep = sleep if sleep is not None else time.sleep
 
     def backoff_delay(self, retry_number, rng=None):
         """The backoff before retry `retry_number` (1-based), jittered
         from `rng` when the policy asks for jitter."""
-        delay = self.backoff_base * (
-            self.backoff_multiplier ** (retry_number - 1)
+        delay = min(
+            self.backoff_base * BACKOFF_MULTIPLIER ** (retry_number - 1),
+            BACKOFF_CAP,
         )
-        delay = min(delay, self.backoff_cap)
         if self.jitter and rng is not None:
             # symmetric jitter: delay * (1 ± jitter), deterministic
             # given the rng's seed and draw position
@@ -126,7 +117,6 @@ class ResiliencePolicy:
 
     def __repr__(self):
         return (
-            "ResiliencePolicy(max_retries=%d, breaker_threshold=%r, "
-            "serve_stale=%r)"
-            % (self.max_retries, self.breaker_threshold, self.serve_stale)
+            "ResiliencePolicy(max_retries=%d, breaker_threshold=%r)"
+            % (self.max_retries, self.breaker_threshold)
         )

@@ -1,18 +1,17 @@
 """The degraded-answer contract: structured per-source degradation.
 
 A federated answer is *degraded* when any selected source could not
-contribute normally — it was skipped after exhausted retries, its
-breaker was open, or a stale cached answer was substituted.  The
-contract of the resilience layer is that such answers are never
-silent: :class:`DegradedAnswer` names every source the plan touched,
-what happened to it, and how hard the mediator tried.
+contribute normally — it was skipped after exhausted retries, or its
+breaker was open.  The contract of the resilience layer is that such
+answers are never silent: :class:`DegradedAnswer` names every source
+the plan touched, what happened to it, and how hard the mediator
+tried.
 
 Statuses (worst wins when aggregating a source's calls):
 
 * ``breaker-open`` — at least one call was shed by an open breaker;
 * ``skipped`` — the source failed for good and its contribution is
   missing from the answer;
-* ``served-stale`` — a last-known-good answer was substituted;
 * ``retried`` — transient failures, recovered by retrying;
 * ``ok`` — every call succeeded first try.
 
@@ -30,7 +29,6 @@ from .guard import (
     STATUS_FAILED,
     STATUS_OK,
     STATUS_RETRIED,
-    STATUS_STALE,
 )
 
 #: aggregation priority: the worst status of a source's calls wins
@@ -38,9 +36,8 @@ _STATUS_RANK = {
     STATUS_BREAKER_OPEN: 0,
     "skipped": 1,
     STATUS_FAILED: 1,  # a failed call that degraded the plan == skipped
-    STATUS_STALE: 2,
-    STATUS_RETRIED: 3,
-    STATUS_OK: 4,
+    STATUS_RETRIED: 2,
+    STATUS_OK: 3,
 }
 
 
@@ -53,7 +50,6 @@ class SourceReport:
         "calls",
         "attempts",
         "retries",
-        "stale_calls",
         "breaker_state",
         "error",
     )
@@ -64,7 +60,6 @@ class SourceReport:
         self.calls = 0
         self.attempts = 0
         self.retries = 0
-        self.stale_calls = 0
         self.breaker_state = "closed"
         self.error: Optional[str] = None
 
@@ -81,7 +76,6 @@ class SourceReport:
             "calls": self.calls,
             "attempts": self.attempts,
             "retries": self.retries,
-            "stale_calls": self.stale_calls,
             "breaker_state": self.breaker_state,
             "error": self.error,
         }
@@ -94,8 +88,6 @@ class SourceReport:
             ),
             "breaker=%s" % self.breaker_state,
         ]
-        if self.stale_calls:
-            parts.append("stale=%d" % self.stale_calls)
         if self.error:
             parts.append("error=%s" % self.error)
         return "  ".join(parts)
@@ -115,9 +107,9 @@ class DegradedAnswer:
 
     @property
     def degraded(self):
-        """True when any source's contribution is missing or stale."""
+        """True when any source's contribution is missing."""
         return any(
-            report.status in ("skipped", STATUS_STALE, STATUS_BREAKER_OPEN)
+            report.status in ("skipped", STATUS_BREAKER_OPEN)
             for report in self.sources
         )
 
@@ -178,8 +170,6 @@ def build_degraded_answer(outcomes, skip_records, guard=None, now=None):
         report.calls += 1
         report.attempts += outcome.attempts
         report.retries += outcome.retries
-        if outcome.stale:
-            report.stale_calls += 1
         report.absorb_status(outcome.status)
         if outcome.error is not None:
             report.error = outcome.error

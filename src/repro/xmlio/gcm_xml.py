@@ -1,8 +1,10 @@
-"""XML encoding of conceptual models (schema, rules, data).
+"""XML encoding of conceptual models (schema and rules).
 
 Wrappers "export their CM-lifted source data either directly in GCM, or
 in any standard CM formalism ... for which a CM-to-GCM plug-in has been
-provided" (Section 2).  This is the *direct GCM* wire format::
+provided" (Section 2).  A registration sends "descriptions of the
+exported class schemas, relationship schemas, and semantic rules"; this
+is the *direct GCM* wire format of those descriptions::
 
     <cm name="SYNAPSE">
       <schema>
@@ -18,40 +20,37 @@ provided" (Section 2).  This is the *direct GCM* wire format::
       <rules>
         <rule>long(X) :- method_val(X, len_um, L), L &gt; 5.</rule>
       </rules>
-      <data>
-        <instance object="s1" class="spine"/>
-        <value object="s1" method="len_um" type="float">1.5</value>
-        <tuple relation="has">
-          <role name="whole">n1</role>
-          <role name="part">s1</role>
-        </tuple>
-      </data>
     </cm>
 
 Rules travel as Datalog text (every in-memory rule prints back to
 parseable syntax), so arbitrary semantic rules survive the round trip.
+
+Instance data has one wire encoding, the registration's ``<facts>``
+element (:mod:`repro.core.registration`), whose typed arguments keep
+booleans and numbers exact.  A ``<cm>`` carries none: encoding a model
+that holds data facts, or decoding a ``<cm>`` with a ``<data>`` child,
+raises :class:`~repro.errors.XMLTransportError` rather than dropping
+the data.
 """
 
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
-from typing import Iterable, List, Optional
 
 from ..errors import XMLTransportError
-from ..datalog.ast import Atom, Rule
-from ..datalog.parser import parse_program
-from ..datalog.terms import Const
 from ..gcm.model import ConceptualModel
-from .doc import (
-    decode_value,
-    element_value,
-    encode_value,
-    value_element,
-)
 
 
 def cm_to_element(cm):
-    """Encode a :class:`ConceptualModel` as an Element tree."""
+    """Encode the schema and rules of a :class:`ConceptualModel` as an
+    Element tree; raises :class:`~repro.errors.XMLTransportError` when
+    the model holds data facts (instance data travels in ``<facts>``)."""
+    data = cm.data_rules()
+    if data:
+        raise XMLTransportError(
+            "<cm> %s holds %d data facts: instance data travels in a "
+            "registration's <facts>, not in <cm>" % (cm.name, len(data))
+        )
     root = ET.Element("cm", {"name": cm.name})
     schema = ET.SubElement(root, "schema")
     for class_name in cm.class_names():
@@ -75,40 +74,6 @@ def cm_to_element(cm):
     for rule in cm.semantic_rules():
         rule_el = ET.SubElement(rules_el, "rule")
         rule_el.text = str(rule)
-
-    data = ET.SubElement(root, "data")
-    for rule in cm.data_rules():
-        atom = rule.head
-        if atom.pred == "instance":
-            data.append(
-                ET.Element(
-                    "instance",
-                    {
-                        "object": _const_text(atom.args[0]),
-                        "class": _const_text(atom.args[1]),
-                    },
-                )
-            )
-        elif atom.pred == "method_inst":
-            element = value_element(
-                "value",
-                _const_value(atom.args[2]),
-                object=_const_text(atom.args[0]),
-                method=_const_text(atom.args[1]),
-            )
-            data.append(element)
-        else:
-            relation = cm.relations.get(atom.pred)
-            if relation is None:
-                raise XMLTransportError(
-                    "cannot encode data fact %s: unknown relation" % atom
-                )
-            tuple_el = ET.Element("tuple", {"relation": atom.pred})
-            for (role, _cls), arg in zip(relation.roles, atom.args):
-                tuple_el.append(
-                    value_element("role", _const_value(arg), name=role)
-                )
-            data.append(tuple_el)
     return root
 
 
@@ -119,6 +84,11 @@ def cm_from_element(root):
     name = root.get("name")
     if not name:
         raise XMLTransportError("<cm> requires a name attribute")
+    if root.find("data") is not None:
+        raise XMLTransportError(
+            "<cm> %s has a <data> element: instance data travels in a "
+            "registration's <facts>, not in <cm>" % name
+        )
     cm = ConceptualModel(name)
 
     schema = root.find("schema")
@@ -149,30 +119,6 @@ def cm_from_element(root):
     if rules_el is not None:
         for rule_el in rules_el.findall("rule"):
             cm.add_datalog(rule_el.text or "")
-
-    data = root.find("data")
-    if data is not None:
-        for element in data:
-            if element.tag == "instance":
-                cm.add_instance(
-                    _require(element, "object"), _require(element, "class")
-                )
-            elif element.tag == "value":
-                cm.set_value(
-                    _require(element, "object"),
-                    _require(element, "method"),
-                    element_value(element),
-                )
-            elif element.tag == "tuple":
-                relation = _require(element, "relation")
-                role_values = {}
-                for role_el in element.findall("role"):
-                    role_values[_require(role_el, "name")] = element_value(role_el)
-                cm.add_relation_instance(relation, **role_values)
-            else:
-                raise XMLTransportError(
-                    "unknown data element <%s>" % element.tag
-                )
     return cm
 
 
@@ -183,15 +129,3 @@ def _require(element, attribute):
             "<%s> requires attribute %r" % (element.tag, attribute)
         )
     return value
-
-
-def _const_text(term):
-    if isinstance(term, Const):
-        return str(term.value)
-    raise XMLTransportError("cannot encode non-constant term %s" % term)
-
-
-def _const_value(term):
-    if isinstance(term, Const):
-        return term.value
-    raise XMLTransportError("cannot encode non-constant term %s" % term)

@@ -88,12 +88,10 @@ class TestCapabilitySignature:
 
 
 class TestOneKeyPerCall:
-    def test_cache_and_stale_store_share_one_key(self):
+    def test_guarded_call_is_cached_under_its_fingerprint(self):
         cache = AnswerCache()
         mediator = Mediator(
-            build_anatom(),
-            cache=cache,
-            resilience=ResiliencePolicy(serve_stale=True),
+            build_anatom(), cache=cache, resilience=ResiliencePolicy()
         )
         mediator.register(build_ncmir(2002), eager=False)
         q = SourceQuery("protein_amount", {"organism": "rat"})
@@ -103,4 +101,3 @@ class TestOneKeyPerCall:
             "NCMIR", q, mediator.capabilities("NCMIR")["protein_amount"]
         )
         assert cache.lookup(key) is not None
-        assert [k for _source, _class, k in mediator.resilience._cache] == [key]

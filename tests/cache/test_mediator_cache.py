@@ -1,5 +1,5 @@
 """medcache wired into the mediator: ctor dispatch, the cache-consult
-path in source_query, stale exclusion, selective invalidation, and
+path in source_query, selective invalidation, and
 within-plan dedup (which works with the cache disabled)."""
 
 import pytest
@@ -9,7 +9,6 @@ from repro.cache import AnswerCache, LRUStore
 from repro.core import Mediator
 from repro.errors import MediatorError
 from repro.neuro import build_scenario, section5_query
-from repro.resilience import FaultSchedule, FaultInjectingWrapper, ResiliencePolicy
 from repro.sources import SourceQuery
 
 from .conftest import build_cells_wrapper, build_dm, build_glia_wrapper
@@ -75,33 +74,6 @@ class TestSourceQueryCache:
         first.append("garbage")
         second = mediator.source_query("CELLS", SourceQuery("m"))
         assert "garbage" not in second
-
-
-class TestStaleExclusion:
-    def test_stale_served_rows_are_never_cached(self):
-        # CELLS answers once, then fails permanently; medguard serves
-        # the last known good rows, which medcache must refuse to keep
-        schedule = FaultSchedule().kill("CELLS", after=1)
-        policy = ResiliencePolicy(
-            max_retries=0,
-            serve_stale=True,
-            breaker_threshold=None,
-            sleep=lambda seconds: None,
-        )
-        mediator = Mediator(
-            build_dm(), name="m", resilience=policy, cache=AnswerCache()
-        )
-        mediator.register(
-            FaultInjectingWrapper(build_cells_wrapper(), schedule),
-            eager=False,
-        )
-        fresh = mediator.source_query("CELLS", SourceQuery("m"))
-        assert mediator.cache.stats.puts == 1
-        mediator.cache.flush(reason="test")
-        stale = mediator.source_query("CELLS", SourceQuery("m"))
-        assert stale == fresh  # medguard LKG kept the answer flowing
-        assert mediator.cache.stats.puts == 1  # ... but it was not cached
-        assert mediator.cache.entry_count == 0
 
 
 class TestSelectiveInvalidation:

@@ -25,9 +25,9 @@ def fl_rules(fl_text):
     """`fl_text` parsed and translated to Datalog rules, the form
     ``FLogicEngine.tell_rules`` takes."""
     from repro.flogic.parser import parse_fl_program
-    from repro.flogic.translate import Translator
+    from repro.flogic.translate import translate_rules
 
-    return Translator().translate_rules(parse_fl_program(fl_text))
+    return translate_rules(parse_fl_program(fl_text))
 
 
 def query(program, goal):

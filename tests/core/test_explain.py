@@ -107,40 +107,6 @@ class TestQueryExplain:
         }
         assert sources["FLAKY"]["status"] == "skipped"
 
-    def test_stale_only_explain_lists_no_skipped_sources(self):
-        # an answer degraded only by stale serving skipped nothing; the
-        # DegradedAnswer block says what happened to each source
-        from repro.resilience import (
-            FaultInjectingWrapper,
-            FaultSchedule,
-            ResiliencePolicy,
-            SourceGuard,
-            VirtualClock,
-        )
-
-        clock = VirtualClock()
-        mediator = build_scenario(eager=False).mediator
-        mediator.resilience = SourceGuard(
-            ResiliencePolicy(
-                max_retries=0,
-                serve_stale=True,
-                clock=clock.now,
-                sleep=clock.sleep,
-            )
-        )
-        mediator.correlate(section5_query())
-        record = mediator._sources["NCMIR"]
-        record.wrapper = FaultInjectingWrapper(
-            record.wrapper, FaultSchedule().kill("NCMIR")
-        )
-        explained = mediator.explain(section5_query())
-        assert explained.context.degraded
-        assert explained.context.errors == []
-        text = explained.format(mask_timings=True)
-        assert "skipped sources" not in text
-        rows = [line.split()[:2] for line in text.splitlines()]
-        assert ["NCMIR", "served-stale"] in rows
-
     def test_healthy_explain_degraded_answer_is_complete(self, explained):
         assert not explained.degraded_answer().degraded
         document = explained.as_dict(mask_timings=True)

@@ -123,9 +123,6 @@ class TestUnification:
     def test_occurs_check_blocks_cyclic_binding(self):
         assert unify(Var("X"), Struct("f", (Var("X"),))) is None
 
-    def test_occurs_check_can_be_disabled(self):
-        assert unify(Var("X"), Struct("f", (Var("X"),)), occurs_check=False) is not None
-
     def test_input_subst_not_mutated(self):
         original = {Var("Z"): Const(0)}
         result = unify(Var("X"), Const(1), original)

@@ -5,13 +5,13 @@ import pytest
 from repro.datalog.ast import AggregateLiteral, Atom, Comparison, Literal
 from repro.datalog.terms import Const
 from repro.errors import FLogicTranslationError
-from repro.flogic import Molecule, Translator, molecule_atoms, parse_fl_program
+from repro.flogic import Molecule, molecule_atoms, parse_fl_program, translate_rules
 from repro.flogic.ast import MethodSpec
 from tests.conftest import parse_fl_rule
 
 
 def translate(text):
-    return Translator().translate_rules(parse_fl_program(text))
+    return translate_rules(parse_fl_program(text))
 
 
 class TestMoleculeAtoms:

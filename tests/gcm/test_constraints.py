@@ -106,24 +106,6 @@ class TestCardinality:
         assert "w_card_gt" in kinds
         assert kinds["w_card_gt"][0].context == ("has", 1, "n1", 3)
 
-    def test_min_count_with_group_class(self):
-        cm = make_cm()
-        cm.add_instance("n1", "neuron")
-        cm.add_instance("n2", "neuron")
-        cm.add_relation_instance("has", whole="n1", part="a1")
-        constraint = cardinality_constraint(
-            "has", 2, counted_position=1, min_count=1, group_class="neuron"
-        )
-        report = check(cm, [constraint])
-        # n2 has no axons at all -> zero-count witness
-        kinds = report.by_kind()
-        assert "w_card_lt" in kinds
-        assert kinds["w_card_lt"][0].context == ("has", 1, "n2", 0)
-
-    def test_min_count_requires_group_class(self):
-        with pytest.raises(SchemaError):
-            cardinality_constraint("has", 2, counted_position=1, min_count=1)
-
     def test_exactly_one_bound_spec(self):
         with pytest.raises(SchemaError):
             cardinality_constraint("has", 2, counted_position=0)

@@ -35,6 +35,16 @@ class TestCircuitBreaker:
         breaker.record_success()
         assert breaker.state() == CLOSED
 
+    def test_half_open_admits_one_probe_per_cooldown(self):
+        breaker = CircuitBreaker(threshold=1, cooldown=10.0)
+        breaker.record_failure(0.0)
+        assert breaker.allow(11.0)  # the probe
+        assert not breaker.allow(11.0)  # the next callers wait for it
+        assert not breaker.allow(20.0)
+        assert breaker.state(20.0) == HALF_OPEN
+        # a probe that never reports back does not wedge the breaker
+        assert breaker.allow(21.0)
+
     def test_half_open_failure_reopens(self):
         breaker = CircuitBreaker(threshold=1, cooldown=10.0)
         breaker.record_failure(0.0)

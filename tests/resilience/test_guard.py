@@ -1,4 +1,4 @@
-"""Tests for SourceGuard: retry, breaker, staleness, timeout, deadline."""
+"""Tests for SourceGuard: retry, breaker, timeout, deadline."""
 
 import threading
 import time
@@ -13,11 +13,9 @@ from repro.resilience import (
     STATUS_FAILED,
     STATUS_OK,
     STATUS_RETRIED,
-    STATUS_STALE,
     SourceGuard,
     VirtualClock,
 )
-from repro.resilience import guard as guard_module
 
 
 def make_guard(clock=None, **kwargs):
@@ -71,9 +69,7 @@ class TestRetries:
         assert clock.slept == pytest.approx(0.1)  # one backoff
 
     def test_backoff_delays_are_exponential(self):
-        guard, clock = make_guard(
-            max_retries=3, backoff_base=0.1, backoff_multiplier=2.0
-        )
+        guard, clock = make_guard(max_retries=3, backoff_base=0.1)
         guard.call("S", "c", Flaky(failures=3))
         assert clock.slept == pytest.approx(0.1 + 0.2 + 0.4)
 
@@ -140,86 +136,33 @@ class TestBreaker:
         assert guard.call("S", "c", lambda: "rows") == "rows"
         assert guard.breakers.state_for_source("S", clock.now()) == "closed"
 
+    def test_half_open_admits_one_probe_per_cooldown(self):
+        guard, clock = make_guard(
+            max_retries=0, breaker_threshold=1, breaker_cooldown=10.0
+        )
+        with pytest.raises(SourceError):
+            guard.call("S", "c", Flaky(failures=99))
+        clock.advance(11.0)
+        shed = []
+
+        def probe():
+            # a second caller while the probe is in flight is refused
+            with pytest.raises(BreakerOpenError):
+                guard.call("S", "c", lambda: "rows", outcomes=shed)
+            return "rows"
+
+        assert guard.call("S", "c", probe) == "rows"
+        assert [(o.status, o.breaker_state) for o in shed] == [
+            (STATUS_BREAKER_OPEN, "half-open")
+        ]
+        assert guard.breakers.state_for_source("S", clock.now()) == "closed"
+
     def test_breakers_are_per_class(self):
         guard, _clock = make_guard(max_retries=0, breaker_threshold=1)
         with pytest.raises(SourceError):
             guard.call("S", "sick", Flaky(failures=99))
         # the same source's other class is unaffected
         assert guard.call("S", "healthy", lambda: "rows") == "rows"
-
-
-class TestStaleness:
-    def test_serves_last_known_good_when_down(self):
-        guard, _clock = make_guard(max_retries=0, serve_stale=True)
-        key = ("q",)
-        assert guard.call("S", "c", lambda: ["fresh"], cache_key=key) == [
-            "fresh"
-        ]
-
-        def down():
-            raise SourceError("gone")
-
-        outcomes = []
-        assert guard.call(
-            "S", "c", down, cache_key=key, outcomes=outcomes
-        ) == ["fresh"]
-        assert outcomes[-1].status == STATUS_STALE
-        assert outcomes[-1].stale
-
-    def test_stale_serving_requires_a_prior_answer(self):
-        guard, _clock = make_guard(max_retries=0, serve_stale=True)
-
-        def down():
-            raise SourceError("gone")
-
-        with pytest.raises(SourceError):
-            guard.call("S", "c", down, cache_key=("q",))
-
-    def test_breaker_open_can_serve_stale(self):
-        guard, _clock = make_guard(
-            max_retries=0, breaker_threshold=1, serve_stale=True
-        )
-        key = ("q",)
-        guard.call("S", "c", lambda: ["fresh"], cache_key=key)
-
-        def down():
-            raise SourceError("gone")
-
-        with pytest.raises(SourceError):
-            guard.call("S", "c", down, cache_key=("other",))
-        # breaker open; the cached query is served stale instead of shed
-        outcomes = []
-        assert guard.call(
-            "S", "c", down, cache_key=key, outcomes=outcomes
-        ) == ["fresh"]
-        assert outcomes[-1].status == STATUS_STALE
-
-    def test_no_caching_without_serve_stale(self):
-        guard, _clock = make_guard(max_retries=0, serve_stale=False)
-        guard.call("S", "c", lambda: ["fresh"], cache_key=("q",))
-
-        def down():
-            raise SourceError("gone")
-
-        with pytest.raises(SourceError):
-            guard.call("S", "c", down, cache_key=("q",))
-
-    def test_store_keeps_the_most_recently_used_answers(self, monkeypatch):
-        monkeypatch.setattr(guard_module, "STALE_STORE_LIMIT", 2)
-        guard, _clock = make_guard(max_retries=0, serve_stale=True)
-
-        def down():
-            raise SourceError("gone")
-
-        for name in ("a", "b"):
-            guard.call("S", "c", lambda: [name], cache_key=(name,))
-        # serving "a" stale refreshes it, so storing "c" evicts "b"
-        assert guard.call("S", "c", down, cache_key=("a",)) == ["a"]
-        guard.call("S", "c", lambda: ["c"], cache_key=("c",))
-        assert [key for _s, _c, key in guard._cache] == [("a",), ("c",)]
-        assert guard.call("S", "c", down, cache_key=("a",)) == ["a"]
-        with pytest.raises(SourceError):
-            guard.call("S", "c", down, cache_key=("b",))
 
 
 class TestTimeouts:
@@ -355,13 +298,12 @@ class TestOutcomeLog:
         assert [o.source for o in theirs] == ["A"]
 
     def test_failed_attempts_are_counted_on_the_guard(self):
-        guard, _clock = make_guard(max_retries=2, serve_stale=True)
+        guard, _clock = make_guard(max_retries=2)
         guard.call("S", "c", Flaky(failures=1))  # 1 failed, then ok
         with pytest.raises(SourceError):
             guard.call("S", "c", Flaky(failures=99))  # 3 failed
-        guard.call("S", "d", lambda: ["rows"], cache_key=("q",))
-        down = Flaky(failures=99)
-        guard.call("S", "d", down, cache_key=("q",))  # 3 failed, stale
+        with pytest.raises(SourceError):
+            guard.call("S", "d", Flaky(failures=99))  # 3 failed
         assert guard.failed_attempts == 7
 
 

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.resilience import ResiliencePolicy
+from repro.resilience.policy import BACKOFF_CAP, BACKOFF_MULTIPLIER
 
 
 class TestPolicyValidation:
@@ -14,7 +15,6 @@ class TestPolicyValidation:
         assert policy.breaker_threshold == 5
         assert policy.call_timeout is None
         assert policy.plan_deadline is None
-        assert not policy.serve_stale
 
     def test_rejects_negative_retries(self):
         with pytest.raises(ValueError):
@@ -36,18 +36,15 @@ class TestPolicyValidation:
 
 class TestBackoff:
     def test_exponential_progression(self):
-        policy = ResiliencePolicy(
-            backoff_base=0.1, backoff_multiplier=2.0, backoff_cap=10.0
-        )
+        policy = ResiliencePolicy(backoff_base=0.1)
+        assert BACKOFF_MULTIPLIER == 2.0
         assert policy.backoff_delay(1) == pytest.approx(0.1)
         assert policy.backoff_delay(2) == pytest.approx(0.2)
         assert policy.backoff_delay(3) == pytest.approx(0.4)
 
     def test_cap_bounds_the_delay(self):
-        policy = ResiliencePolicy(
-            backoff_base=1.0, backoff_multiplier=10.0, backoff_cap=3.0
-        )
-        assert policy.backoff_delay(5) == 3.0
+        policy = ResiliencePolicy(backoff_base=1.0)
+        assert policy.backoff_delay(5) == BACKOFF_CAP == 2.0
 
     def test_no_jitter_without_rng(self):
         policy = ResiliencePolicy(jitter=0.5)

@@ -26,6 +26,7 @@ DEPLOYMENTS = {
     "demo.txt": ["-m", "repro", "demo"],
     "lint.txt": ["-m", "repro", "lint"],
     "chaos.txt": ["-m", "repro", "chaos", "--seed", "7"],
+    "chaos.json": ["-m", "repro", "chaos", "--seed", "7", "--json"],
     "cache_stats.json": ["-m", "repro", "cache", "stats", "--json"],
     "cache_verify.txt": ["-m", "repro", "cache", "verify"],
 }
@@ -35,7 +36,17 @@ DEPLOYMENTS.update(
 )
 
 
-@pytest.mark.parametrize("golden", sorted(DEPLOYMENTS), ids=lambda g: g.split(".")[0])
+def golden_id(golden):
+    """The golden's stem, or its file name when a text golden has the
+    same stem (``chaos.txt`` is ``chaos``, ``chaos.json`` keeps its
+    extension)."""
+    stem = golden.split(".")[0]
+    if not golden.endswith(".txt") and stem + ".txt" in DEPLOYMENTS:
+        return golden
+    return stem
+
+
+@pytest.mark.parametrize("golden", sorted(DEPLOYMENTS), ids=golden_id)
 def test_deployment_output_matches_golden(golden):
     env = dict(os.environ, PYTHONHASHSEED="0")
     env["PYTHONPATH"] = os.pathsep.join(

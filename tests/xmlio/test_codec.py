@@ -17,6 +17,7 @@ from tests.conftest import cm_from_xml, cm_to_xml
 
 
 def sample_cm():
+    """Schema and rules: what a registration's <cm> carries."""
     cm = ConceptualModel("SYNAPSE")
     cm.add_class("compartment")
     cm.add_class(
@@ -25,11 +26,15 @@ def sample_cm():
         methods={"len_um": "float", "proteins": ("protein", True)},
     )
     cm.add_relation("has", [("whole", "compartment"), ("part", "compartment")])
+    cm.add_datalog("instance(X, long) :- method_val(X, len_um, L), L > 1.")
+    return cm
+
+
+def add_sample_data(cm):
     cm.add_instance("s1", "spine")
     cm.set_value("s1", "len_um", 1.5)
     cm.set_value("s1", "count", 4)
     cm.add_relation_instance("has", whole="d1", part="s1")
-    cm.add_datalog("instance(X, long) :- method_val(X, len_um, L), L > 1.")
     return cm
 
 
@@ -91,15 +96,8 @@ class TestCMRoundtrip:
             ("part", "compartment"),
         )
 
-    def test_data_preserved_with_types(self):
-        cm = cm_from_xml(cm_to_xml(sample_cm()))
-        engine = FLogicEngine().tell_rules(cm.all_rules())
-        assert engine.ask("s1[len_um -> L]") == [{"L": 1.5}]
-        assert engine.ask("s1[count -> C]") == [{"C": 4}]
-        assert engine.holds("has(d1, s1)")
-
     def test_rules_preserved(self):
-        cm = cm_from_xml(cm_to_xml(sample_cm()))
+        cm = add_sample_data(cm_from_xml(cm_to_xml(sample_cm())))
         engine = FLogicEngine().tell_rules(cm.all_rules())
         assert [row["X"] for row in engine.ask("X : 'long'")] == ["s1"]
 
@@ -119,3 +117,10 @@ class TestCMRoundtrip:
     def test_unknown_data_element_rejected(self):
         with pytest.raises(XMLTransportError):
             cm_from_xml('<cm name="x"><data><weird/></data></cm>')
+
+    def test_data_is_rejected_in_both_directions(self):
+        # instance data travels in a registration's <facts>, never in <cm>
+        with pytest.raises(XMLTransportError, match="<facts>"):
+            cm_to_xml(add_sample_data(sample_cm()))
+        with pytest.raises(XMLTransportError, match="<facts>"):
+            cm_from_xml('<cm name="x"><schema/><rules/><data/></cm>')

@@ -4,8 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.flogic import FLogicEngine
+from repro.core.registration import build_registration, parse_registration
+from repro.datalog.ast import Atom, Rule
+from repro.datalog.terms import Const, Struct
 from repro.gcm import ConceptualModel
+from repro.sources import Wrapper
 from repro.xmlio import decode_value, encode_value
 from tests.conftest import cm_from_xml, cm_to_xml
 
@@ -56,13 +59,6 @@ def conceptual_models(draw):
             else (),
             methods=methods,
         )
-    # some instances with values
-    for index in range(draw(st.integers(0, 4))):
-        obj = "obj%d" % index
-        class_name = draw(st.sampled_from(class_names))
-        cm.add_instance(obj, class_name)
-        for method_name in cm.classes[class_name].methods:
-            cm.set_value(obj, method_name, draw(scalars))
     return cm
 
 
@@ -83,10 +79,56 @@ class TestCMRoundtripProperties:
         once = cm_to_xml(cm)
         assert cm_to_xml(cm_from_xml(once)) == once
 
-    @settings(max_examples=30, deadline=None)
-    @given(conceptual_models())
-    def test_data_semantics_preserved(self, cm):
-        original = FLogicEngine().tell_rules(cm.all_rules()).evaluate().store
-        decoded = FLogicEngine().tell_rules(cm_from_xml(cm_to_xml(cm)).all_rules())
-        decoded = decoded.evaluate().store
-        assert original.same_facts(decoded)
+
+# ground fact arguments: typed scalars, and Skolem terms over them
+terms = st.recursive(
+    scalars.map(Const),
+    lambda inner: st.builds(
+        Struct, names, st.lists(inner, min_size=1, max_size=3).map(tuple)
+    ),
+    max_leaves=6,
+)
+
+
+class FactWrapper(Wrapper):
+    """A wrapper whose eager export is a fixed list of facts."""
+
+    def __init__(self, facts):
+        super().__init__("W")
+        self.facts = facts
+
+    def export_all_facts(self):
+        return list(self.facts)
+
+
+def typed(term):
+    """`term` with every constant's Python type spelled out
+    (``Const(1) == Const(1.0) == Const(True)``)."""
+    if isinstance(term, Struct):
+        return (term.functor, tuple(typed(arg) for arg in term.args))
+    return (type(term.value), term.value)
+
+
+class TestRegistrationFactsProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.builds(
+                lambda pred, args: Rule(Atom(pred, tuple(args))),
+                names,
+                st.lists(terms, min_size=1, max_size=3),
+            ),
+            max_size=6,
+        )
+    )
+    def test_facts_survive_the_wire(self, facts):
+        wrapper = FactWrapper(facts)
+        parsed = parse_registration(build_registration(wrapper, include_data=True))
+        assert parsed.facts == wrapper.export_all_facts()
+        assert [
+            (fact.head.pred, [typed(arg) for arg in fact.head.args])
+            for fact in parsed.facts
+        ] == [
+            (fact.head.pred, [typed(arg) for arg in fact.head.args])
+            for fact in facts
+        ]
