@@ -3,8 +3,8 @@
 Checks the semantic-net structure of a :class:`~repro.domainmap.model.
 DomainMap` without compiling or evaluating it:
 
-* **dangling references** — edge endpoints, roles, and concept
-  constants in attached logic rules that name undeclared vocabulary;
+* **dangling references** — edge endpoints and roles that name
+  undeclared vocabulary;
 * **isa cycles** — a cycle of isa edges collapses the concepts it
   passes through into one, which is nearly always an authoring error
   (an intentional equivalence should use ``eqv``);
@@ -19,24 +19,13 @@ DomainMap` without compiling or evaluating it:
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Set, Tuple
+from typing import List, Set
 
-from ..datalog.ast import Literal
-from ..datalog.parser import parse_program
 from ..domainmap.dl import Eqv, Named
 from ..domainmap.model import EQV, ISA, _is_synthetic
-from ..errors import ParseError, Span
+from ..errors import Span
 from ..graph import add_edge, components_bottom_up
 from .catalog import diagnostic
-
-#: rule predicates whose constant arguments name DM vocabulary:
-#: predicate -> (role argument positions, concept argument positions)
-_VOCABULARY_PREDICATES = {
-    "concept": ((), (0,)),
-    "isa": ((), (0, 1)),
-    "role_edge": ((0,), (1, 2)),
-    "all_edge": ((0,), (1, 2)),
-}
 
 
 def analyze_domain_map(dm, anchors=(), origin=None):
@@ -73,10 +62,6 @@ def analyze_domain_map(dm, anchors=(), origin=None):
                     span=Span(origin, detail=str(edge)),
                 )
             )
-
-    # -- dangling vocabulary in attached logic rules --------------------
-    for text in dm.rules_text:
-        out.extend(_rule_text_diagnostics(dm, text, origin))
 
     # -- isa cycles ------------------------------------------------------
     isa_graph = {}
@@ -139,48 +124,6 @@ def analyze_domain_map(dm, anchors=(), origin=None):
                     span=Span("source %s" % source, detail=class_name),
                 )
             )
-    return out
-
-
-def _rule_text_diagnostics(dm, text, origin):
-    out = []
-    try:
-        rules = list(parse_program(text))
-    except ParseError as exc:
-        exc.span = Span(origin, detail=text.strip()[:60])
-        return [exc.to_diagnostic()]
-    for rule in rules:
-        atoms = [rule.head]
-        for item in rule.body:
-            if isinstance(item, Literal):
-                atoms.append(item.atom)
-        for atom in atoms:
-            spec = _VOCABULARY_PREDICATES.get(atom.pred)
-            if spec is None:
-                continue
-            role_positions, concept_positions = spec
-            for index, arg in enumerate(atom.args):
-                value = getattr(arg, "value", None)
-                if not isinstance(value, str):
-                    continue
-                if index in concept_positions and value not in dm.concepts:
-                    out.append(
-                        diagnostic(
-                            "MBM020",
-                            "rule %s references concept %r which is not "
-                            "declared in the domain map" % (rule, value),
-                            span=Span(origin, detail=str(rule)),
-                        )
-                    )
-                elif index in role_positions and value not in dm.roles:
-                    out.append(
-                        diagnostic(
-                            "MBM025",
-                            "rule %s references role %r which is not "
-                            "declared in the domain map" % (rule, value),
-                            span=Span(origin, detail=str(rule)),
-                        )
-                    )
     return out
 
 

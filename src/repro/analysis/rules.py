@@ -44,19 +44,12 @@ INTERFACE_PREDICATES = frozenset(
         "default_val",
         "class",
         "subclass",
-        "concept",
-        "isa",
-        "role_edge",
-        "all_edge",
         "role_fact",
         "role_asserted",
         "role_inst",
         "relation_sig",
         "anchor",
         "dist_row",
-        "tc",
-        "dc",
-        "has_a_star",
         "inherits",
         "shadowed",
         "ic",

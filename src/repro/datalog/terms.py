@@ -28,13 +28,17 @@ class Term:
 
 
 class Const(Term):
-    """An atomic constant wrapping a hashable Python value."""
+    """An atomic constant wrapping a hashable Python value.
+
+    Equality and hash are typed: ``1``, ``1.0`` and ``True`` are three
+    constants, although Python compares them equal.
+    """
 
     __slots__ = ("value", "_hash")
 
     def __init__(self, value):
         self.value = value
-        self._hash = hash(("Const", value))
+        self._hash = hash(("Const", type(value), value))
 
     def is_ground(self):
         return True
@@ -43,7 +47,11 @@ class Const(Term):
         return iter(())
 
     def __eq__(self, other):
-        return isinstance(other, Const) and self.value == other.value
+        return (
+            isinstance(other, Const)
+            and type(self.value) is type(other.value)
+            and self.value == other.value
+        )
 
     def __hash__(self):
         return self._hash

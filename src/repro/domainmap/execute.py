@@ -29,15 +29,13 @@ because placeholders never occur as targets of ``role_fact``.
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, List, Optional, Sequence, Set, Tuple
+from typing import List
 
 from ..errors import DomainMapError
-from ..datalog.ast import Atom, Comparison, Literal, Program, Rule
+from ..datalog.ast import Atom, Literal, Rule
 from ..datalog.parser import parse_program
 from ..datalog.terms import Const, Struct, Var
 from ..gcm.constraints import IC_CLASS
-from .graphops import closure_rules
-from .model import DomainMap
 
 #: functor of placeholder objects f_{C,r,D}(x)
 PLACEHOLDER_FUNCTOR = "f"
@@ -54,23 +52,14 @@ def base_rules():
 
 
 def dm_facts(dm):
-    """Concept/isa/role-edge facts, plus GCM subclass facts so anchored
-    objects propagate up the concept hierarchy."""
+    """GCM class/subclass facts for the map's concepts and isa pairs,
+    so anchored objects propagate up the concept hierarchy (the Table 1
+    axioms read them)."""
     rules: List[Rule] = []
     for concept in sorted(dm.concepts):
-        rules.append(Rule(Atom("concept", (Const(concept),))))
         rules.append(Rule(Atom("class", (Const(concept),))))
     for sub, sup in sorted(dm.isa_pairs()):
-        rules.append(Rule(Atom("isa", (Const(sub), Const(sup)))))
         rules.append(Rule(Atom("subclass", (Const(sub), Const(sup)))))
-    for src, role, dst in sorted(dm.role_triples()):
-        rules.append(
-            Rule(Atom("role_edge", (Const(role), Const(src), Const(dst))))
-        )
-    for src, role, dst in sorted(dm.all_triples()):
-        rules.append(
-            Rule(Atom("all_edge", (Const(role), Const(src), Const(dst))))
-        )
     return rules
 
 
@@ -173,16 +162,15 @@ def compile_domain_map(dm, assertions_for=None):
         assertions_for: ``"all"`` or an iterable of (C, role, D)
             (ex)-edges to execute as placeholder-creating assertions.
 
-    The Section 4 tc/dc/has_a_star rules are always included.  The
-    constraint reading of an edge is added by the caller, phase 2 of
-    an integrity check (:func:`edge_constraint_rules`).
+    The map's closures (``tc``/``dc``/``has_a_star``) are not part of
+    the program: :mod:`~repro.domainmap.graphops` derives them once per
+    map revision for every reader.  The constraint reading of an edge
+    is added by the caller, phase 2 of an integrity check
+    (:func:`edge_constraint_rules`).
     """
     rules: List[Rule] = []
     rules.extend(dm_facts(dm))
     rules.extend(base_rules())
-    rules.extend(closure_rules())
-    for text in dm.rules_text:
-        rules.extend(parse_program(text))
     for src, role, dst in _select_edges(dm, assertions_for):
         rules.extend(edge_assertion_rules(src, role, dst))
     return rules

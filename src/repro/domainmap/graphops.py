@@ -29,9 +29,12 @@ unchanged map re-derives nothing.  A memo hit opens no ``dm.*`` span,
 so a trace shows the derivations actually run.  :func:`lub` stays per
 call, because its concepts vary.
 
-Two backends are provided: the default in-memory graph algorithms, and
-:func:`closure_rules`, the paper's own Datalog program for ``tc``/``dc``
-— the test-suite proves them equivalent.
+The graph algorithms are the one executable form of the closures:
+the planner, aggregation, ``lub`` and cache invalidation read them, and
+the mediator's Datalog program carries none of them.
+:func:`closure_program`, the paper's own Datalog program for
+``tc``/``dc``, is kept as the reference the test-suite proves them
+equal to.
 
 Fidelity notes: the paper's ``dc`` rules are written with ``tc(isa)``;
 read literally (irreflexive tc) they would exclude every base ``R``
@@ -48,7 +51,7 @@ from typing import Dict, Optional, Set, Tuple
 
 from .. import obs
 from ..errors import NoUpperBoundError
-from ..datalog.ast import Program, Rule
+from ..datalog.ast import Program
 from ..datalog.parser import parse_program
 from ..graph import add_edge, reachable, read_only, reverse, subgraph
 
@@ -81,9 +84,6 @@ def isa_graph(dm):
     graph = _concept_graph(dm)
     for sub, sup in dm.isa_pairs():
         add_edge(graph, sub, sup, "isa")
-    for a, b in dm.eqv_pairs():
-        add_edge(graph, a, b, "isa")
-        add_edge(graph, b, a, "isa")
     return graph
 
 
@@ -217,9 +217,6 @@ def _navigation_graph(dm, order):
         _add_role_links(graph, dm, order)
     for sub, sup in dm.isa_pairs():
         add_edge(graph, sup, sub, "isa")
-    for a, b in dm.eqv_pairs():
-        add_edge(graph, a, b, "isa")
-        add_edge(graph, b, a, "isa")
     return graph
 
 
@@ -395,7 +392,7 @@ def region_of_correspondence(dm, anchors, role="has"):
 
 
 # ---------------------------------------------------------------------------
-# Datalog backend (the paper's own rules)
+# Reference Datalog program (the paper's own rules)
 # ---------------------------------------------------------------------------
 
 CLOSURE_RULES = """
@@ -415,7 +412,9 @@ has_a_star(X, Y) :- dc_role(has, X, Y).
 
 
 def closure_program(dm):
-    """Facts + the paper's closure rules as a Datalog program.
+    """Facts + the paper's closure rules as a Datalog program: the
+    reference the graph algorithms above are tested against (the
+    mediator's program does not include it).
 
     Relations: ``concept/1``, ``isa/2``, ``role_edge/3`` (role, src,
     dst); derived: ``tc_isa/2``, ``rtc_isa/2``, ``dc_role/3``,
@@ -426,15 +425,12 @@ def closure_program(dm):
         program.add_fact("concept", concept)
     for sub, sup in sorted(dm.isa_pairs()):
         program.add_fact("isa", sub, sup)
-    for a, b in sorted(dm.eqv_pairs()):
-        program.add_fact("isa", a, b)
-        program.add_fact("isa", b, a)
     for src, role, dst in sorted(dm.role_triples()):
         program.add_fact("role_edge", role, src, dst)
-    program.extend(parse_program(CLOSURE_RULES))
+    program.extend(closure_rules())
     return program
 
 
 def closure_rules():
-    """Just the rule part (for embedding into mediator programs)."""
+    """The rule part of :func:`closure_program`."""
     return list(parse_program(CLOSURE_RULES))

@@ -3,9 +3,10 @@
 A domain map is "a finite set comprising (i) description logic facts,
 and (ii) logic rules, both involving finite sets C (concepts) and R
 (roles)", visualized as an edge-labeled digraph.  :class:`DomainMap`
-stores the axioms (the DL facts), optional Datalog rules (the paper's
-rule-based extension), and derives the *edge view* used for drawing and
-for the graph operations:
+stores the axioms (the DL facts) and derives the *edge view* used for
+drawing and for the graph operations; component (ii) is not
+represented (no deployment attaches a rule to its map, and the map's
+closures are derived by :mod:`~repro.domainmap.graphops`):
 
 * ``isa`` edges from ``C v D`` and the conjunctive parts of definitions,
 * ``ex`` edges ``C -r-> D`` from ``C v exists r.D``,
@@ -24,7 +25,7 @@ is used by the reasoner and by registration.
 from __future__ import annotations
 
 import threading
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import FrozenSet, List, Tuple
 
 from ..errors import DomainMapError, UnknownConceptError
 from .dl import (
@@ -99,7 +100,7 @@ class Edge:
 
 
 class DomainMap:
-    """A mutable domain map: concepts, roles, DL axioms, logic rules."""
+    """A mutable domain map: concepts, roles and DL axioms."""
 
     def __init__(self, name="domain_map"):
         self.name = name
@@ -108,8 +109,7 @@ class DomainMap:
         self._concepts: FrozenSet[str] = frozenset()
         self._roles: FrozenSet[str] = frozenset()
         self._axioms: Tuple[Axiom, ...] = ()
-        self._rules_text: Tuple[str, ...] = ()
-        #: bumped by every change (add_concept/add_axiom/add_rule), so
+        #: bumped by every change (add_concept/add_axiom), so
         #: derived state can tell it is stale
         self.revision = 0
         # (revision, {key: value}) of what was derived from the map at
@@ -130,10 +130,6 @@ class DomainMap:
     @property
     def axioms(self):
         return self._axioms
-
-    @property
-    def rules_text(self):
-        return self._rules_text
 
     def add_concept(self, name):
         self._concepts = self._concepts | {name}
@@ -189,12 +185,6 @@ class DomainMap:
     def ex(self, src, role, dst):
         """Add ``src v exists role.dst`` (an (ex) edge)."""
         return self.add_axiom(Sub(Named(src), Exists(role, Named(dst))))
-
-    def add_rule(self, datalog_text):
-        """Attach logic rules (component (ii) of Definition 1)."""
-        self._rules_text += (datalog_text,)
-        self.revision += 1
-        return self
 
     # -- derived state -----------------------------------------------------
 
@@ -350,7 +340,6 @@ class DomainMap:
         clone._concepts = self._concepts
         clone._roles = self._roles
         clone._axioms = self._axioms
-        clone._rules_text = self._rules_text
         return clone
 
     def __getstate__(self):

@@ -16,7 +16,7 @@ a fragment:
 * definitions (``==`` axioms) are acyclic.
 
 Anything outside the fragment — disjunction, ``all``, complex left-hand
-sides, attached logic rules, cyclic definitions — raises
+sides, cyclic definitions — raises
 :class:`~repro.errors.UndecidableFragmentError`, making the boundary of
 Proposition 1 explicit in the API.  Within the fragment every concept
 is trivially satisfiable (there is no negation or bottom), and
@@ -38,11 +38,6 @@ def check_fragment(dm):
     Raises :class:`UndecidableFragmentError` naming the first offending
     construct; returns True otherwise.
     """
-    if dm.rules_text:
-        raise UndecidableFragmentError(
-            "domain map %r attaches logic rules; reasoning over the full "
-            "GCM rule language is undecidable (Proposition 1)" % dm.name
-        )
     for axiom in dm.axioms:
         if not isinstance(axiom.lhs, Named):
             raise UndecidableFragmentError(

@@ -92,6 +92,6 @@ class TestLazyAnswers:
             assert lazy_answers == eager_mediator.ask(text), text
 
     def test_no_referenced_classes_returns_empty_fetches(self, lazy_mediator):
-        answers, fetches = lazy_mediator.ask_lazy("concept(X)")
+        answers, fetches = lazy_mediator.ask_lazy("subclass(X, 'Compartment')")
         assert fetches == []
         assert answers  # DM facts answer without any source contact

@@ -20,6 +20,19 @@ class TestTermBasics:
         assert Const("a") == Const("a")
         assert Const("a") != Const("b")
         assert Const(1) != Const("1")
+        # typed, although Python has 1 == 1.0 == True
+        assert len({Const(1), Const(1.0), Const(True)}) == 3
+        assert Const(1) != Const(1.0) and Const(1) != Const(True)
+
+    def test_store_keeps_facts_of_equal_values_apart(self):
+        from repro.datalog import evaluate
+        from repro.datalog.ast import Atom, Rule
+
+        facts = [Rule(Atom("p", (Const(v),))) for v in (1, True, 1.0)]
+        values = [
+            row[0].value for row in evaluate(facts).store.rows(("p", 1))
+        ]
+        assert sorted(map(repr, values)) == ["1", "1.0", "True"]
 
     def test_const_is_ground(self):
         assert Const("a").is_ground()

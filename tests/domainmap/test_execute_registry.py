@@ -12,6 +12,7 @@ from repro.domainmap import (
     register_concepts,
 )
 from repro.gcm.constraints import witnesses_from_store
+from repro.neuro import build_scenario
 
 
 @pytest.fixture
@@ -130,18 +131,18 @@ class TestEdgeExecution:
                 small_dm, assertions_for=[("Spine", "has", "Branch")]
             )
 
-    def test_closure_rules_included(self, small_dm):
-        result = run(compile_domain_map(small_dm), [])
-        star = {
-            (a.args[0].value, a.args[1].value)
-            for a in result.store.iter_atoms("has_a_star")
+    def test_mediator_program_carries_no_closure(self):
+        # graphops is the one executable form of the map's closures:
+        # neither the Section 4 closure rules nor the relations they
+        # join over reach the mediator's program
+        rules = build_scenario().mediator.assembled_rules()
+        defined = {rule.head.pred for rule in rules}
+        closure = {
+            "tc_isa", "rtc_isa", "dc_role", "has_a_star",
+            "concept", "isa", "role_edge", "all_edge",
         }
-        assert ("Dendrite", "Branch") in star
-
-    def test_dm_rules_text_included(self, small_dm):
-        small_dm.add_rule("extra(X) :- concept(X).")
-        result = run(compile_domain_map(small_dm), [])
-        assert len(result.store.rows(("extra", 1))) == len(small_dm.concepts)
+        assert defined & closure == set()
+        assert {"class", "subclass", "role_inst"} <= defined
 
 
 class TestRegistration:

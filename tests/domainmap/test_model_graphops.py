@@ -136,8 +136,6 @@ class TestReadOnlyFields:
         with pytest.raises(AttributeError):
             dm.roles.add("has")
         with pytest.raises(AttributeError):
-            dm.rules_text.append("isa(b, c).")
-        with pytest.raises(AttributeError):
             dm.axioms = ()
         assert dm.revision == 1
         assert isa_closure(dm, reflexive=False) == frozenset({("a", "b")})

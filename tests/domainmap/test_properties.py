@@ -260,7 +260,7 @@ class TestRevisionMemo:
         concepts = list(CONCEPTS[:4])
         for _ in range(data.draw(st.integers(1, 25))):
             step = data.draw(st.sampled_from(
-                ["read"] * 4 + ["axiom", "concept", "rule", "copy"]
+                ["read"] * 4 + ["axiom", "concept", "copy"]
             ))
             if step == "read":
                 name = data.draw(st.sampled_from(sorted(MEMOIZED)))
@@ -275,8 +275,6 @@ class TestRevisionMemo:
             elif step == "concept":
                 concepts.append("N%d" % len(concepts))
                 dm.add_concept(concepts[-1])
-            elif step == "rule":
-                dm.add_rule("isa(%s, %s)." % (concepts[0], concepts[-1]))
             else:
                 dm = dm.copy()
 

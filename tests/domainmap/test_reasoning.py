@@ -44,11 +44,6 @@ class TestFragmentBoundary:
         with pytest.raises(UndecidableFragmentError):
             check_fragment(dm)
 
-    def test_rules_rejected(self, anatomy):
-        anatomy.add_rule("p(X) :- concept(X).")
-        with pytest.raises(UndecidableFragmentError):
-            check_fragment(anatomy)
-
     def test_complex_lhs_rejected(self):
         dm = DomainMap("t")
         dm.add_axiom(Sub(Conj([Named("A"), Named("B")]), Named("C")))
