@@ -12,6 +12,8 @@ import pytest
 
 from conftest import report
 from repro.domainmap import (
+    ALL,
+    Edge,
     definite_projections,
     isa_closure,
     register_concepts,
@@ -41,7 +43,7 @@ def test_fig3_registration(benchmark):
     # the (ex) and (all) edges of the dark region
     assert ("MyNeuron", "proj", "Globus_Pallidus_External") in dm.role_triples()
     assert ("MyDendrite", "exp", "Dopamine_R") in dm.role_triples()
-    assert ("MyNeuron", "has", "MyDendrite") in dm.all_triples()
+    assert Edge(ALL, "MyNeuron", "MyDendrite", "has") in dm.edges()
 
     # the paper's derived fact
     assert definite_projections(dm, "MyNeuron", "proj") == [

@@ -317,11 +317,6 @@ class DomainMap:
             (e.src, e.role, e.dst) for e in self._concept_edges(EX)
         ))
 
-    def all_triples(self):
-        return self.derived("all_triples", lambda: frozenset(
-            (e.src, e.role, e.dst) for e in self._concept_edges(ALL)
-        ))
-
     def eqv_pairs(self):
         return self.derived("eqv_pairs", lambda: frozenset(
             (e.src, e.dst) for e in self._concept_edges(EQV)

@@ -28,19 +28,24 @@ def serialize(element, indent=0):
 
     Attributes are emitted in sorted order so wire messages are
     reproducible across runs (useful for tests and message digests).
+    A leaf's text is written verbatim, so a string value keeps its
+    surrounding whitespace; only a container's text (the indentation
+    a parsed document carries) is stripped.
     """
     pad = "  " * indent
     pieces = [pad, "<", element.tag]
     for key in sorted(element.attrib):
-        pieces.append(' %s="%s"' % (key, _escape_attr(element.attrib[key])))
+        pieces.append(' %s="%s"' % (key, escape_attr(element.attrib[key])))
     children = list(element)
-    text = (element.text or "").strip()
+    text = element.text or ""
+    if children:
+        text = text.strip()
     if not children and not text:
         pieces.append("/>")
         return "".join(pieces)
     pieces.append(">")
     if text:
-        pieces.append(_escape_text(text))
+        pieces.append(escape_text(text))
     if children:
         for child in children:
             pieces.append("\n")
@@ -51,17 +56,30 @@ def serialize(element, indent=0):
     return "".join(pieces)
 
 
-def _escape_attr(value):
+def escape_attr(value):
+    """Escape an attribute value.  Tab, newline and carriage return
+    become character references: a parser normalizes them to spaces
+    in a literal attribute value."""
     return (
         value.replace("&", "&amp;")
         .replace("<", "&lt;")
         .replace(">", "&gt;")
         .replace('"', "&quot;")
+        .replace("\n", "&#10;")
+        .replace("\r", "&#13;")
+        .replace("\t", "&#9;")
     )
 
 
-def _escape_text(value):
-    return value.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+def escape_text(value):
+    """Escape element text.  A carriage return becomes ``&#13;``: a
+    parser normalizes a literal one to a newline."""
+    return (
+        value.replace("&", "&amp;")
+        .replace("<", "&lt;")
+        .replace(">", "&gt;")
+        .replace("\r", "&#13;")
+    )
 
 
 def parent_map(root):
@@ -71,14 +89,14 @@ def parent_map(root):
 
 def encode_value(value):
     """Encode a Python scalar as (text, type-tag)."""
+    if isinstance(value, str):
+        return (value, "str")
     if isinstance(value, bool):
         return ("true" if value else "false", "bool")
     if isinstance(value, int):
         return (str(value), "int")
     if isinstance(value, float):
         return (repr(value), "float")
-    if isinstance(value, str):
-        return (value, "str")
     raise XMLTransportError("cannot encode value of type %s" % type(value).__name__)
 
 

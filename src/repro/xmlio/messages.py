@@ -31,29 +31,59 @@ answer::
 
 from __future__ import annotations
 
-import xml.etree.ElementTree as ET
-from typing import Dict, List, Optional
+import sys
+from typing import Dict, List
 
 from .. import obs
 from ..errors import XMLTransportError
-from .doc import element_value, parse_xml, serialize, value_element
+from .doc import decode_value, encode_value, escape_attr, escape_text, parse_xml
+
+# The encoders write each message in one pass, byte for byte as
+# ``serialize`` would write the same message built as an element tree:
+# attributes sorted, two-space indentation, a leaf's text verbatim,
+# and ``type=`` on every non-string value.
+
+
+def _leaf(head, tag, value):
+    """Complete ``head``, the open tag ``<tag name="..."`` of a leaf
+    element, with one typed scalar: ``type=`` names every type but
+    ``str``, and an empty string makes an empty element."""
+    text, type_tag = encode_value(value)
+    if type_tag != "str":
+        head = '%s type="%s"' % (head, type_tag)
+    if not text:
+        return head + "/>"
+    return "%s>%s</%s>" % (head, escape_text(text), tag)
+
+
+def _message(head, tag, lines):
+    """A root element ``head`` (its open tag, unclosed) over child lines."""
+    if not lines:
+        return head + "/>"
+    return "%s>\n%s\n</%s>" % (head, "\n".join(lines), tag)
 
 
 def query_to_xml(source_query):
     """Encode a :class:`~repro.sources.SourceQuery`."""
-    root = ET.Element("source-query", {"class": source_query.class_name})
-    for attribute in sorted(source_query.selections):
-        root.append(
-            value_element(
-                "select",
-                source_query.selections[attribute],
-                attribute=attribute,
-            )
+    selections = source_query.selections
+    lines = [
+        _leaf(
+            '  <select attribute="%s"' % escape_attr(attribute),
+            "select",
+            selections[attribute],
         )
+        for attribute in sorted(selections)
+    ]
     if source_query.projection is not None:
-        for attribute in source_query.projection:
-            ET.SubElement(root, "project", {"attribute": attribute})
-    return serialize(root)
+        lines.extend(
+            '  <project attribute="%s"/>' % escape_attr(attribute)
+            for attribute in source_query.projection
+        )
+    return _message(
+        '<source-query class="%s"' % escape_attr(source_query.class_name),
+        "source-query",
+        lines,
+    )
 
 
 def query_from_xml(text):
@@ -69,23 +99,29 @@ def query_from_xml(text):
     if not class_name:
         raise XMLTransportError("<source-query> requires a class attribute")
     selections = {}
-    for select in root.findall("select"):
-        attribute = select.get("attribute")
-        if not attribute:
-            raise XMLTransportError("<select> requires an attribute")
-        selections[attribute] = element_value(select)
-    projection = [p.get("attribute") for p in root.findall("project")] or None
-    return SourceQuery(class_name, selections, projection)
+    projection = []
+    for child in root:
+        if child.tag == "select":
+            attribute = child.get("attribute")
+            if not attribute:
+                raise XMLTransportError("<select> requires an attribute")
+            selections[attribute] = decode_value(child.text or "", child.get("type"))
+        elif child.tag == "project":
+            projection.append(child.get("attribute"))
+    return SourceQuery(class_name, selections, projection or None)
 
 
 def template_query_to_xml(class_name, template_name, arguments):
     """Encode a template invocation."""
-    root = ET.Element(
-        "template-query", {"class": class_name, "template": template_name}
+    return _message(
+        '<template-query class="%s" template="%s"'
+        % (escape_attr(class_name), escape_attr(template_name)),
+        "template-query",
+        [
+            _leaf('  <arg name="%s"' % escape_attr(name), "arg", arguments[name])
+            for name in sorted(arguments)
+        ],
     )
-    for name in sorted(arguments):
-        root.append(value_element("arg", arguments[name], name=name))
-    return serialize(root)
 
 
 def template_query_from_xml(text):
@@ -102,42 +138,69 @@ def template_query_from_xml(text):
             "<template-query> requires class and template attributes"
         )
     arguments = {
-        arg.get("name"): element_value(arg) for arg in root.findall("arg")
+        arg.get("name"): decode_value(arg.text or "", arg.get("type"))
+        for arg in root
+        if arg.tag == "arg"
     }
     return class_name, template_name, arguments
 
 
 def rows_to_xml(class_name, rows):
     """Encode wrapper answer rows (dicts with `_object`)."""
-    root = ET.Element("answer", {"class": class_name, "count": str(len(rows))})
+    # the escaped ``<col name=...`` head of each column name, built once
+    col_heads: Dict[str, str] = {}
+    lines = []
     for row in rows:
-        row_el = ET.SubElement(root, "row", {"object": str(row.get("_object", ""))})
+        cols = []
         for key in sorted(row):
-            if key.startswith("_"):
-                continue
             value = row[key]
-            if value is None:
+            if value is None or key.startswith("_"):
                 continue
-            row_el.append(value_element("col", value, name=key))
-    return serialize(root)
+            col_head = col_heads.get(key)
+            if col_head is None:
+                col_head = col_heads[key] = '\n    <col name="%s"' % escape_attr(key)
+            cols.append(_leaf(col_head, "col", value))
+        row_head = '  <row object="%s"' % escape_attr(str(row.get("_object", "")))
+        if cols:
+            lines.append("%s>%s\n  </row>" % (row_head, "".join(cols)))
+        else:
+            lines.append(row_head + "/>")
+    return _message(
+        '<answer class="%s" count="%d"' % (escape_attr(class_name), len(rows)),
+        "answer",
+        lines,
+    )
 
 
 def rows_from_xml(text):
-    """Decode an answer message: (class, rows)."""
+    """Decode an answer message: (class, rows).
+
+    Column names are interned, so the rows of every answer (and every
+    cached answer) share one string per name.
+    """
     root = parse_xml(text) if isinstance(text, str) else text
     if root.tag != "answer":
         raise XMLTransportError("expected <answer>, found <%s>" % root.tag)
     class_name = root.get("class")
     if not class_name:
         raise XMLTransportError("<answer> requires a class attribute")
+    intern = sys.intern
     rows: List[Dict] = []
-    for row_el in root.findall("row"):
+    for row_el in root:
+        if row_el.tag != "row":
+            continue
         row: Dict = {"_object": row_el.get("object")}
-        for col in row_el.findall("col"):
+        for col in row_el:
+            if col.tag != "col":
+                continue
             name = col.get("name")
             if not name:
                 raise XMLTransportError("<col> requires a name attribute")
-            row[name] = element_value(col)
+            type_tag = col.get("type")
+            value = col.text or ""
+            if type_tag is not None:
+                value = decode_value(value, type_tag)
+            row[intern(name)] = value
         rows.append(row)
     declared = root.get("count")
     if declared is not None:

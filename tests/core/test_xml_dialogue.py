@@ -11,7 +11,8 @@ from repro.neuro import (
     build_synapse,
     section5_query,
 )
-from repro.sources import SourceQuery
+from repro.sources import SourceQuery, Wrapper
+from repro.sources.relstore import RelStore
 
 
 def make_mediator(dialogue_via_xml):
@@ -68,6 +69,51 @@ class TestXMLDialogue:
         wired = make_mediator(True)
         query = "X : neurotransmission[organism -> rat; receiving_neuron -> N]"
         assert wired.ask_lazy(query)[0] == direct.ask_lazy(query)[0]
+
+
+def padded_wrapper():
+    """A source whose string values carry surrounding whitespace."""
+    store = RelStore("PAD")
+    store.create_table("item", ["id", "name", "note"], key="id").insert_many(
+        [(1, " padded ", "   "), (2, " rat", "tab\there\n"), (3, "rat", "x\r\ny")]
+    )
+    wrapper = Wrapper("PAD", store)
+    wrapper.export_class(
+        "item",
+        "item",
+        "id",
+        {"id": "id", "name": "name", "note": "note"},
+        selectable=["name"],
+    )
+    return wrapper
+
+
+class TestWhitespaceOverTheWire:
+    """The XML dialogue answers as the direct one does for string
+    values with surrounding whitespace."""
+
+    @pytest.mark.parametrize("selections", [{}, {"name": " rat"}, {"name": "rat"}])
+    def test_source_query_equivalent(self, selections):
+        answers = []
+        for via_xml in (False, True):
+            mediator = Mediator(build_anatom(), dialogue_via_xml=via_xml)
+            mediator.register(padded_wrapper(), eager=False)
+            answers.append(
+                mediator.source_query("PAD", SourceQuery("item", selections))
+            )
+        direct, wired = answers
+        assert wired == direct
+        assert direct
+
+    def test_eager_registration_facts_equal(self):
+        answers = []
+        for via_xml in (False, True):
+            mediator = Mediator(build_anatom())
+            mediator.register(padded_wrapper(), via_xml=via_xml)
+            answers.append(mediator.ask("X : item[name -> N; note -> M]"))
+        direct, wired = answers
+        assert wired == direct
+        assert {answer["M"] for answer in direct} == {"   ", "tab\there\n", "x\r\ny"}
 
 
 class TestPlanVsEagerData:

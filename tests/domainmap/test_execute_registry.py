@@ -5,7 +5,9 @@ import pytest
 from repro.datalog import Program, evaluate
 from repro.errors import DomainMapError, UnknownConceptError, UnknownRoleError
 from repro.domainmap import (
+    ALL,
     DomainMap,
+    Edge,
     SemanticIndex,
     compile_domain_map,
     definite_projections,
@@ -194,7 +196,7 @@ class TestRegistration:
 
     def test_all_edge_recorded(self, fig3_base):
         register_concepts(fig3_base, self.FIG3_REGISTRATION)
-        assert ("MyNeuron", "has", "MyDendrite") in fig3_base.all_triples()
+        assert Edge(ALL, "MyNeuron", "MyDendrite", "has") in fig3_base.edges()
 
     def test_unknown_concept_reference_rejected(self, fig3_base):
         with pytest.raises(UnknownConceptError):

@@ -5,7 +5,9 @@ import pytest
 from repro.datalog import evaluate
 from repro.errors import NoUpperBoundError, UnknownConceptError
 from repro.domainmap import (
+    ALL,
     DomainMap,
+    Edge,
     closure_program,
     deductive_closure,
     descendants,
@@ -81,7 +83,7 @@ class TestDomainMapModel:
         dm.add_axioms("A < all r.D")
         assert ("A", "B") in dm.isa_pairs()
         assert ("A", "r", "C") in dm.role_triples()
-        assert ("A", "r", "D") in dm.all_triples()
+        assert Edge(ALL, "A", "D", "r") in dm.edges()
 
     def test_disjunction_renders_or_node(self):
         dm = DomainMap("t")

@@ -213,7 +213,6 @@ MEMOIZED = {
     "edges": lambda dm, root: [edge.as_tuple() for edge in dm.edges()],
     "isa_pairs": lambda dm, root: dm.isa_pairs(),
     "role_triples": lambda dm, root: dm.role_triples(),
-    "all_triples": lambda dm, root: dm.all_triples(),
     "eqv_pairs": lambda dm, root: dm.eqv_pairs(),
     "rtc": lambda dm, root: isa_closure(dm, reflexive=True),
     "tc": lambda dm, root: isa_closure(dm, reflexive=False),
@@ -282,7 +281,7 @@ class TestRevisionMemo:
     @given(acyclic_dms(), st.sampled_from(CONCEPTS))
     def test_returned_values_are_read_only(self, dm, root):
         sets = [
-            dm.isa_pairs(), dm.role_triples(), dm.all_triples(), dm.eqv_pairs(),
+            dm.isa_pairs(), dm.role_triples(), dm.eqv_pairs(),
             isa_closure(dm), isa_closure(dm, reflexive=False),
             deductive_closure(dm, "has"), deductive_closure(dm, "has", "down"),
         ]

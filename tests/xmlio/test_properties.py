@@ -12,7 +12,8 @@ from repro.sources import Wrapper
 from repro.xmlio import decode_value, encode_value
 from tests.conftest import cm_from_xml, cm_to_xml
 
-# names the codec must survive: spaces, quotes, unicode, XML specials
+# names the codec must survive: spaces (surrounding ones too), quotes,
+# unicode, XML specials
 names = st.text(
     alphabet=st.characters(
         whitelist_categories=("Lu", "Ll", "Nd"),
@@ -20,13 +21,15 @@ names = st.text(
     ),
     min_size=1,
     max_size=12,
-).filter(lambda s: s.strip() == s and s)
+)
 
 scalars = st.one_of(
     st.integers(-10**6, 10**6),
     st.floats(allow_nan=False, allow_infinity=False, width=32),
     st.booleans(),
     names,
+    # string values with surrounding whitespace, drawn often
+    st.builds("{0}{1}{0}".format, st.sampled_from([" ", "\t", "\n "]), names),
 )
 
 
