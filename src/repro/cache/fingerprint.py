@@ -47,12 +47,14 @@ def capability_signature(capability):
     )
 
 
-def query_fingerprint(source, source_query, capability=None):
+def query_fingerprint(source, source_query, signature=None):
     """The cache key of one source call.
 
     ``(source, class, sorted selections, projection, capability
     signature)`` — plain nested tuples, so keys are hashable, ordered
-    deterministically, and printable.
+    deterministically, and printable.  `signature` is the class's
+    :func:`capability_signature`, computed once when the source
+    registers (None without a capability).
     """
     return (
         source,
@@ -66,5 +68,5 @@ def query_fingerprint(source, source_query, capability=None):
         tuple(source_query.projection)
         if source_query.projection is not None
         else None,
-        capability_signature(capability),
+        signature,
     )

@@ -42,6 +42,7 @@ from .aggregate import Distribution, aggregate_over_dm
 from ..cache import (
     AnswerCache,
     affected_concepts,
+    capability_signature,
     query_fingerprint,
     refinement_seeds,
 )
@@ -72,9 +73,16 @@ class RegisteredSource:
     def __init__(self, wrapper, registration):
         self.wrapper = wrapper
         self.registration = registration
+        #: class -> :func:`~repro.cache.capability_signature` of its
+        #: registered capability, the cache key's part that changes
+        #: only when the source re-registers
+        self.signatures = {
+            class_name: capability_signature(capability)
+            for class_name, capability in registration.capabilities.items()
+        }
 
     def __repr__(self):
-        return "RegisteredSource(%r)" % self.name
+        return "RegisteredSource(%r)" % self.wrapper.name
 
 
 class Mediator:
@@ -260,13 +268,16 @@ class Mediator:
                 concepts, reason="deregister:%s" % source_name
             )
 
-    def wrapper(self, source_name):
-        """The registered :class:`~repro.sources.Wrapper` named
-        `source_name` (raises for unknown sources)."""
+    def _record(self, source_name):
         record = self._sources.get(source_name)
         if record is None:
             raise MediatorError("unknown source %r" % source_name)
-        return record.wrapper
+        return record
+
+    def wrapper(self, source_name):
+        """The registered :class:`~repro.sources.Wrapper` named
+        `source_name` (raises for unknown sources)."""
+        return self._record(source_name).wrapper
 
     def source_names(self):
         """Sorted names of the registered sources."""
@@ -275,10 +286,7 @@ class Mediator:
     def capabilities(self, source_name):
         """The ``class -> QueryCapability`` map the source named
         `source_name` registered with."""
-        record = self._sources.get(source_name)
-        if record is None:
-            raise MediatorError("unknown source %r" % source_name)
-        return record.registration.capabilities
+        return self._record(source_name).registration.capabilities
 
     @property
     def wire_log(self):
@@ -320,14 +328,13 @@ class Mediator:
                 :class:`~repro.resilience.CallOutcome` joins the plan's
                 outcomes.
         """
-        wrapper = self.wrapper(source_name)
+        record = self._record(source_name)
+        wrapper = record.wrapper
         class_name = source_query.class_name
         cache = self.cache
         if cache is not None:
             key = query_fingerprint(
-                source_name,
-                source_query,
-                self.capabilities(source_name).get(class_name),
+                source_name, source_query, record.signatures.get(class_name)
             )
             entry = cache.lookup(key)
             if entry is not None:

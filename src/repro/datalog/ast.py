@@ -31,21 +31,18 @@ AGGREGATE_FUNCS = ("count", "sum", "min", "max", "avg")
 class Atom:
     """A relational atom ``pred(t1, ..., tn)``."""
 
-    __slots__ = ("pred", "args", "_hash")
+    __slots__ = ("pred", "args", "signature", "_hash")
 
     def __init__(self, pred, args=()):
         self.pred = pred
         self.args = tuple(coerce_term(a) for a in args)
+        #: the (predicate, arity) pair identifying the relation
+        self.signature = (pred, len(self.args))
         self._hash = hash(("Atom", pred, self.args))
 
     @property
     def arity(self):
         return len(self.args)
-
-    @property
-    def signature(self):
-        """The (predicate, arity) pair identifying the relation."""
-        return (self.pred, self.arity)
 
     def is_ground(self):
         return all(arg.is_ground() for arg in self.args)

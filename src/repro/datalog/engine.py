@@ -52,16 +52,25 @@ class EvaluationResult:
             evaluation, None otherwise.
         program: the evaluated rules, as a tuple (what
             ``evaluate(..., base=)`` continues from).
+        stated: ``{(signature, args): count}``, how often `program`
+            states each fact.  A maintained model derives it from its
+            base's; it is never changed after the model is built, so
+            models may share it.
     """
 
     def __init__(self, store, undefined=None, used_well_founded=False, strata=None,
-                 metrics=None, program=()):
+                 metrics=None, program=(), stated=None):
         self.store = store
         self.undefined = undefined if undefined is not None else FactStore()
         self.used_well_founded = used_well_founded
         self.strata = strata
         self.metrics = metrics
         self.program = tuple(program)
+        if stated is None:
+            stated = _stated_with(
+                {}, (rule.head for rule in self.program if not rule.body)
+            )
+        self.stated = stated
         # the _Plan for maintaining this model, built on first use
         self._plan = None
 
@@ -247,6 +256,16 @@ def _stated_fact(rule):
     return rule.head
 
 
+def _stated_with(stated, heads):
+    """A copy of the stated-fact index `stated` that states each atom of
+    `heads` once more."""
+    stated = dict(stated)
+    for head in heads:
+        key = (head.signature, head.args)
+        stated[key] = stated.get(key, 0) + 1
+    return stated
+
+
 def _unique(rules):
     """`rules` without repeats, in order."""
     return list(dict.fromkeys(rules))
@@ -275,11 +294,15 @@ class _Plan:
 
     It depends only on the model's proper rules and strata, so a model
     maintained by facts alone shares its base's plan (see
-    :meth:`with_relations`), and with it the joins compiled so far."""
+    :meth:`with_relations`), and with it the joins compiled so far.  A
+    well-founded model has no strata; its plan puts every rule in one
+    group, and only :meth:`by_head` reads it."""
 
     def __init__(self, program, strata):
         #: relations the program defines or reads
         self.referenced = {rule.head.signature for rule in program}
+        if strata is None:
+            strata = [set(self.referenced)]
         #: per stratum: (compiled proper rules, relations read by a
         #: positive literal, {relation negated/aggregated: reason})
         self.strata = []
@@ -304,6 +327,7 @@ class _Plan:
                                 guarded[inner.atom.signature] = "aggregate"
             self.strata.append((rules, triggers, guarded))
         self._retraction = None
+        self._by_head = None
 
     @classmethod
     def of(cls, result):
@@ -321,6 +345,17 @@ class _Plan:
         plan = copy.copy(self)
         plan.referenced = self.referenced | new
         return plan
+
+    def by_head(self):
+        """``{relation: compiled proper rules}``, the rules defining each
+        relation in program order (a relation's rules share a stratum)."""
+        if self._by_head is None:
+            by_head = {}
+            for rules, _triggers, _guarded in self.strata:
+                for compiled in rules:
+                    by_head.setdefault(compiled.sig, []).append(compiled)
+            self._by_head = by_head
+        return self._by_head
 
     def retraction_index(self):
         """``(by_head, by_body, dependents, guarded)``: the compiled
@@ -417,6 +452,7 @@ class _Plan:
             strata=base.strata + extra_strata,
             metrics=metrics,
             program=base.program + tuple(extra),
+            stated=_stated_with(base.stated, facts) if facts else base.stated,
         )
         if not proper:
             result._plan = self.with_relations(head.signature for head in facts)
@@ -434,7 +470,9 @@ def _retract(base, removed, tracer):
     against the old model) are the next candidates.  A removed fact the
     remaining program still states is no candidate.  Unlike
     delete-and-rederive, a fact that keeps another proof never leaves
-    the model, so its consequences are never visited.
+    the model, so its consequences are never visited.  Whether a fact
+    is still stated is read from the model's stated-fact index, which
+    the result derives from the base's by the removed facts alone.
 
     The ``datalog.retract`` span records, and the tracer counts, three
     numbers that do not depend on the order in which facts are met:
@@ -444,6 +482,14 @@ def _retract(base, removed, tracer):
     if any(not rule.is_fact for rule in removed):
         return "rule-removed", None
     program = _without_rules(base.program, removed)
+    stated = dict(base.stated)
+    for rule in removed:
+        key = (rule.head.signature, rule.head.args)
+        left = stated.get(key)
+        if left == 1:
+            del stated[key]
+        elif left:
+            stated[key] = left - 1
     plan = _Plan.of(base)
     by_head, by_body, dependents, guarded = plan.retraction_index()
     affected = set()
@@ -453,17 +499,12 @@ def _retract(base, removed, tracer):
         if sig not in affected:
             affected.add(sig)
             frontier.extend(dependents.get(sig, ()))
-    explicit = {
-        (head.signature, head.args)
-        for head in (rule.head for rule in program if not rule.body)
-        if head.signature in affected
-    }
     with tracer.span("datalog.retract", removed_rules=len(removed)) as span:
-        retraction = _Retraction(base.store, by_head, by_body, affected, explicit)
+        retraction = _Retraction(base.store, by_head, by_body, affected, stated)
         candidates = [
             (rule.head.signature, rule.head.args)
             for rule in removed
-            if (rule.head.signature, rule.head.args) not in explicit
+            if (rule.head.signature, rule.head.args) not in stated
             and rule.head.args in base.store.rows(rule.head.signature)
         ]
         considered = set()
@@ -503,7 +544,8 @@ def _retract(base, removed, tracer):
             )
             tracer.gauge("datalog.store_size", len(store))
     result = EvaluationResult(
-        store, strata=base.strata, metrics=metrics, program=program
+        store, strata=base.strata, metrics=metrics, program=program,
+        stated=stated,
     )
     result._plan = plan
     return None, result
@@ -757,12 +799,13 @@ class _Retraction:
     proved; the rest have none.
     """
 
-    def __init__(self, model, by_head, by_body, affected, explicit):
+    def __init__(self, model, by_head, by_body, affected, stated):
         self.model = model
         self.by_head = by_head
         self.by_body = by_body
         self.affected = affected
-        self.explicit = explicit
+        #: the facts the remaining program states
+        self.stated = stated
         self.checked = set()
         #: proved facts of affected relations (a store, for the forward
         #: propagation's joins)
@@ -813,7 +856,7 @@ class _Retraction:
         """Mark `fact` checked; True when that already decides it (it
         is stated, or its relation is unaffected: proved)."""
         self.checked.add(fact)
-        if fact[0] not in self.affected or fact in self.explicit:
+        if fact[0] not in self.affected or fact in self.stated:
             self._prove(fact)
             return True
         return False

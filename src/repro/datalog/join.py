@@ -89,8 +89,8 @@ class _ProofStores:
 class _CompiledRule:
     """A rule with its joins, each compiled on first use: one per delta
     position (the index of a positive body literal read from a delta,
-    or None for a join over the whole store), and one that starts from
-    a ground head (:meth:`backward`)."""
+    or None for a join over the whole store), and two that start from
+    a ground head (:meth:`backward`, :meth:`proof`)."""
 
     __slots__ = ("rule", "sig", "deltas", "_joins")
 
@@ -134,6 +134,15 @@ class _CompiledRule:
                 tuple(atom.signature for atom in positives),
             )
         return entry
+
+    def proof(self):
+        """The join that matches the head against the rows a run is
+        given and emits each solution's slots, read back with
+        :meth:`_Join.substitution`."""
+        join = self._joins.get("proof")
+        if join is None:
+            join = self._joins["proof"] = _compile(self.rule.body, lead=self.rule.head)
+        return join
 
 
 class _Join:

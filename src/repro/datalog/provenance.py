@@ -20,12 +20,12 @@ proof.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List
 
 from ..errors import EvaluationError
-from .ast import AggregateLiteral, Assignment, Atom, Comparison, Literal, Program, Rule
-from .engine import evaluate
-from .join import _compile, _Stores
+from .ast import AggregateLiteral, Assignment, Atom, Comparison, Literal, Rule
+from .engine import _Plan, evaluate
+from .join import _Stores
 from .terms import substitute, term_sort_key
 
 
@@ -82,16 +82,16 @@ class Derivation:
 
 
 class _Explainer:
-    def __init__(self, program, store):
-        self.program = program
-        self.store = store
-        self.rules_by_sig: Dict[Tuple[str, int], List[Rule]] = {}
-        for rule in program:
-            self.rules_by_sig.setdefault(rule.head.signature, []).append(rule)
+    """Proof search over an evaluated model: its stated facts come from
+    the model's stated-fact index, its proper rules per relation (in
+    program order) and their compiled joins from the model's plan."""
+
+    def __init__(self, result):
+        self.store = result.store
+        self.stated = result.stated
+        self.rules = _Plan.of(result).by_head()
         self.memo: Dict[Atom, Derivation] = {}
-        self.stores = _Stores(store)
-        #: rule -> its body compiled to start from a ground head
-        self.joins = {}
+        self.stores = _Stores(result.store)
 
     def explain(self, atom, path):
         if atom in self.memo:
@@ -102,30 +102,26 @@ class _Explainer:
             return None
         path = path | {atom}
 
-        candidates = self.rules_by_sig.get(atom.signature, ())
         # facts first: the shortest possible proof
-        for rule in candidates:
-            if rule.is_fact and rule.head == atom:
-                derivation = Derivation(atom, rule)
-                self.memo[atom] = derivation
-                return derivation
-        for rule in candidates:
-            if rule.is_fact:
-                continue
-            derivation = self._try_rule(atom, rule, path)
+        if (atom.signature, atom.args) in self.stated:
+            derivation = Derivation(atom, Rule(atom))
+            self.memo[atom] = derivation
+            return derivation
+        for compiled in self.rules.get(atom.signature, ()):
+            derivation = self._try_rule(atom, compiled, path)
             if derivation is not None:
                 self.memo[atom] = derivation
                 return derivation
         return None
 
-    def _try_rule(self, atom, rule, path):
-        """The canonical proof of `atom` by `rule`: the first found when
-        the rule's solutions are tried in the order of their ground
-        positive body atoms under :func:`term_sort_key` — never in set
-        iteration order, so the tree is the same in every process."""
-        join = self.joins.get(rule)
-        if join is None:
-            join = self.joins[rule] = _compile(rule.body, lead=rule.head)
+    def _try_rule(self, atom, compiled, path):
+        """The canonical proof of `atom` by the compiled rule
+        `compiled`: the first found when the rule's solutions are tried
+        in the order of their ground positive body atoms under
+        :func:`term_sort_key` — never in set iteration order, so the
+        tree is the same in every process."""
+        rule = compiled.rule
+        join = compiled.proof()
         positives = [
             item.atom for item in rule.body
             if isinstance(item, Literal) and item.positive
@@ -187,8 +183,9 @@ def explain(program, atom, result=None, metrics=None):
     Args:
         program: the program that was (or will be) evaluated.
         atom: the ground atom to explain.
-        result: a prior :class:`EvaluationResult` to reuse; evaluated
-            fresh when omitted.
+        result: a prior :class:`EvaluationResult` of `program` to reuse
+            (its stated facts, rules and compiled joins are read from
+            it); evaluated fresh when omitted.
         metrics: an :class:`~repro.obs.EvaluationMetrics` whose
             ``derived_at`` map annotates each proof node with the
             (stratum, round) it was first derived in.  Defaults to
@@ -200,7 +197,7 @@ def explain(program, atom, result=None, metrics=None):
         result = evaluate(program)
     if metrics is None:
         metrics = getattr(result, "metrics", None)
-    explainer = _Explainer(program, result.store)
+    explainer = _Explainer(result)
     derivation = explainer.explain(atom, frozenset())
     if derivation is not None:
         derivation.annotate(metrics)

@@ -3,7 +3,9 @@
 The engine works over three kinds of terms:
 
 * :class:`Const` wraps an arbitrary hashable Python value (strings,
-  numbers, tuples, ...).  Constants compare by value.
+  numbers, tuples, ...).  Constants are interned: ``Const(v)`` is the
+  one live constant of ``(type(v), v)``, so constants compare and hash
+  by identity, in C.
 * :class:`Var` is a named logic variable.  Variables whose name starts
   with ``_`` are anonymous ("don't care") and never join.
 * :class:`Struct` is a compound term ``f(t1, ..., tn)``.  Structs give
@@ -18,6 +20,9 @@ usual triangular-substitution machinery.
 
 from __future__ import annotations
 
+import threading
+import weakref
+from _weakref import _remove_dead_weakref
 from typing import Dict, Iterator, Optional, Tuple, Union
 
 
@@ -27,34 +32,65 @@ class Term:
     __slots__ = ()
 
 
+#: ``(type(value), value)`` -> a weak reference to the one live
+#: :class:`Const` of that key.  A hit reads it without a lock; an entry
+#: is made, or a dead one replaced, under :data:`_intern_lock`.
+_interned = {}
+_intern_lock = threading.Lock()
+
+
+def _forget(ref, _table=_interned, _remove=_remove_dead_weakref):
+    """Drop the entry of the dead constant `ref` referred to.  This
+    runs in whichever thread dropped the constant, even one holding
+    :data:`_intern_lock`, so it takes no lock and removes the entry only
+    while it is still dead: never a live constant that replaced it.
+    (The table is bound at definition, as module globals may be gone
+    when a constant dies at interpreter exit.)"""
+    _remove(_table, ref.key)
+
+
 class Const(Term):
     """An atomic constant wrapping a hashable Python value.
 
-    Equality and hash are typed: ``1``, ``1.0`` and ``True`` are three
-    constants, although Python compares them equal.
+    ``Const(v)`` returns the one live constant of ``(type(v), v)``, so
+    equality and hash are identity's.  They are typed: ``1``, ``1.0``
+    and ``True`` are three constants, although Python compares them
+    equal.  ``-0.0`` and ``0.0`` are one constant; a NaN is never
+    interned, so it equals no other constant.  The table holds
+    constants weakly: a constant nothing refers to leaves it.
     """
 
-    __slots__ = ("value", "_hash")
+    __slots__ = ("value", "__weakref__")
 
-    def __init__(self, value):
-        self.value = value
-        self._hash = hash(("Const", type(value), value))
+    def __new__(cls, value):
+        key = (type(value), value)
+        ref = _interned.get(key)
+        if ref is not None:
+            const = ref()
+            if const is not None:
+                return const
+        const = object.__new__(cls)
+        const.value = value
+        if value != value:  # NaN
+            return const
+        with _intern_lock:
+            ref = _interned.get(key)
+            if ref is not None:
+                live = ref()
+                if live is not None:
+                    return live
+            _interned[key] = weakref.KeyedRef(const, _forget, key)
+        return const
+
+    def __reduce__(self):
+        # re-interned on load: pickle and copy return the live constant
+        return (Const, (self.value,))
 
     def is_ground(self):
         return True
 
     def variables(self):
         return iter(())
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Const)
-            and type(self.value) is type(other.value)
-            and self.value == other.value
-        )
-
-    def __hash__(self):
-        return self._hash
 
     def __repr__(self):
         return "Const(%r)" % (self.value,)

@@ -52,7 +52,7 @@ class TestQueryFingerprint:
 
     def test_fingerprint_is_hashable(self):
         fp = query_fingerprint(
-            "S", SourceQuery("c", {"a": 1}), capability()
+            "S", SourceQuery("c", {"a": 1}), capability_signature(capability())
         )
         assert {fp: 1}[fp] == 1
 
@@ -82,9 +82,9 @@ class TestCapabilitySignature:
     def test_signature_feeds_the_fingerprint(self):
         q = SourceQuery("c", {"a": 1})
         changed = capability(scannable=False)
-        assert query_fingerprint("S", q, capability()) != query_fingerprint(
-            "S", q, changed
-        )
+        assert query_fingerprint(
+            "S", q, capability_signature(capability())
+        ) != query_fingerprint("S", q, capability_signature(changed))
 
 
 class TestOneKeyPerCall:
@@ -98,6 +98,36 @@ class TestOneKeyPerCall:
         context = PlanContext(mediator)
         mediator.source_query("NCMIR", q, plan=context)
         key = query_fingerprint(
-            "NCMIR", q, mediator.capabilities("NCMIR")["protein_amount"]
+            "NCMIR",
+            q,
+            capability_signature(
+                mediator.capabilities("NCMIR")["protein_amount"]
+            ),
         )
         assert cache.lookup(key) is not None
+
+    def test_reregistration_with_other_patterns_changes_the_key(self):
+        cache = AnswerCache()
+        mediator = Mediator(build_anatom(), cache=cache)
+        wrapper = build_ncmir(2002)
+        keys = []
+        lookup = cache.lookup
+
+        def recording(key):
+            keys.append(key)
+            return lookup(key)
+
+        cache.lookup = recording
+        q = SourceQuery("protein_amount", {"organism": "rat"})
+        mediator.register(wrapper, eager=False)
+        mediator.source_query("NCMIR", q)
+        mediator.deregister("NCMIR")
+        wrapper.capabilities()["protein_amount"].allow_selection_on(["protein"])
+        mediator.register(wrapper, eager=False)
+        mediator.source_query("NCMIR", q)
+        assert len(keys) == 2 and keys[0] != keys[1]
+        assert keys[1] == query_fingerprint(
+            "NCMIR",
+            q,
+            capability_signature(wrapper.capabilities()["protein_amount"]),
+        )

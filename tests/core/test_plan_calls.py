@@ -13,7 +13,7 @@ import itertools
 import pytest
 
 from repro import obs
-from repro.cache import query_fingerprint
+from repro.cache import capability_signature, query_fingerprint
 from repro.core import planner
 from repro.errors import UnknownConceptError
 from repro.neuro import build_scenario, ncmir, section5_query, senselab
@@ -41,7 +41,9 @@ def record_fingerprints(mediator):
 
     def recording(source, query, plan=None):
         capability = mediator.capabilities(source).get(query.class_name)
-        fingerprints.append(query_fingerprint(source, query, capability))
+        fingerprints.append(
+            query_fingerprint(source, query, capability_signature(capability))
+        )
         return source_query(source, query, plan=plan)
 
     mediator.source_query = recording

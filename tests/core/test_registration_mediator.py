@@ -123,6 +123,10 @@ class TestRegistrationWire:
 
 
 class TestMediatorRegistration:
+    def test_registered_source_repr_names_the_source(self):
+        mediator = build_scenario(scale=1, eager=False).mediator
+        assert repr(mediator._sources["NCMIR"]) == "RegisteredSource('NCMIR')"
+
     def test_register_and_query(self):
         mediator = Mediator(make_dm())
         mediator.register(make_wrapper())

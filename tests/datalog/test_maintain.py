@@ -5,16 +5,20 @@ negation, count/sum aggregates, optionally a well-founded game) and a
 random sequence of writes, each adding or removing stated facts.  After
 every write the maintained model must equal a full evaluation of the
 program as it now stands, on true and on undefined facts, and the
-model it was maintained from must be untouched.  The remaining tests
-pin each fallback reason of a retraction, the deletion counters, and
-the store operations retraction relies on.
+model it was maintained from must be untouched.  Along the same writes, each
+model's stated-fact index must count the facts its program states, and
+explaining its facts must give the trees a fresh evaluation gives.  The
+remaining tests pin each fallback reason of a retraction, the deletion
+counters, and the store operations retraction relies on.
 """
+
+from collections import Counter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import obs
-from repro.datalog import Atom, Const, Rule, evaluate, parse_program
+from repro.datalog import Atom, Const, Rule, evaluate, explain, parse_program
 from repro.datalog.store import MAX_OVERLAY_DEPTH, FactStore
 from repro.flogic import FLogicEngine
 from tests.conftest import examples, fl_rules
@@ -40,6 +44,22 @@ writes = st.lists(
 
 def stated(program):
     return [rule for rule in program if rule.is_fact]
+
+
+def pick_write(program, remove, added, picks):
+    """``(added, removed)``: the write a drawn step makes on `program`,
+    removing stated facts by the indexes `picks` or adding `added`."""
+    facts_now = stated(program)
+    if not (remove and facts_now):
+        return added, []
+    removed = [facts_now[pick % len(facts_now)] for pick in picks]
+    # a fact removed twice must be stated twice
+    removed = [
+        rule
+        for index, rule in enumerate(removed)
+        if removed[: index + 1].count(rule) <= facts_now.count(rule)
+    ]
+    return [], removed
 
 
 def maintained_and_fresh(program, added=(), removed=()):
@@ -71,18 +91,7 @@ class TestMaintainedEqualsFresh:
         model = evaluate(program)
         for remove, added, picks in steps:
             snapshot = model.store.copy()
-            if remove and stated(program):
-                facts_now = stated(program)
-                removed = [facts_now[pick % len(facts_now)] for pick in picks]
-                # a fact removed twice must be stated twice
-                removed = [
-                    rule
-                    for index, rule in enumerate(removed)
-                    if removed[: index + 1].count(rule) <= facts_now.count(rule)
-                ]
-                added = []
-            else:
-                removed = []
+            added, removed = pick_write(program, remove, added, picks)
             next_model = evaluate(added, base=model, removed=removed)
             for rule in removed:
                 program.remove(rule)
@@ -126,6 +135,53 @@ class TestMaintainedEqualsFresh:
             program, removed=rules(["path(a, b). edge(b, c)."])
         )
         assert model.store.contains(Atom("path", (Const("a"), Const("b"))))
+
+
+class TestStatedFactIndex:
+    @staticmethod
+    def counted(program):
+        return dict(
+            Counter(
+                (rule.head.signature, rule.head.args)
+                for rule in program
+                if rule.is_fact
+            )
+        )
+
+    @settings(max_examples=examples(100), deadline=None)
+    @given(
+        st.lists(facts, max_size=12),
+        st.lists(st.sampled_from(BASE_RULES), unique=True, min_size=1),
+        st.booleans(),
+        writes,
+        st.lists(st.integers(0, 255), min_size=1, max_size=4),
+    )
+    def test_maintained_index_and_explanations(
+        self, base_facts, base_rules, game, steps, explained
+    ):
+        program = base_facts + rules(base_rules + ([GAME_RULE] if game else []))
+        model = evaluate(program)
+        assert model.stated == self.counted(model.program)
+        for remove, added, picks in steps:
+            added, removed = pick_write(list(model.program), remove, added, picks)
+            model = evaluate(added, base=model, removed=removed)
+            assert model.stated == self.counted(model.program)
+            fresh = evaluate(model.program)
+            atoms = sorted(model.store.iter_atoms(), key=str)
+            for pick in explained if atoms else ():
+                atom = atoms[pick % len(atoms)]
+                maintained = explain(model.program, atom, result=model)
+                assert maintained is not None
+                assert maintained.format() == explain(
+                    fresh.program, atom, result=fresh
+                ).format()
+
+    def test_a_write_without_facts_shares_the_index(self):
+        base = evaluate(rules(["edge(a, b).", *BASE_RULES[:2]]))
+        assert evaluate([], base=base).stated is base.stated
+        added = evaluate(rules(["edge(b, c)."]), base=base)
+        assert added.stated is not base.stated
+        assert base.stated == self.counted(base.program)
 
 
 class TestRetractionFallbacks:

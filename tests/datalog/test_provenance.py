@@ -243,6 +243,14 @@ class TestCanonicalProof:
         assert str(derivation.children[0].atom) == "link(a, m0)"
         assert depth(derivation) == 4
 
+    def test_first_rule_in_program_order(self):
+        for first, second in (("a", "b"), ("b", "a")):
+            program = parse_program(
+                "a(1). b(1). q(X) :- %s(X). q(X) :- %s(X)." % (first, second)
+            )
+            derivation = explain(program, parse_atom("q(1)"))
+            assert str(derivation.children[0].atom) == "%s(1)" % first
+
     def test_same_tree_under_every_hash_seed(self):
         import os
         import subprocess
